@@ -7,6 +7,10 @@ transposes. The sparse-regularized method iterates a reweighted closed-form
 update: at each step the l1 penalty on the snapshot outputs is converted to a
 quadratic via a diagonal of reciprocal output magnitudes, which augments the
 covariance before the Capon solve.
+
+``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work on a tile
+of pixels (a leading pixel axis); ``mv_weight``, ``msmv_weight`` and
+``beamform_output`` are their one-pixel case.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ import numpy as np
 
 from .delays import SnapshotMatrix
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numerics import spd_solve, symmetrize
+from .numerics import check_symmetric, spd_solve_stack, symmetrize
 
 
 class Method(str, Enum):
@@ -68,11 +72,19 @@ def das_weight(L: int) -> WeightVector:
     return WeightVector(values=np.full(L, 1.0 / L), method=Method.DAS)
 
 
+def capon_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = A^-1 1 / (1^T A^-1 1) for a stack of matrices (P, L, L), without
+    forming an explicit inverse. Returns (w, ok) as ``spd_solve_stack``."""
+    x, ok = spd_solve_stack(a, np.ones(a.shape[-1]))
+    return x / x.sum(axis=-1, keepdims=True), ok
+
+
 def _capon_solve(a_mat: np.ndarray) -> np.ndarray:
-    """w = A^-1 1 / (1^T A^-1 1) without forming an explicit inverse."""
-    ones = np.ones(a_mat.shape[0])
-    x = spd_solve(a_mat, ones)
-    return x / x.sum()
+    """One-matrix case of ``capon_weights``; raises NotPositiveDefinite."""
+    w, ok = capon_weights(check_symmetric(a_mat)[None])
+    if not ok[0]:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return w[0]
 
 
 def mv_weight(r_loaded: np.ndarray) -> WeightVector:
@@ -112,6 +124,16 @@ def sc_weight(
     return WeightVector(values=w, method=Method.SC, iterations_run=it)
 
 
+def _reweight(x: np.ndarray, w: np.ndarray, epsilon_floor_rel: float) -> np.ndarray:
+    """Reciprocal clamped output magnitudes for snapshot rows x (P, N, L) and
+    weights w (P, L); a pixel whose outputs are all zero gets all zeros."""
+    mag = np.abs(np.matmul(x, w[..., None])[..., 0])
+    peak = mag.max(axis=-1, keepdims=True, initial=0.0)
+    d = np.zeros_like(mag)
+    np.divide(1.0, np.maximum(mag, epsilon_floor_rel * peak), out=d, where=peak > 0.0)
+    return d
+
+
 def reweight_diagonal(
     x: np.ndarray, w: np.ndarray, epsilon_floor_rel: float = 1e-12
 ) -> np.ndarray | None:
@@ -126,11 +148,52 @@ def reweight_diagonal(
         raise DimensionMismatch(
             f"snapshot rows {x.shape[0]} != weight length {w.shape[0]}"
         )
-    mag = np.abs(x.T @ w)
-    peak = mag.max() if mag.size else 0.0
-    if peak == 0.0:
-        return None
-    return 1.0 / np.maximum(mag, epsilon_floor_rel * peak)
+    d = _reweight(x.T[None], np.asarray(w, dtype=np.float64)[None], epsilon_floor_rel)[0]
+    return d if d.any() else None
+
+
+def msmv_weights(
+    r_loaded: np.ndarray, x: np.ndarray, cfg: MsmvConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse-regularized MV weights for every pixel of a tile.
+
+    ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
+    penalty snapshot rows. Starts from the MV weight and runs the reweighted
+    update on all pixels at once. A pixel drops out of the iteration when its
+    step matrix is not positive definite (keeping its last iterate), or, with
+    early stopping, once its infinity-norm step falls below the tolerance.
+
+    Returns:
+        (w, ok, iterations): weights (P, L), the mask of pixels whose MV
+        solve succeeded (w is NaN elsewhere), and steps taken per pixel.
+    """
+    w, ok = capon_weights(r_loaded)
+    iterations = np.zeros(len(w), dtype=np.int64)
+    if cfg.beta == 0.0 or cfg.n_iter == 0:
+        return w, ok, iterations
+    active = ok.copy()
+    for k in range(1, cfg.n_iter + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        sub = slice(None) if idx.size == len(w) else idx
+        xs, ws = x[sub], w[sub]
+        # form the penalty as B^T B with B = sqrt(D) X^T: numerically PSD; a
+        # pixel with all-zero outputs gets D = 0, dropping the penalty
+        b = xs * np.sqrt(cfg.beta * _reweight(xs, ws, cfg.epsilon_floor_rel))[..., None]
+        w_next, solved = capon_weights(
+            symmetrize(r_loaded[sub] + np.matmul(np.swapaxes(b, -1, -2), b))
+        )
+        # reweighting saturated the conditioning (deep nulls): keep the last
+        # valid iterate rather than discarding the pixel
+        active[idx[~solved]] = False
+        idx, w_next = idx[solved], w_next[solved]
+        step = np.max(np.abs(w_next - w[idx]), axis=-1)
+        w[idx] = w_next
+        iterations[idx] = k
+        if cfg.early_stop:
+            active[idx[step < cfg.early_stop_tol]] = False
+    return w, ok, iterations
 
 
 def msmv_weight(
@@ -142,7 +205,11 @@ def msmv_weight(
     initializer) and repeatedly solves with the covariance augmented by
     beta * X D X^T, D the reweighting diagonal of the previous iterate. Runs
     cfg.n_iter steps, or stops early once the infinity-norm step falls below
-    cfg.early_stop_tol when early stopping is enabled.
+    cfg.early_stop_tol when early stopping is enabled. One-pixel case of
+    ``msmv_weights``.
+
+    Raises:
+        NotPositiveDefinite: the MV starting solve failed.
     """
     x = (
         snapshots.center_columns
@@ -153,30 +220,10 @@ def msmv_weight(
         raise DimensionMismatch(
             f"snapshot rows {x.shape[0]} != covariance dim {r_loaded.shape[0]}"
         )
-    w = _capon_solve(r_loaded)
-    if cfg.beta == 0.0 or cfg.n_iter == 0:
-        return WeightVector(values=w, method=Method.MSMV, iterations_run=0)
-    it = 0
-    for k in range(1, cfg.n_iter + 1):
-        d = reweight_diagonal(x, w, cfg.epsilon_floor_rel)
-        if d is None:
-            a_mat = r_loaded
-        else:
-            # form the penalty as B B^T with B = X sqrt(D): numerically PSD
-            b = x * np.sqrt(cfg.beta * d)
-            a_mat = symmetrize(r_loaded + b @ b.T)
-        try:
-            w_next = _capon_solve(a_mat)
-        except NotPositiveDefinite:
-            # reweighting saturated the conditioning (deep nulls); keep the
-            # last valid iterate rather than discarding the pixel
-            break
-        it = k
-        step = np.max(np.abs(w_next - w))
-        w = w_next
-        if cfg.early_stop and step < cfg.early_stop_tol:
-            break
-    return WeightVector(values=w, method=Method.MSMV, iterations_run=it)
+    w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], x.T[None], cfg)
+    if not ok[0]:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return WeightVector(values=w[0], method=Method.MSMV, iterations_run=int(iterations[0]))
 
 
 def msmv_objective(
@@ -185,6 +232,13 @@ def msmv_objective(
     """w^T R w + beta * ||X^T w||_1, the quantity the reweighted update descends."""
     x = snapshots.columns
     return float(w @ r @ w + beta * np.sum(np.abs(x.T @ w)))
+
+
+def beamform_outputs(center: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Subarray-averaged output of each pixel of a tile: the mean of w^T X_l
+    over the center-time snapshot rows ``center`` (P, M-L+1, L), for weights
+    w of shape (P, L) or one shared (L,)."""
+    return np.matmul(center, w[..., None])[..., 0].mean(axis=-1)
 
 
 def beamform_output(snapshots: SnapshotMatrix, w: WeightVector) -> float:
@@ -199,4 +253,4 @@ def beamform_output(snapshots: SnapshotMatrix, w: WeightVector) -> float:
             f"weight length {values.shape[0]} != subarray length "
             f"{snapshots.subarray_len}"
         )
-    return float(np.mean(values @ snapshots.center_columns))
+    return float(beamform_outputs(snapshots.center_columns.T[None], values[None])[0])

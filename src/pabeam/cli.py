@@ -11,7 +11,7 @@ from .delays import FocalPoint
 from .errors import PabeamError
 from .metrics import TargetSpec, evaluate, lateral_profile
 from .phantom import add_channel_noise, simulate_rf
-from .pipeline import ImageGrid, finalize, reconstruct
+from .pipeline import IMAGE_METHODS, ImageGrid, finalize, reconstruct
 
 
 def _fail(exc: Exception) -> int:
@@ -115,7 +115,7 @@ def cmd_compare(args) -> int:
         targets=tuple(FocalPoint(ab.x, ab.z) for ab in cfg.phantom.absorbers)
     )
     reports = []
-    for method in (Method.DAS, Method.MV, Method.MSMV):
+    for method in IMAGE_METHODS:
         image = reconstruct(
             frame, cfg.grid, method, L=cfg.L, K=cfg.K,
             dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beamform", help="reconstruct an image from an RF file")
     p.add_argument("--rf", required=True)
-    p.add_argument("--method", required=True, choices=[m.value for m in Method])
+    p.add_argument("--method", required=True, choices=[m.value for m in IMAGE_METHODS])
     p.add_argument("--out", required=True, help="output image file base path")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=10)

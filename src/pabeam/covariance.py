@@ -1,4 +1,8 @@
-"""Spatially smoothed covariance estimation with diagonal loading."""
+"""Spatially smoothed covariance estimation with diagonal loading.
+
+Both stages work over any leading (pixel) axes; ``estimate`` is the
+one-pixel case of ``loaded_covariance`` without the loading.
+"""
 
 import numpy as np
 
@@ -11,19 +15,31 @@ def default_dl_factor(L: int) -> float:
     return 1.0 / (100.0 * L)
 
 
+def _covariance(snapshots: np.ndarray) -> np.ndarray:
+    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L)."""
+    x = np.swapaxes(snapshots, -1, -2)
+    return symmetrize(np.matmul(x, snapshots) / snapshots.shape[-2])
+
+
 def estimate(snapshots: SnapshotMatrix) -> np.ndarray:
     """Mean outer product over all subarray x temporal snapshot columns.
 
     Equals (1/N) X X^T for the snapshot matrix X, which makes the covariance
     estimator and the sparsity-penalty column set definitionally consistent.
     """
-    x = snapshots.columns
-    return symmetrize(x @ x.T / x.shape[1])
+    return _covariance(snapshots.columns.T)
 
 
 def apply_dl(r: np.ndarray, dl_factor: float) -> np.ndarray:
-    """Adds dl_factor * trace(R) to the diagonal of R."""
+    """Adds dl_factor * trace(R) to the diagonal of R (of each R in a stack)."""
     if dl_factor < 0:
         raise ValueError("diagonal loading factor must be >= 0")
     r = np.asarray(r, dtype=np.float64)
-    return r + dl_factor * np.trace(r) * np.eye(r.shape[0])
+    load = dl_factor * np.trace(r, axis1=-2, axis2=-1)
+    return r + np.asarray(load)[..., None, None] * np.eye(r.shape[-1])
+
+
+def loaded_covariance(snapshots: np.ndarray, dl_factor: float) -> np.ndarray:
+    """Diagonally loaded covariance of each pixel of a tile: snapshot rows
+    (P, N, L) to matrices (P, L, L)."""
+    return apply_dl(_covariance(snapshots), dl_factor)

@@ -3,11 +3,15 @@
 Delays are one-way (photoacoustic) times of flight expressed in fractional
 sample indices; reads at fractional indices use linear interpolation and
 out-of-record reads return 0 so edge pixels still reconstruct.
+
+The gather and the snapshot build work on a tile of focal points sharing one
+depth; the single-point functions are the one-point case of the same code.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSubarrayLength
 from .phantom import ArrayGeometry, RfFrame
@@ -47,15 +51,22 @@ class SnapshotMatrix:
         return self.columns[:, k * self.n_subarrays:(k + 1) * self.n_subarrays]
 
 
-def delay_samples(geometry: ArrayGeometry, p: FocalPoint) -> np.ndarray:
-    """One-way delay of each element to the focal point, in fractional samples."""
-    d = np.hypot(geometry.element_x - p.x, p.z)
+def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
+    """One-way delay of each element to (x, z), in fractional samples; ``x``
+    broadcasts against the element axis, which is last."""
+    d = np.hypot(geometry.element_x - x, z)
     return d / geometry.sound_speed * geometry.sampling_rate
 
 
+def delay_samples(geometry: ArrayGeometry, p: FocalPoint) -> np.ndarray:
+    """One-way delay of each element to the focal point, in fractional samples."""
+    return _delays(geometry, p.x, p.z)
+
+
 def _interp_at(samples: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Linear interpolation of each row of ``samples`` at its own fractional
-    index; indices outside [0, T-1] read as 0."""
+    """Linear interpolation of each channel of ``samples`` at its own
+    fractional index; ``tau`` has the channel axis last and any leading axes.
+    Indices outside [0, T-1] read as 0."""
     n_t = samples.shape[1]
     k = np.floor(tau).astype(np.int64)
     frac = tau - k
@@ -67,10 +78,28 @@ def _interp_at(samples: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return (1.0 - frac) * lo + frac * hi
 
 
+def gather_delayed(
+    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
+) -> np.ndarray:
+    """Delayed channel data for the focal points (xs[i], z), read at each
+    temporal offset in samples. Shape (P, len(offsets), M)."""
+    tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
+    return _interp_at(frame.samples, tau + np.asarray(offsets)[:, None])
+
+
+def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:
+    """Length-L subarray windows of gathered data (P, O, M), offset-major:
+    shape (P, O(M-L+1), L), row n of pixel p being snapshot column n.
+
+    With a single offset this is a view; otherwise the windows are copied.
+    """
+    p = delayed.shape[0]
+    return sliding_window_view(delayed, L, axis=-1).reshape(p, -1, L)
+
+
 def extract_delayed(frame: RfFrame, p: FocalPoint, time_offset: int = 0) -> np.ndarray:
     """Delayed sample per element for a focal point, shape (M,)."""
-    tau = delay_samples(frame.geometry, p) + time_offset
-    return _interp_at(frame.samples, tau)
+    return gather_delayed(frame, np.array([p.x]), p.z, np.array([time_offset]))[0, 0]
 
 
 def build_snapshots(frame: RfFrame, p: FocalPoint, L: int, K: int) -> SnapshotMatrix:
@@ -87,12 +116,10 @@ def build_snapshots(frame: RfFrame, p: FocalPoint, L: int, K: int) -> SnapshotMa
         raise InvalidSubarrayLength(f"subarray length {L} outside [1, {m}]")
     if K < 0:
         raise ValueError("temporal half window K must be >= 0")
-    n_sub = m - L + 1
-    cols = np.empty((L, (2 * K + 1) * n_sub))
-    for i, n in enumerate(range(-K, K + 1)):
-        delayed = extract_delayed(frame, p, n)
-        windows = np.lib.stride_tricks.sliding_window_view(delayed, L)  # (n_sub, L)
-        cols[:, i * n_sub:(i + 1) * n_sub] = windows.T
+    delayed = gather_delayed(frame, np.array([p.x]), p.z, np.arange(-K, K + 1))
     return SnapshotMatrix(
-        columns=cols, subarray_len=L, n_subarrays=n_sub, temporal_half_window=K
+        columns=subarray_snapshots(delayed, L)[0].T,
+        subarray_len=L,
+        n_subarrays=m - L + 1,
+        temporal_half_window=K,
     )

@@ -4,10 +4,13 @@ Everything downstream (covariance matrices, augmented penalty matrices) is
 real symmetric by construction and diagonally loaded to positive definiteness,
 so a failing Cholesky factorization is a meaningful signal, not a condition to
 recover from.
+
+The solver works on a stack of matrices (one per pixel of a tile) and reports
+per matrix whether it was positive definite; ``spd_solve`` is its one-matrix
+case with input validation.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -30,13 +33,51 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Returns (A + A^T)/2, killing roundoff asymmetry."""
+    """Returns (A + A^T)/2 over the last two axes, killing roundoff asymmetry."""
     a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Per-matrix Cholesky verdict for a stack (P, n, n), as a bool mask."""
+    try:
+        np.linalg.cholesky(a)
+        return np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+    # the stack fails as a whole: bisect it to find the matrices that fail
+    half = len(a) // 2
+    return np.concatenate([_positive_definite(a[:half]), _positive_definite(a[half:])])
+
+
+def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solves A_p x_p = b for a stack of symmetric matrices and one
+    right-hand side.
+
+    Args:
+        a: matrices, shape (P, n, n).
+        b: right-hand side vector, shape (n,).
+
+    Returns:
+        (x, ok): solutions of shape (P, n) and a (P,) mask of the matrices
+        whose Cholesky factorization succeeded. Rows of x where ok is False
+        are NaN.
+    """
+    # The Cholesky factorization decides definiteness; the solve itself is a
+    # batched LU, since numpy has no batched triangular solve and looping
+    # over the factors per matrix costs more than the second factorization.
+    ok = _positive_definite(a)
+    if ok.all():
+        return np.linalg.solve(a, b), ok
+    x = np.full(a.shape[:-1], np.nan)
+    if ok.any():
+        x[ok] = np.linalg.solve(a[ok], b)
+    return x, ok
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solves A x = b for symmetric positive-definite A via Cholesky.
+    """Solves A x = b for symmetric positive-definite A.
 
     Args:
         a: symmetric positive-definite matrix, shape (n, n).
@@ -55,8 +96,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs length {b.shape} does not match matrix dim {a.shape[0]}"
         )
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return cho_solve(factor, b, check_finite=False)
+    x, ok = spd_solve_stack(a[None], b)
+    if not ok[0]:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return x[0]

@@ -253,6 +253,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    def test_beamform_rejects_sc(self, tmp_path, small_config, capsys):
+        # sc cannot differ from mv, so it forms no image (it used to run as
+        # msmv and write that image under the sc label)
+        rf = tmp_path / "frame"
+        main(["simulate", "--config", str(small_config), "--out", str(rf)])
+        with pytest.raises(SystemExit) as exc:
+            main(["beamform", "--rf", str(rf), "--method", "sc",
+                  "--out", str(tmp_path / "img"), "--K", "1"])
+        assert exc.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
+        assert not list(tmp_path.glob("img*"))
+
     def test_missing_rf(self, tmp_path):
         rc = main(["beamform", "--rf", str(tmp_path / "nope"), "--method", "mv",
                    "--out", str(tmp_path / "img")])

@@ -1,16 +1,37 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pabeam.beamformers import Method, MsmvConfig
-from pabeam.delays import FocalPoint, delay_samples
-from pabeam.errors import ConfigError
-from pabeam.phantom import Absorber, ArrayGeometry, Phantom, RfFrame, simulate_rf
+from pabeam.beamformers import (
+    Method,
+    MsmvConfig,
+    beamform_output,
+    das_weight,
+    msmv_weight,
+    mv_weight,
+)
+from pabeam.covariance import apply_dl, estimate
+from pabeam.delays import FocalPoint, build_snapshots, delay_samples
+from pabeam.errors import ConfigError, NotPositiveDefinite
+from pabeam.phantom import (
+    Absorber,
+    ArrayGeometry,
+    Phantom,
+    RfFrame,
+    add_channel_noise,
+    simulate_rf,
+)
 from pabeam.pipeline import (
+    IMAGE_METHODS,
     ImageGrid,
     envelope_detect,
     finalize,
     log_compress,
     reconstruct,
+    tile_pixels,
 )
 
 
@@ -162,3 +183,121 @@ class TestReconstruct:
         assert img.db.max() == pytest.approx(0.0)
         assert img.db.min() >= -40.0
         assert img.dynamic_range_db == 40.0
+
+    def test_sc_forms_no_image(self):
+        with pytest.raises(ConfigError, match="sc"):
+            reconstruct(point_frame(), SMALL_GRID, Method.SC)
+
+
+# A 64-element array with L=32, K=2 gives tiles of a few dozen pixels, so
+# small grids already span several tiles per row.
+TILE_L, TILE_K, TILE_DL = 32, 2, 1.0 / 3200.0
+# Tiled MSMV agrees with its one-pixel case only to roundoff amplified by
+# the ill-conditioned reweighted systems (see CHANGES.md).
+MSMV_RTOL = 1e-4
+
+
+@functools.cache
+def noisy_frame():
+    geo = geometry(m=64)
+    phantom = Phantom.from_points([Absorber(0.0, 0.01, amplitude=5.0),
+                                   Absorber(1e-3, 0.02, amplitude=2.0)])
+    return add_channel_noise(simulate_rf(geo, phantom, 40e-6), 40.0, 11)
+
+
+def per_pixel_plane(frame, grid, method, dl=TILE_DL, msmv=MsmvConfig()):
+    """The per-pixel definition: build_snapshots -> estimate -> apply_dl ->
+    weights -> beamform_output, falling back to DAS weights on a failed
+    solve. Returns (plane, fallback count)."""
+    das_w = das_weight(TILE_L)
+    plane = np.zeros((grid.nz, grid.nx))
+    fallbacks = 0
+    for iz, z in enumerate(grid.z_coords):
+        for ix, x in enumerate(grid.x_coords):
+            snaps = build_snapshots(frame, FocalPoint(x, z), TILE_L, TILE_K)
+            w = das_w
+            if method is not Method.DAS:
+                r = apply_dl(estimate(snaps), dl)
+                try:
+                    w = mv_weight(r) if method is Method.MV else msmv_weight(r, snaps, msmv)
+                except NotPositiveDefinite:
+                    fallbacks += 1
+            plane[iz, ix] = beamform_output(snaps, w)
+    return plane, fallbacks
+
+
+def assert_matches_per_pixel(frame, grid, method, dl=TILE_DL):
+    image = reconstruct(frame, grid, method, L=TILE_L, K=TILE_K, dl_factor=dl)
+    plane, fallbacks = per_pixel_plane(frame, grid, method, dl)
+    assert image.fallback_pixel_count == fallbacks
+    rtol = MSMV_RTOL if method is Method.MSMV else 1e-12
+    scale = np.max(np.abs(plane))
+    assert np.max(np.abs(image.beamformed - plane)) <= rtol * scale
+    return image, plane
+
+
+class TestTiles:
+    @pytest.mark.parametrize("method", IMAGE_METHODS)
+    @pytest.mark.parametrize("shape", ["nx=1", "nz=1", "tile+1", "ragged"])
+    def test_matches_per_pixel_definition(self, method, shape):
+        tile = tile_pixels(method, 64, TILE_L, TILE_K)
+        nx, nz = {"nx=1": (1, 3), "nz=1": (5, 1), "tile+1": (tile + 1, 2),
+                  "ragged": (2 * tile + 5, 1)}[shape]
+        grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, nx, nz)
+        assert_matches_per_pixel(noisy_frame(), grid, method)
+
+    def test_tile_size(self):
+        # the snapshot tensor of one tile stays within TILE_BYTES (384 KiB)
+        assert tile_pixels(Method.MV, 64, 32, 2) == 9
+        assert tile_pixels(Method.MSMV, 64, 32, 2) == 9
+        assert tile_pixels(Method.DAS, 64, 32, 2) == 46
+        assert tile_pixels(Method.MV, 4096, 2048, 8) == 1
+
+    @pytest.mark.parametrize("method", IMAGE_METHODS)
+    def test_mixed_tile_fallback(self, method):
+        # the record ends at 20 mm of travel: on the 10 mm row, pixels past
+        # x = 27 mm read only zeros and fall back, the rest carry signal
+        full = noisy_frame()
+        frame = RfFrame(geometry=full.geometry, samples=full.samples[:, :520])
+        grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, 19, 1)
+        image, plane = assert_matches_per_pixel(frame, grid, method)
+        if method is not Method.DAS:
+            assert image.fallback_pixel_count == 5
+        assert np.all(plane[0, -5:] == 0.0) and np.all(plane[0, :-5] != 0.0)
+
+    @pytest.mark.parametrize("method", [Method.MV, Method.MSMV])
+    def test_unloaded_fallback_takes_das_value(self, method):
+        # without loading, pixels that see only part of the aperture have a
+        # singular covariance: they fall back to DAS with nonzero values
+        full = noisy_frame()
+        frame = RfFrame(geometry=full.geometry, samples=full.samples[:, :520])
+        grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, 19, 1)
+        image, plane = assert_matches_per_pixel(frame, grid, method, dl=0.0)
+        das = reconstruct(frame, grid, Method.DAS, L=TILE_L).beamformed
+        assert image.fallback_pixel_count == 10
+        np.testing.assert_allclose(image.beamformed[0, 9:], das[0, 9:], rtol=1e-12)
+        assert np.count_nonzero(das[0, 9:]) == 5
+
+
+@settings(max_examples=6, deadline=None)
+@given(method=st.sampled_from(IMAGE_METHODS), nx=st.integers(1, 40),
+       nz=st.integers(1, 3))
+def test_workers_bit_identical(method, nx, nz):
+    grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, nx, nz)
+    base = reconstruct(noisy_frame(), grid, method, L=TILE_L, K=TILE_K).beamformed
+    for workers in (2, 3):
+        again = reconstruct(noisy_frame(), grid, method, L=TILE_L, K=TILE_K,
+                            workers=workers).beamformed
+        assert np.array_equal(base, again)
+
+
+@settings(max_examples=10, deadline=None)
+@given(method=st.sampled_from((Method.DAS, Method.MV)),
+       scale=st.floats(1e-3, 1e3), nx=st.integers(1, 8), nz=st.integers(1, 4))
+def test_das_mv_linear_in_amplitude(method, scale, nx, nz):
+    frame = point_frame()
+    scaled = RfFrame(geometry=frame.geometry, samples=scale * frame.samples)
+    grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, nx, nz)
+    a = reconstruct(frame, grid, method, K=1).beamformed
+    b = reconstruct(scaled, grid, method, K=1).beamformed
+    assert np.max(np.abs(b - scale * a)) <= 1e-9 * scale * np.max(np.abs(a))
