@@ -179,11 +179,10 @@ def msmv_weights(
         sub = slice(None) if idx.size == len(w) else idx
         xs, ws = x[sub], w[sub]
         # form the penalty as B^T B with B = sqrt(D) X^T: numerically PSD; a
-        # pixel with all-zero outputs gets D = 0, dropping the penalty
+        # pixel with all-zero outputs gets D = 0, dropping the penalty. The
+        # solve reads one triangle, so the sum needs no symmetrizing.
         b = xs * np.sqrt(cfg.beta * _reweight(xs, ws, cfg.epsilon_floor_rel))[..., None]
-        w_next, solved = capon_weights(
-            symmetrize(r_loaded[sub] + np.matmul(np.swapaxes(b, -1, -2), b))
-        )
+        w_next, solved = capon_weights(r_loaded[sub] + np.matmul(np.swapaxes(b, -1, -2), b))
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
         active[idx[~solved]] = False

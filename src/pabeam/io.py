@@ -19,7 +19,7 @@ from .delays import FocalPoint
 from .errors import ConfigError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
 from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
-from .pipeline import ImageGrid, PaImage, finalize
+from .pipeline import IMAGE_METHODS, ImageGrid, PaImage, finalize
 
 RF_MAGIC = "PARF"
 RF_VERSION = 1
@@ -108,7 +108,6 @@ def resolve_config(raw: dict) -> RunConfig:
                     Absorber(
                         x=float(_num(ab, "x", required=True)),
                         z=float(_num(ab, "z", required=True)),
-                        radius=float(_num(ab, "radius", 1e-4)),
                         amplitude=float(_num(ab, "amplitude", 1.0)),
                     )
                 )
@@ -138,11 +137,11 @@ def resolve_config(raw: dict) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    method_name = _get(raw, "method", "msmv")
-    try:
-        method = Method(str(method_name).lower())
-    except ValueError as exc:
-        raise ConfigError(f"method: unknown method {method_name!r}") from exc
+    method_name = str(_get(raw, "method", "msmv")).lower()
+    names = [m.value for m in IMAGE_METHODS]
+    if method_name not in names:
+        raise ConfigError(f"method: {method_name!r} is not one of {', '.join(names)}")
+    method = Method(method_name)
 
     L = int(_num(raw, "L", m // 2))
     if not 1 <= L <= m:
@@ -377,9 +376,7 @@ def load_targets(path) -> TargetSpec:
             pts.append(FocalPoint(x=float(t["x"]), z=float(t["z"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"targets[{i}]: {exc}") from exc
-    return TargetSpec(
-        targets=tuple(pts), depth_tolerance=float(raw.get("depth_tolerance", 1e-3))
-    )
+    return TargetSpec(targets=tuple(pts))
 
 
 METRICS_CSV_COLUMNS = ["method", "snr_db", "depth_m", "fwhm_m", "peak_sidelobe_db"]

@@ -12,7 +12,6 @@ from .pipeline import PaImage
 @dataclass(frozen=True)
 class TargetSpec:
     targets: tuple  # of FocalPoint
-    depth_tolerance: float = 1e-3  # m
 
 
 @dataclass(frozen=True)

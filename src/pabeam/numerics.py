@@ -5,12 +5,14 @@ real symmetric by construction and diagonally loaded to positive definiteness,
 so a failing Cholesky factorization is a meaningful signal, not a condition to
 recover from.
 
-The solver works on a stack of matrices (one per pixel of a tile) and reports
-per matrix whether it was positive definite; ``spd_solve`` is its one-matrix
-case with input validation.
+The solver works on a stack of matrices (one per pixel of a tile): one LAPACK
+``posv`` per matrix both decides positive definiteness and solves, from a
+single Cholesky factorization of the matrix's lower triangle. ``spd_solve``
+is its one-matrix case with input validation.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -38,22 +40,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Per-matrix Cholesky verdict for a stack (P, n, n), as a bool mask."""
-    try:
-        np.linalg.cholesky(a)
-        return np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-    # the stack fails as a whole: bisect it to find the matrices that fail
-    half = len(a) // 2
-    return np.concatenate([_positive_definite(a[:half]), _positive_definite(a[half:])])
-
-
 def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solves A_p x_p = b for a stack of symmetric matrices and one
     right-hand side.
+
+    Only the lower triangle of each A_p is read (the strict upper triangle
+    may hold anything), and ``a`` is left unchanged.
 
     Args:
         a: matrices, shape (P, n, n).
@@ -64,15 +56,14 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         whose Cholesky factorization succeeded. Rows of x where ok is False
         are NaN.
     """
-    # The Cholesky factorization decides definiteness; the solve itself is a
-    # batched LU, since numpy has no batched triangular solve and looping
-    # over the factors per matrix costs more than the second factorization.
-    ok = _positive_definite(a)
-    if ok.all():
-        return np.linalg.solve(a, b), ok
     x = np.full(a.shape[:-1], np.nan)
-    if ok.any():
-        x[ok] = np.linalg.solve(a[ok], b)
+    ok = np.zeros(len(a), dtype=bool)
+    for p, mat in enumerate(a):
+        # mat.T is the Fortran-ordered view of mat, so its upper triangle is
+        # mat's lower one; info > 0 is a non-positive pivot
+        _, x_p, info = dposv(mat.T, b, lower=0)
+        if info == 0:
+            x[p], ok[p] = x_p, True
     return x, ok
 
 

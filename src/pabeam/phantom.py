@@ -58,14 +58,13 @@ class ArrayGeometry:
 class Absorber:
     x: float          # m
     z: float          # m, depth > 0
-    radius: float = 0.0
     amplitude: float = 1.0
 
     def __post_init__(self):
         if self.z <= 0:
             raise ValueError("absorber must be in front of the array (z > 0)")
-        if self.radius < 0 or self.amplitude <= 0:
-            raise ValueError("radius must be >= 0 and amplitude > 0")
+        if self.amplitude <= 0:
+            raise ValueError("amplitude must be > 0")
 
 
 @dataclass(frozen=True)

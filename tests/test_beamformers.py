@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabeam.beamformers import (
     Method,
@@ -8,11 +10,12 @@ from pabeam.beamformers import (
     das_weight,
     msmv_objective,
     msmv_weight,
+    msmv_weights,
     mv_weight,
     reweight_diagonal,
     sc_weight,
 )
-from pabeam.covariance import apply_dl
+from pabeam.covariance import apply_dl, default_dl_factor, loaded_covariance
 from pabeam.delays import SnapshotMatrix
 from pabeam.errors import DimensionMismatch, NotPositiveDefinite
 
@@ -219,3 +222,22 @@ class TestBeamformOutput:
         snaps = snaps_from(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             beamform_output(snaps, das_weight(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_pix=st.integers(1, 9), L=st.integers(2, 12),
+       n_iter=st.sampled_from((0, 1, 3)), zero_pixel=st.booleans())
+def test_msmv_tile_unit_gain_every_iterate(seed, n_pix, L, n_iter, zero_pixel):
+    # a seeded random tile; an all-zero pixel has no positive-definite
+    # covariance and must come back not ok (NaN) without disturbing the rest
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_pix, 3 * L, L))
+    if zero_pixel:
+        x[0] = 0.0
+    w, ok, iterations = msmv_weights(
+        loaded_covariance(x, default_dl_factor(L)), x, MsmvConfig(n_iter=n_iter)
+    )
+    assert ok.sum() == n_pix - zero_pixel
+    assert np.isnan(w[~ok]).all()
+    np.testing.assert_allclose(w[ok].sum(axis=-1), 1.0, rtol=0, atol=1e-10)
+    assert np.all(iterations <= n_iter)

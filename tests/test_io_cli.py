@@ -56,6 +56,22 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="dynamic_range_db"):
             pio.resolve_config({"dynamic_range_db": -5})
 
+    def test_sc_method_rejected(self):
+        # sc forms no image, so a config may not ask for it
+        with pytest.raises(ConfigError, match="method: 'sc' is not one of das, mv, msmv"):
+            pio.resolve_config({"method": "sc"})
+        assert pio.resolve_config({"method": "MV"}).method is Method.MV
+
+    def test_retired_keys_ignored(self, tmp_path):
+        ab = {"x": 0.0, "z": 0.02, "amplitude": 3.0}
+        cfg = pio.resolve_config({"phantom": {"absorbers": [dict(ab, radius=1e-4)]}})
+        assert cfg.phantom.absorbers == (Absorber(0.0, 0.02, amplitude=3.0),)
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(
+            {"targets": [{"x": 0.0, "z": 0.02}], "depth_tolerance": 5e-4}
+        ))
+        assert pio.load_targets(path).targets == (FocalPoint(0.0, 0.02),)
+
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="geometry.pitch"):
             pio.resolve_config({"geometry": {"pitch": "wide"}})

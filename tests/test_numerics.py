@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pabeam.errors import DimensionMismatch, NotPositiveDefinite
-from pabeam.numerics import check_symmetric, spd_solve, symmetrize
+from pabeam.numerics import check_symmetric, spd_solve, spd_solve_stack, symmetrize
 
 
 def test_identity_solve():
@@ -66,3 +66,43 @@ def test_check_symmetric_tolerance():
     a[0, 1] = 1e-13  # below 1e-12 * max entry
     a2 = check_symmetric(a)
     assert a2.shape == (4, 4)
+
+
+def _cholesky_ok(a):
+    try:
+        np.linalg.cholesky(a)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def test_solve_stack_mixed():
+    # SPD, indefinite, all-zero and singular PSD (exact zero pivots) matrices
+    rng = np.random.default_rng(8)
+    dim = 6
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    g = rng.standard_normal((dim, dim))
+    singular = np.eye(dim)
+    singular[-1, -1] = 0.0
+    a = np.stack([
+        g @ g.T + dim * np.eye(dim),
+        (q * np.array([3.0, 2.0, 1.0, 1.0, 0.5, -1.0])) @ q.T,
+        np.zeros((dim, dim)),
+        np.ones((dim, dim)),
+        g.T @ g + 0.1 * np.eye(dim),
+        singular,
+    ])
+    b = rng.standard_normal(dim)
+    before = a.copy()
+    x, ok = spd_solve_stack(a, b)
+    np.testing.assert_array_equal(a, before)
+    np.testing.assert_array_equal(ok, [_cholesky_ok(m) for m in a])
+    np.testing.assert_array_equal(ok, [True, False, False, False, True, False])
+    assert np.isnan(x[~ok]).all()
+    np.testing.assert_allclose(x[ok], np.linalg.solve(a[ok], b), rtol=1e-12, atol=0)
+    # only the lower triangle is read: garbage above the diagonal changes nothing
+    upper = np.triu_indices(dim, 1)
+    a[:, upper[0], upper[1]] = rng.uniform(-1e3, 1e3, (len(a), len(upper[0])))
+    x2, ok2 = spd_solve_stack(a, b)
+    np.testing.assert_array_equal(ok2, ok)
+    np.testing.assert_array_equal(x2, x)
