@@ -124,14 +124,15 @@ def sc_weight(
     return WeightVector(values=w, method=Method.SC, iterations_run=it)
 
 
-def _reweight(x: np.ndarray, w: np.ndarray, epsilon_floor_rel: float) -> np.ndarray:
-    """Reciprocal clamped output magnitudes for snapshot rows x (P, N, L) and
-    weights w (P, L); a pixel whose outputs are all zero gets all zeros."""
-    mag = np.abs(np.matmul(x, w[..., None])[..., 0])
-    peak = mag.max(axis=-1, keepdims=True, initial=0.0)
-    d = np.zeros_like(mag)
-    np.divide(1.0, np.maximum(mag, epsilon_floor_rel * peak), out=d, where=peak > 0.0)
-    return d
+def _reweight(x: np.ndarray, w: np.ndarray, floor_rel: float, beta: float) -> np.ndarray:
+    """beta over the clamped output magnitudes for snapshot rows x (P, N, L)
+    and weights w (P, L); a pixel whose outputs are all zero keeps all zeros."""
+    y = np.matmul(x, w[..., None])[..., 0]
+    np.abs(y, out=y)
+    peak = y.max(axis=-1, keepdims=True, initial=0.0)
+    np.maximum(y, floor_rel * peak, out=y)
+    np.divide(beta, y, out=y, where=peak > 0.0)
+    return y
 
 
 def reweight_diagonal(
@@ -148,7 +149,7 @@ def reweight_diagonal(
         raise DimensionMismatch(
             f"snapshot rows {x.shape[0]} != weight length {w.shape[0]}"
         )
-    d = _reweight(x.T[None], np.asarray(w, dtype=np.float64)[None], epsilon_floor_rel)[0]
+    d = _reweight(x.T[None], np.asarray(w, float)[None], epsilon_floor_rel, 1.0)[0]
     return d if d.any() else None
 
 
@@ -158,9 +159,11 @@ def msmv_weights(
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    penalty snapshot rows. Starts from the MV weight and runs the reweighted
-    update on all pixels at once. A pixel drops out of the iteration when its
-    step matrix is not positive definite (keeping its last iterate), or, with
+    penalty snapshot rows. From the MV weight, every step solves each pixel's
+    r_loaded + (x^T Lambda) x, one unsymmetrized matmul of a contiguous x^T
+    (the solver reads one triangle), Lambda = beta / max(|x w|, eps * peak) of
+    the last iterate, or 0 if all outputs are 0. A pixel drops out when its
+    step matrix is not positive definite (keeping its last iterate) or, with
     early stopping, once its infinity-norm step falls below the tolerance.
 
     Returns:
@@ -172,26 +175,26 @@ def msmv_weights(
     if cfg.beta == 0.0 or cfg.n_iter == 0:
         return w, ok, iterations
     active = ok.copy()
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
     for k in range(1, cfg.n_iter + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         sub = slice(None) if idx.size == len(w) else idx
-        xs, ws = x[sub], w[sub]
-        # form the penalty as B^T B with B = sqrt(D) X^T: numerically PSD; a
-        # pixel with all-zero outputs gets D = 0, dropping the penalty. The
-        # solve reads one triangle, so the sum needs no symmetrizing.
-        b = xs * np.sqrt(cfg.beta * _reweight(xs, ws, cfg.epsilon_floor_rel))[..., None]
-        w_next, solved = capon_weights(r_loaded[sub] + np.matmul(np.swapaxes(b, -1, -2), b))
+        xs = x[sub]
+        lam = _reweight(xs, w[sub], cfg.epsilon_floor_rel, cfg.beta)
+        a = np.matmul(xt[sub] * lam[:, None, :], xs)
+        a += r_loaded[sub]
+        w_next, solved = capon_weights(a)
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
         active[idx[~solved]] = False
         idx, w_next = idx[solved], w_next[solved]
-        step = np.max(np.abs(w_next - w[idx]), axis=-1)
+        if cfg.early_stop:
+            step = np.max(np.abs(w_next - w[idx]), axis=-1)
+            active[idx[step < cfg.early_stop_tol]] = False
         w[idx] = w_next
         iterations[idx] = k
-        if cfg.early_stop:
-            active[idx[step < cfg.early_stop_tol]] = False
     return w, ok, iterations
 
 

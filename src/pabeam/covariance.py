@@ -7,7 +7,6 @@ one-pixel case of ``loaded_covariance`` without the loading.
 import numpy as np
 
 from .delays import SnapshotMatrix
-from .numerics import symmetrize
 
 
 def default_dl_factor(L: int) -> float:
@@ -16,9 +15,11 @@ def default_dl_factor(L: int) -> float:
 
 
 def _covariance(snapshots: np.ndarray) -> np.ndarray:
-    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L)."""
-    x = np.swapaxes(snapshots, -1, -2)
-    return symmetrize(np.matmul(x, snapshots) / snapshots.shape[-2])
+    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L); symmetric only
+    up to roundoff, as the solver reads the lower triangle alone."""
+    r = np.matmul(np.ascontiguousarray(np.swapaxes(snapshots, -1, -2)), snapshots)
+    r /= snapshots.shape[-2]
+    return r
 
 
 def estimate(snapshots: SnapshotMatrix) -> np.ndarray:

@@ -41,10 +41,6 @@ class SnapshotMatrix:
     temporal_half_window: int
 
     @property
-    def n_columns(self) -> int:
-        return self.columns.shape[1]
-
-    @property
     def center_columns(self) -> np.ndarray:
         """The temporal-offset-0 block, used for the beamformed output."""
         k = self.temporal_half_window
@@ -63,28 +59,28 @@ def delay_samples(geometry: ArrayGeometry, p: FocalPoint) -> np.ndarray:
     return _delays(geometry, p.x, p.z)
 
 
-def _interp_at(samples: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Linear interpolation of each channel of ``samples`` at its own
-    fractional index; ``tau`` has the channel axis last and any leading axes.
-    Indices outside [0, T-1] read as 0."""
-    n_t = samples.shape[1]
-    k = np.floor(tau).astype(np.int64)
-    frac = tau - k
-    rows = np.arange(samples.shape[0])
-    lo = np.where((k >= 0) & (k <= n_t - 1), samples[rows, np.clip(k, 0, n_t - 1)], 0.0)
-    hi = np.where(
-        (k + 1 >= 0) & (k + 1 <= n_t - 1), samples[rows, np.clip(k + 1, 0, n_t - 1)], 0.0
-    )
-    return (1.0 - frac) * lo + frac * hi
-
-
 def gather_delayed(
     frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
 ) -> np.ndarray:
     """Delayed channel data for the focal points (xs[i], z), read at each
-    temporal offset in samples. Shape (P, len(offsets), M)."""
+    temporal offset in samples. Shape (P, len(offsets), M).
+
+    Each channel is read at its fractional index t by linear interpolation
+    between flat ``take``s of samples floor(t) and floor(t) + 1 from a view of
+    the record; reads outside [0, T-1] are 0 (clipped and masked only then).
+    """
+    n_t = frame.samples.shape[1]
     tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
-    return _interp_at(frame.samples, tau + np.asarray(offsets)[:, None])
+    tau = tau + np.asarray(offsets)[:, None]
+    k = np.floor(tau).astype(np.int64)
+    frac = tau - k
+    flat, row = frame.samples.reshape(-1), np.arange(len(frame.samples)) * n_t
+    if k.size and k.min() >= 0 and k.max() <= n_t - 2:
+        return (1.0 - frac) * flat.take(k + row) + frac * flat.take(k + (row + 1))
+    lo = np.where((k >= 0) & (k < n_t), flat.take(np.clip(k, 0, n_t - 1) + row), 0.0)
+    k += 1
+    hi = np.where((k >= 0) & (k < n_t), flat.take(np.clip(k, 0, n_t - 1) + row), 0.0)
+    return (1.0 - frac) * lo + frac * hi
 
 
 def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:

@@ -241,3 +241,41 @@ def test_msmv_tile_unit_gain_every_iterate(seed, n_pix, L, n_iter, zero_pixel):
     assert np.isnan(w[~ok]).all()
     np.testing.assert_allclose(w[ok].sum(axis=-1), 1.0, rtol=0, atol=1e-10)
     assert np.all(iterations <= n_iter)
+
+
+@pytest.mark.parametrize("penalty_window", ["full", "center"])
+def test_msmv_tile_early_stop_matches_one_pixel(penalty_window):
+    # a tile of random pixels that stop at different steps, a fast pixel
+    # (equal snapshots: the iterate stays uniform), a pixel whose outputs are
+    # all zero (the penalty drops out), an all-zero pixel and an indefinite
+    # one (both not positive definite); each must come out of the tile
+    # exactly as it comes out of a one-pixel run
+    L, K, n_sub, n_iter = 6, 1, 5, 12
+    cfg = MsmvConfig(n_iter=n_iter, early_stop=True, early_stop_tol=1e-3,
+                     penalty_window=penalty_window)
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((12, L, (2 * K + 1) * n_sub))
+    cols[8] = 1.5
+    cols[9:] = 0.0
+    r = loaded_covariance(np.swapaxes(cols, 1, 2), default_dl_factor(L))
+    r[9] = random_spd(rng, L)
+    r[11] = -np.eye(L)
+    snaps = [snaps_from(c, K=K) for c in cols]
+    x = np.stack([
+        (s.center_columns if penalty_window == "center" else s.columns).T for s in snaps
+    ])
+    w, ok, iterations = msmv_weights(r, x, cfg)
+    np.testing.assert_array_equal(ok, [True] * 10 + [False] * 2)
+    assert set(iterations[8:10]) == {1} and set(iterations[10:]) == {0}
+    assert 1 < iterations[:8].min() < n_iter == iterations[:8].max()
+    for p in range(len(cols)):
+        w_p, ok_p, it_p = msmv_weights(r[p:p + 1], x[p:p + 1], cfg)
+        assert w[p].tobytes() == w_p[0].tobytes()
+        assert (ok[p], iterations[p]) == (ok_p[0], it_p[0])
+        if ok[p]:
+            one = msmv_weight(r[p], snaps[p], cfg)
+            assert w[p].tobytes() == one.values.tobytes()
+            assert iterations[p] == one.iterations_run
+        else:
+            with pytest.raises(NotPositiveDefinite):
+                msmv_weight(r[p], snaps[p], cfg)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabeam.covariance import estimate
 from pabeam.delays import (
@@ -7,6 +9,7 @@ from pabeam.delays import (
     build_snapshots,
     delay_samples,
     extract_delayed,
+    gather_delayed,
 )
 from pabeam.errors import InvalidSubarrayLength
 from pabeam.phantom import ArrayGeometry, RfFrame
@@ -136,3 +139,59 @@ class TestBuildSnapshots:
         x = snaps.columns
         direct = x @ x.T / x.shape[1]
         np.testing.assert_allclose(estimate(snaps), direct, atol=1e-12)
+
+
+def interp_reference(samples, tau):
+    """The gather's earlier per-channel fancy-index form, kept as its
+    reference: linear interpolation of each channel at its own fractional
+    index, with indices outside [0, T-1] reading as 0."""
+    n_t = samples.shape[1]
+    k = np.floor(tau).astype(np.int64)
+    frac = tau - k
+    rows = np.arange(samples.shape[0])
+    lo = np.where((k >= 0) & (k <= n_t - 1), samples[rows, np.clip(k, 0, n_t - 1)], 0.0)
+    hi = np.where(
+        (k + 1 >= 0) & (k + 1 <= n_t - 1), samples[rows, np.clip(k + 1, 0, n_t - 1)], 0.0
+    )
+    return (1.0 - frac) * lo + frac * hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n_t=st.integers(2, 30),
+       xs_mm=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       z_mm=st.floats(0.5, 5.0))
+def test_gather_matches_reference_bitwise(seed, m, n_t, xs_mm, z_mm):
+    # low sampling rate: delays of 1-17 samples; channels hold signed zeros,
+    # so a read that differed only in its sign bit would show
+    geo = ArrayGeometry(
+        n_elements=m, pitch=3e-4, sound_speed=1540.0, sampling_rate=5e6,
+        center_frequency=1e6, fractional_bandwidth=0.77,
+    )
+    xs, z = np.array(xs_mm) * 1e-3, z_mm * 1e-3
+    rng = np.random.default_rng(seed)
+    tau0 = np.stack([delay_samples(geo, FocalPoint(x, z)) for x in xs])[:, None, :]
+    k0 = np.floor(tau0).astype(np.int64)
+
+    def check(n_samples, offsets):
+        samples = rng.standard_normal((m, n_samples))
+        samples[rng.random(samples.shape) < 0.2] = -0.0
+        samples[rng.random(samples.shape) < 0.1] = 0.0
+        frame = RfFrame(geometry=geo, samples=samples)
+        tau = tau0 + offsets[:, None]
+        out = gather_delayed(frame, xs, z, offsets)
+        assert out.shape == tau.shape
+        assert out.tobytes() == interp_reference(samples, tau).tobytes()
+        return set(np.floor(tau).astype(np.int64).ravel())
+
+    # offsets -K..K sweep every channel's reads across the whole record and
+    # past both ends: the masked path
+    big_k = max(k0.max() + 2, n_t - k0.min()) + 1
+    reads = check(n_t, np.arange(-big_k, big_k + 1))
+    assert {-1, 0, n_t - 2, n_t - 1} <= reads
+    assert min(reads) <= -2 and max(reads) >= n_t
+    # reads spanning exactly [0, T-2] (the all-inside path), and one sample
+    # more at either end (the masked path)
+    n_long = int(k0.max() - k0.min()) + n_t
+    for first, last in ((0, n_long - 2), (-1, n_long - 2), (0, n_long - 1)):
+        reads = check(n_long, np.arange(first - k0.min(), last - k0.max() + 1))
+        assert (min(reads), max(reads)) == (first, last)
