@@ -30,6 +30,14 @@ from .phantom import (
     simulate_rf,
     synth_pulse,
 )
-from .pipeline import ImageGrid, PaImage, envelope_detect, finalize, log_compress, reconstruct
+from .pipeline import (
+    ImageGrid,
+    PaImage,
+    envelope_detect,
+    finalize,
+    log_compress,
+    reconstruct,
+    reconstruct_methods,
+)
 
 __version__ = "0.1.0"

@@ -72,6 +72,20 @@ def das_weight(L: int) -> WeightVector:
     return WeightVector(values=np.full(L, 1.0 / L), method=Method.DAS)
 
 
+def das_taps(M: int, L: int) -> np.ndarray:
+    """The DAS output as one taper on the M centre-time samples.
+
+    The subarray-averaged output of the uniform 1/L weight puts on element m
+    the number of length-L subarrays that contain it over L (M-L+1), that is
+    c_m = min(m+1, L, M-L+1, M-m) / (L (M-L+1)): a trapezoid that sums to 1.
+    """
+    if not 1 <= L <= M:
+        raise ValueError(f"L={L} outside [1, {M}]")
+    n_sub = M - L + 1
+    m = np.arange(M)
+    return np.minimum(np.minimum(m + 1, M - m), min(L, n_sub)) / (L * n_sub)
+
+
 def capon_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w = A^-1 1 / (1^T A^-1 1) for a stack of matrices (P, L, L), without
     forming an explicit inverse. Returns (w, ok) as ``spd_solve_stack``."""
@@ -136,7 +150,9 @@ def _reweight(x: np.ndarray, w: np.ndarray, floor_rel: float, beta: float) -> np
 
 
 def reweight_diagonal(
-    x: np.ndarray, w: np.ndarray, epsilon_floor_rel: float = 1e-12
+    x: np.ndarray,
+    w: np.ndarray,
+    epsilon_floor_rel: float = MsmvConfig.epsilon_floor_rel,
 ) -> np.ndarray | None:
     """Reciprocal clamped snapshot-output magnitudes, 1/max(|x_n^T w|, eps).
 
@@ -154,7 +170,12 @@ def reweight_diagonal(
 
 
 def msmv_weights(
-    r_loaded: np.ndarray, x: np.ndarray, cfg: MsmvConfig
+    r_loaded: np.ndarray,
+    x: np.ndarray,
+    cfg: MsmvConfig,
+    *,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+    xt: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse-regularized MV weights for every pixel of a tile.
 
@@ -166,16 +187,22 @@ def msmv_weights(
     step matrix is not positive definite (keeping its last iterate) or, with
     early stopping, once its infinity-norm step falls below the tolerance.
 
+    ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
+    made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
+    when the caller holds it, e.g. the one its covariance was formed from; a
+    strided slice is fine, as each step scales it into a new array.
+
     Returns:
         (w, ok, iterations): weights (P, L), the mask of pixels whose MV
         solve succeeded (w is NaN elsewhere), and steps taken per pixel.
     """
-    w, ok = capon_weights(r_loaded)
+    w, ok = capon_weights(r_loaded) if start is None else start
     iterations = np.zeros(len(w), dtype=np.int64)
     if cfg.beta == 0.0 or cfg.n_iter == 0:
         return w, ok, iterations
     active = ok.copy()
-    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    if xt is None:
+        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
     for k in range(1, cfg.n_iter + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -239,7 +266,7 @@ def msmv_objective(
 def beamform_outputs(center: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Subarray-averaged output of each pixel of a tile: the mean of w^T X_l
     over the center-time snapshot rows ``center`` (P, M-L+1, L), for weights
-    w of shape (P, L) or one shared (L,)."""
+    w of shape (P, L)."""
     return np.matmul(center, w[..., None])[..., 0].mean(axis=-1)
 
 

@@ -11,7 +11,13 @@ from .delays import FocalPoint
 from .errors import PabeamError
 from .metrics import TargetSpec, evaluate, lateral_profile
 from .phantom import add_channel_noise, simulate_rf
-from .pipeline import IMAGE_METHODS, ImageGrid, finalize, reconstruct
+from .pipeline import (
+    IMAGE_METHODS,
+    ImageGrid,
+    finalize,
+    reconstruct,
+    reconstruct_methods,
+)
 
 
 def _fail(exc: Exception) -> int:
@@ -115,11 +121,11 @@ def cmd_compare(args) -> int:
         targets=tuple(FocalPoint(ab.x, ab.z) for ab in cfg.phantom.absorbers)
     )
     reports = []
-    for method in IMAGE_METHODS:
-        image = reconstruct(
-            frame, cfg.grid, method, L=cfg.L, K=cfg.K,
-            dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
-        )
+    images = reconstruct_methods(
+        frame, cfg.grid, IMAGE_METHODS, L=cfg.L, K=cfg.K,
+        dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
+    )
+    for method, image in zip(IMAGE_METHODS, images):
         image = finalize(image, cfg.dynamic_range_db)
         pio.write_image(outdir / f"image_{method.value}", image)
         for depth in depths:
@@ -157,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rf", required=True)
     p.add_argument("--method", required=True, choices=[m.value for m in IMAGE_METHODS])
     p.add_argument("--out", required=True, help="output image file base path")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--beta", type=float, default=MsmvConfig.beta)
+    p.add_argument("--iters", type=int, default=MsmvConfig.n_iter)
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--dl", type=float, default=None)
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--early-stop", action="store_true", dest="early_stop")
     p.add_argument("--penalty-window", choices=["full", "center"],
-                   default="full", dest="penalty_window")
+                   default=MsmvConfig.penalty_window, dest="penalty_window")
     p.add_argument("--profile-depth", type=float, action="append", default=[],
                    metavar="METERS")
     p.set_defaults(func=cmd_beamform)

@@ -14,10 +14,13 @@ def default_dl_factor(L: int) -> float:
     return 1.0 / (100.0 * L)
 
 
-def _covariance(snapshots: np.ndarray) -> np.ndarray:
-    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L); symmetric only
-    up to roundoff, as the solver reads the lower triangle alone."""
-    r = np.matmul(np.ascontiguousarray(np.swapaxes(snapshots, -1, -2)), snapshots)
+def _covariance(snapshots: np.ndarray, xt: np.ndarray | None = None) -> np.ndarray:
+    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L) and, if the
+    caller holds it, their contiguous transpose ``xt``; symmetric only up to
+    roundoff, as the solver reads the lower triangle alone."""
+    if xt is None:
+        xt = np.ascontiguousarray(np.swapaxes(snapshots, -1, -2))
+    r = np.matmul(xt, snapshots)
     r /= snapshots.shape[-2]
     return r
 
@@ -40,7 +43,9 @@ def apply_dl(r: np.ndarray, dl_factor: float) -> np.ndarray:
     return r + np.asarray(load)[..., None, None] * np.eye(r.shape[-1])
 
 
-def loaded_covariance(snapshots: np.ndarray, dl_factor: float) -> np.ndarray:
+def loaded_covariance(
+    snapshots: np.ndarray, dl_factor: float, xt: np.ndarray | None = None
+) -> np.ndarray:
     """Diagonally loaded covariance of each pixel of a tile: snapshot rows
-    (P, N, L) to matrices (P, L, L)."""
-    return apply_dl(_covariance(snapshots), dl_factor)
+    (P, N, L) to matrices (P, L, L). ``xt`` is as for ``_covariance``."""
+    return apply_dl(_covariance(snapshots, xt), dl_factor)

@@ -153,14 +153,17 @@ def resolve_config(raw: dict) -> RunConfig:
     if dl < 0:
         raise ConfigError("dl: must be >= 0")
 
+    d = MsmvConfig  # its field defaults are the config defaults
     try:
         msmv = MsmvConfig(
-            beta=float(_num(raw, "msmv.beta", 1.0)),
-            n_iter=int(_num(raw, "msmv.n_iter", 10)),
-            early_stop=bool(_get(raw, "msmv.early_stop", False)),
-            early_stop_tol=float(_num(raw, "msmv.early_stop_tol", 1e-6)),
-            epsilon_floor_rel=float(_num(raw, "msmv.epsilon_floor_rel", 1e-12)),
-            penalty_window=str(_get(raw, "msmv.penalty_window", "full")),
+            beta=float(_num(raw, "msmv.beta", d.beta)),
+            n_iter=int(_num(raw, "msmv.n_iter", d.n_iter)),
+            early_stop=bool(_get(raw, "msmv.early_stop", d.early_stop)),
+            early_stop_tol=float(_num(raw, "msmv.early_stop_tol", d.early_stop_tol)),
+            epsilon_floor_rel=float(
+                _num(raw, "msmv.epsilon_floor_rel", d.epsilon_floor_rel)
+            ),
+            penalty_window=str(_get(raw, "msmv.penalty_window", d.penalty_window)),
         )
     except ValueError as exc:
         raise ConfigError(f"msmv: {exc}") from exc

@@ -12,7 +12,7 @@ from .beamformers import (
     MsmvConfig,
     beamform_outputs,
     capon_weights,
-    das_weight,
+    das_taps,
     msmv_weights,
 )
 from .covariance import default_dl_factor, loaded_covariance
@@ -70,80 +70,110 @@ class PaImage:
 
 
 def tile_pixels(method: Method, n_elements: int, L: int, K: int) -> int:
-    """Pixels per tile: as many as keep the tile's snapshot tensor (pixels x
-    snapshot columns x L float64 values) within TILE_BYTES."""
-    offsets = 1 if method is Method.DAS else 2 * K + 1
-    return max(1, TILE_BYTES // (offsets * (n_elements - L + 1) * L * 8))
+    """Pixels per tile: as many as keep the tile's data within TILE_BYTES.
+
+    For MV and MSMV that is the snapshot tensor (pixels x (2K+1)(M-L+1)
+    snapshot columns x L float64 values): 9 px at M=64, L=32, K=2. DAS needs
+    no snapshots, only the gathered centre-time samples (pixels x M float64
+    values): 768 px at M=64, so a DAS row of that size or less is one tile.
+    """
+    if method is Method.DAS:
+        return max(1, TILE_BYTES // (n_elements * 8))
+    return max(1, TILE_BYTES // ((2 * K + 1) * (n_elements - L + 1) * L * 8))
 
 
 def _beamform_tile(
     frame: RfFrame,
     xs: np.ndarray,
     z: float,
-    method: Method,
+    methods: tuple[Method, ...],
     L: int,
     K: int,
     dl_factor: float,
     msmv: MsmvConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Beamformed values of the pixels (xs, z) and the mask of those that fell
-    back to DAS weights.
+    taps: np.ndarray,
+) -> tuple[dict[Method, np.ndarray], np.ndarray]:
+    """Beamformed values of the pixels (xs, z), by method, and the mask of
+    the pixels whose adaptive weights fell back to DAS.
 
-    DAS reads only the centre time. MV and MSMV gather every temporal offset,
-    estimate and load each pixel's covariance and solve for the weights.
+    One gather feeds every method. DAS is the taper ``taps`` on the
+    centre-time samples; alone it gathers only those. MV and MSMV gather
+    every temporal offset, and each pixel's covariance is estimated, loaded
+    and Capon-solved once: MV outputs that weight and MSMV iterates from it.
     """
-    das = das_weight(L).values
-    if method is Method.DAS:
-        center = subarray_snapshots(gather_delayed(frame, xs, z, np.zeros(1)), L)
-        return beamform_outputs(center, das), np.zeros(len(xs), bool)
-    snaps = subarray_snapshots(gather_delayed(frame, xs, z, np.arange(-K, K + 1)), L)
+    if all(m is Method.DAS for m in methods):
+        das = gather_delayed(frame, xs, z, np.zeros(1))[:, 0] @ taps
+        return {Method.DAS: das}, np.zeros(len(xs), bool)
+    gathered = gather_delayed(frame, xs, z, np.arange(-K, K + 1))
+    das = gathered[:, K] @ taps
+    snaps = subarray_snapshots(gathered, L)
+    xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
+    r_loaded = loaded_covariance(snaps, dl_factor, xt)
+    w, ok = capon_weights(r_loaded)
     n_sub = frame.geometry.n_elements - L + 1
-    center = snaps[:, K * n_sub:(K + 1) * n_sub]
-    r_loaded = loaded_covariance(snaps, dl_factor)
-    if method is Method.MV:
-        w, ok = capon_weights(r_loaded)
-    else:
-        penalty = center if msmv.penalty_window == "center" else snaps
-        w, ok, _ = msmv_weights(r_loaded, penalty, msmv)
-    w[~ok] = das
-    return beamform_outputs(center, w), ~ok
+    cols = slice(K * n_sub, (K + 1) * n_sub)
+    center = snaps[:, cols]
+    values = {Method.DAS: das}
+    if Method.MV in methods:
+        values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
+    if Method.MSMV in methods:
+        if msmv.penalty_window == "center":
+            penalty, penalty_t = center, xt[..., cols]
+        else:
+            penalty, penalty_t = snaps, xt
+        w, _, _ = msmv_weights(
+            r_loaded, penalty, msmv, start=(w.copy(), ok), xt=penalty_t
+        )
+        values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
+    return values, ~ok
 
 
-def reconstruct(
+def reconstruct_methods(
     frame: RfFrame,
     grid: ImageGrid,
-    method: Method,
+    methods: tuple[Method, ...],
     L: int | None = None,
     K: int = 2,
     dl_factor: float | None = None,
     msmv: MsmvConfig = MsmvConfig(),
     workers: int = 1,
-) -> PaImage:
-    """Beamformed plane for one of DAS, MV and MSMV.
+) -> tuple[PaImage, ...]:
+    """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
     Every pixel runs snapshots -> covariance -> diagonal loading -> weights ->
-    subarray-averaged output (DAS skips the snapshot matrix and covariance
-    and reads only the centre time). Pixels are processed as tiles: runs of
-    up to ``tile_pixels`` pixels of one image row, each tile one batched pass
-    through every stage. A pixel whose loaded covariance still fails the
-    positive-definiteness check (an identically zero neighborhood) falls back
-    to the DAS value and is counted in fallback_pixel_count; the image is
-    never aborted.
+    subarray-averaged output. Pixels are processed as tiles: runs of up to
+    ``tile_pixels`` pixels of one image row, each tile one batched pass
+    through every stage, whose single gather feeds every method: DAS is the
+    fixed taper ``das_taps`` on the centre-time samples, MV the Capon weight
+    and MSMV the reweighted iteration started from that same MV solve. A
+    DAS-only run gathers just the centre time, in tiles of whole rows; any
+    adaptive method makes every tile the MV/MSMV size. A pixel whose loaded
+    covariance still fails the positive-definiteness check (an identically
+    zero neighborhood) falls back to the DAS value and is counted in the MV
+    and MSMV images' fallback_pixel_count; the image is never aborted.
 
-    The tile partition depends only on the grid, the array and L, K, so the
-    output is bit-identical for any ``workers``; worker threads take whole
-    rows of tiles and write disjoint rows of the plane.
+    The tile partition depends only on the grid, the array, L, K and whether
+    an adaptive method is asked for, so the output is bit-identical for any
+    ``workers``; worker threads take whole rows of tiles and write disjoint
+    rows of the planes. Each MV and MSMV plane is bit-identical to its
+    one-method run, and DAS agrees with its one-method run to roundoff.
+
+    Returns:
+        One image per entry of ``methods``, in order.
 
     Raises:
         ConfigError: an invalid parameter, or a method that forms no image
             (SC, which cannot differ from MV).
     """
-    method = Method(method)
-    if method not in IMAGE_METHODS:
-        raise ConfigError(
-            f"method {method.value!r} forms no image; use one of "
-            + ", ".join(m.value for m in IMAGE_METHODS)
-        )
+    methods = tuple(Method(m) for m in methods)
+    if not methods:
+        raise ConfigError("no method to reconstruct")
+    for method in methods:
+        if method not in IMAGE_METHODS:
+            raise ConfigError(
+                f"method {method.value!r} forms no image; use one of "
+                + ", ".join(m.value for m in IMAGE_METHODS)
+            )
     m = frame.geometry.n_elements
     if L is None:
         L = m // 2
@@ -158,16 +188,19 @@ def reconstruct(
 
     xs = grid.x_coords
     zs = grid.z_coords
-    plane = np.zeros((grid.nz, grid.nx))
+    planes = {method: np.zeros((grid.nz, grid.nx)) for method in methods}
     fallback = np.zeros((grid.nz, grid.nx), dtype=bool)
-    size = tile_pixels(method, m, L, K)
+    size = min(tile_pixels(method, m, L, K) for method in methods)
+    taps = das_taps(m, L)
 
     def run_row(iz: int) -> None:
         for i in range(0, grid.nx, size):
             cols = slice(i, i + size)
-            plane[iz, cols], fallback[iz, cols] = _beamform_tile(
-                frame, xs[cols], zs[iz], method, L, K, dl_factor, msmv
+            values, fallback[iz, cols] = _beamform_tile(
+                frame, xs[cols], zs[iz], methods, L, K, dl_factor, msmv, taps
             )
+            for method, plane in planes.items():
+                plane[iz, cols] = values[method]
 
     if workers == 1:
         for iz in range(grid.nz):
@@ -176,12 +209,37 @@ def reconstruct(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_row, range(grid.nz)))
 
-    return PaImage(
-        grid=grid,
-        beamformed=plane,
-        method=method,
-        fallback_pixel_count=int(fallback.sum()),
+    n_fallback = int(fallback.sum())
+    return tuple(
+        PaImage(
+            grid=grid,
+            beamformed=planes[method],
+            method=method,
+            fallback_pixel_count=0 if method is Method.DAS else n_fallback,
+        )
+        for method in methods
     )
+
+
+def reconstruct(
+    frame: RfFrame,
+    grid: ImageGrid,
+    method: Method,
+    L: int | None = None,
+    K: int = 2,
+    dl_factor: float | None = None,
+    msmv: MsmvConfig = MsmvConfig(),
+    workers: int = 1,
+) -> PaImage:
+    """Beamformed plane for one of DAS, MV and MSMV: the one-method case of
+    ``reconstruct_methods``, which documents the kernel.
+
+    Raises:
+        ConfigError: an invalid parameter, or a method that forms no image
+            (SC, which cannot differ from MV).
+    """
+    images = reconstruct_methods(frame, grid, (method,), L, K, dl_factor, msmv, workers)
+    return images[0]
 
 
 def envelope_detect(beamformed: np.ndarray) -> np.ndarray:

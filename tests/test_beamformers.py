@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pabeam.beamformers import (
     Method,
     MsmvConfig,
     beamform_output,
+    das_taps,
     das_weight,
     msmv_objective,
     msmv_weight,
@@ -131,7 +132,7 @@ class TestMsmv:
         r = np.eye(2)
         snaps = snaps_from([[1.0], [0.0]])
         w = msmv_weight(r, snaps, MsmvConfig(beta=1.0, n_iter=1))
-        np.testing.assert_allclose(w.values, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(w.values, [0.25, 0.75], rtol=0, atol=1e-12)
         assert w.iterations_run == 1
 
     def test_single_column_two_steps(self):
@@ -139,7 +140,7 @@ class TestMsmv:
         r = np.eye(2)
         snaps = snaps_from([[1.0], [0.0]])
         w = msmv_weight(r, snaps, MsmvConfig(beta=1.0, n_iter=2))
-        np.testing.assert_allclose(w.values, [1.0 / 6.0, 5.0 / 6.0], atol=1e-12)
+        np.testing.assert_allclose(w.values, [1.0 / 6.0, 5.0 / 6.0], rtol=0, atol=1e-12)
 
     def test_beta_zero_is_mv(self):
         rng = np.random.default_rng(31)
@@ -222,6 +223,37 @@ class TestBeamformOutput:
         snaps = snaps_from(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             beamform_output(snaps, das_weight(2))
+
+
+M_AND_L = st.integers(2, 96).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ml=M_AND_L, seed=st.integers(0, 2**32 - 1))
+@example(ml=(64, 1), seed=0)
+@example(ml=(64, 64), seed=0)
+def test_das_taps_match_subarray_average(ml, seed):
+    # the taper on the centre-time samples is the subarray-averaged output
+    # of the uniform 1/L weight, for a few random gathered pixels
+    M, L = ml
+    c = das_taps(M, L)
+    assert c.shape == (M,)
+    assert abs(c.sum() - 1.0) <= 1e-12
+    gathered = np.random.default_rng(seed).standard_normal((3, M))
+    ref = np.array([
+        beamform_output(
+            snaps_from(np.stack([d[i:i + L] for i in range(M - L + 1)], axis=1)),
+            das_weight(L),
+        )
+        for d in gathered
+    ])
+    assert np.max(np.abs(gathered @ c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_das_taps_invalid():
+    for M, L in ((4, 0), (4, 5)):
+        with pytest.raises(ValueError):
+            das_taps(M, L)
 
 
 @settings(max_examples=30, deadline=None)

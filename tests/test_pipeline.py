@@ -31,6 +31,7 @@ from pabeam.pipeline import (
     finalize,
     log_compress,
     reconstruct,
+    reconstruct_methods,
     tile_pixels,
 )
 
@@ -250,7 +251,7 @@ class TestTiles:
         # the snapshot tensor of one tile stays within TILE_BYTES (384 KiB)
         assert tile_pixels(Method.MV, 64, 32, 2) == 9
         assert tile_pixels(Method.MSMV, 64, 32, 2) == 9
-        assert tile_pixels(Method.DAS, 64, 32, 2) == 46
+        assert tile_pixels(Method.DAS, 64, 32, 2) == 768  # P x M x 8 B gathered
         assert tile_pixels(Method.MV, 4096, 2048, 8) == 1
 
     @pytest.mark.parametrize("method", IMAGE_METHODS)
@@ -277,6 +278,49 @@ class TestTiles:
         assert image.fallback_pixel_count == 10
         np.testing.assert_allclose(image.beamformed[0, 9:], das[0, 9:], rtol=1e-12)
         assert np.count_nonzero(das[0, 9:]) == 5
+
+
+@pytest.mark.parametrize("penalty_window", ["full", "center"])
+@pytest.mark.parametrize("scene", ["noisy", "truncated"])
+def test_fused_pass_matches_single_methods(scene, penalty_window):
+    # one pass for several methods gives each method's one-method image: MV
+    # and MSMV bit for bit, DAS (a different tile size) to roundoff; the
+    # truncated record is test_mixed_tile_fallback's, with 5 fallback pixels.
+    # The one-method MSMV image is also held to the per-pixel definition,
+    # which takes its penalty columns from the snapshot matrix itself.
+    frame = noisy_frame()
+    grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 13, 3)
+    if scene == "truncated":
+        frame = RfFrame(geometry=frame.geometry, samples=frame.samples[:, :520])
+        grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, 19, 1)
+    cfg = MsmvConfig(penalty_window=penalty_window)
+    kw = dict(L=TILE_L, K=TILE_K, msmv=cfg)
+    single = {m: reconstruct(frame, grid, m, **kw) for m in IMAGE_METHODS}
+    plane, fallbacks = per_pixel_plane(frame, grid, Method.MSMV, msmv=cfg)
+    assert single[Method.MSMV].fallback_pixel_count == fallbacks
+    diff = np.max(np.abs(single[Method.MSMV].beamformed - plane))
+    assert diff <= MSMV_RTOL * np.max(np.abs(plane))
+    for methods in (IMAGE_METHODS, (Method.MSMV, Method.DAS)):
+        for workers in (1, 2):
+            fused = reconstruct_methods(frame, grid, methods, workers=workers, **kw)
+            assert [image.method for image in fused] == list(methods)
+            for image in fused:
+                ref = single[image.method]
+                assert image.fallback_pixel_count == ref.fallback_pixel_count
+                if image.method is Method.DAS:
+                    scale = np.max(np.abs(ref.beamformed))
+                    diff = np.max(np.abs(image.beamformed - ref.beamformed))
+                    assert diff <= 1e-12 * scale
+                else:
+                    assert np.array_equal(image.beamformed, ref.beamformed)
+    if scene == "truncated":
+        assert single[Method.MV].fallback_pixel_count == 5
+
+
+def test_reconstruct_methods_validation():
+    for methods in ((), (Method.DAS, Method.SC)):
+        with pytest.raises(ConfigError):
+            reconstruct_methods(point_frame(), SMALL_GRID, methods)
 
 
 @settings(max_examples=6, deadline=None)
