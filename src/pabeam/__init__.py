@@ -14,11 +14,10 @@ from .beamformers import (
     das_weight,
     msmv_weight,
     mv_weight,
-    reweight_diagonal,
     sc_weight,
 )
 from .covariance import apply_dl, default_dl_factor, estimate
-from .delays import FocalPoint, SnapshotMatrix, build_snapshots, delay_samples, extract_delayed
+from .delays import FocalPoint, SnapshotMatrix, build_snapshots
 from .metrics import MetricsReport, TargetSpec, evaluate, fwhm, lateral_profile, peak_sidelobe, snr
 from .numerics import spd_solve
 from .phantom import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .delays import SnapshotMatrix
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numerics import check_symmetric, spd_solve_stack, symmetrize
+from .numerics import check_symmetric, spd_solve_stack
 
 
 class Method(str, Enum):
@@ -37,32 +37,27 @@ class WeightVector:
     iterations_run: int = 0
 
 
+# Clamp floor of the reweighting, relative to a pixel's largest snapshot
+# output magnitude: keeps the p-2 = -1 exponent defined at sparse solutions.
+EPSILON_FLOOR_REL = 1e-12
+
+
 @dataclass(frozen=True)
 class MsmvConfig:
-    """Knobs for the sparse-regularized MV iteration.
-
-    ``penalty_window`` selects which snapshot columns enter the sparsity
-    penalty: "full" uses every subarray x temporal column (the same set the
-    covariance averages over), "center" restricts it to the temporal-offset-0
-    columns that form the beamformed output.
-    """
+    """The two settings of the sparse-regularized MV iteration: the penalty
+    weight ``beta`` and the number of reweighted steps ``n_iter``. The
+    iteration always runs ``n_iter`` steps (it has no convergence test), and
+    every step penalizes all snapshot columns, the set the covariance
+    averages over."""
 
     beta: float = 1.0
     n_iter: int = 10
-    early_stop: bool = False
-    early_stop_tol: float = 1e-6
-    epsilon_floor_rel: float = 1e-12
-    penalty_window: str = "full"
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.n_iter < 0:
             raise ValueError("n_iter must be >= 0")
-        if self.epsilon_floor_rel <= 0:
-            raise ValueError("epsilon_floor_rel must be > 0")
-        if self.penalty_window not in ("full", "center"):
-            raise ValueError("penalty_window must be 'full' or 'center'")
 
 
 def das_weight(L: int) -> WeightVector:
@@ -134,39 +129,21 @@ def sc_weight(
         # C D(w) C^T with C = ones(L, n_steer) and D = |sum(w)|^-1 I
         s = abs(w.sum())
         d_term = alpha * n_steer / s * ones_mat
-        w = _capon_solve(symmetrize(r_loaded + d_term))
+        w = _capon_solve(r_loaded + d_term)
     return WeightVector(values=w, method=Method.SC, iterations_run=it)
 
 
-def _reweight(x: np.ndarray, w: np.ndarray, floor_rel: float, beta: float) -> np.ndarray:
-    """beta over the clamped output magnitudes for snapshot rows x (P, N, L)
-    and weights w (P, L); a pixel whose outputs are all zero keeps all zeros."""
+def _reweight(x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
+    """beta over the output magnitudes |x w|, clamped below at
+    EPSILON_FLOOR_REL times the pixel's largest, for snapshot rows x (P, N, L)
+    and weights w (P, L); a pixel whose outputs are all zero keeps all zeros,
+    which drops its penalty term and reduces the step to MV."""
     y = np.matmul(x, w[..., None])[..., 0]
     np.abs(y, out=y)
     peak = y.max(axis=-1, keepdims=True, initial=0.0)
-    np.maximum(y, floor_rel * peak, out=y)
+    np.maximum(y, EPSILON_FLOOR_REL * peak, out=y)
     np.divide(beta, y, out=y, where=peak > 0.0)
     return y
-
-
-def reweight_diagonal(
-    x: np.ndarray,
-    w: np.ndarray,
-    epsilon_floor_rel: float = MsmvConfig.epsilon_floor_rel,
-) -> np.ndarray | None:
-    """Reciprocal clamped snapshot-output magnitudes, 1/max(|x_n^T w|, eps).
-
-    The clamp floor is epsilon_floor_rel times the largest output magnitude,
-    which keeps the p-2 = -1 exponent defined at sparse solutions. Returns
-    None (the all-zero-outputs marker) when every output is exactly zero; the
-    caller then drops the penalty term, reducing the step to MV.
-    """
-    if x.shape[0] != w.shape[0]:
-        raise DimensionMismatch(
-            f"snapshot rows {x.shape[0]} != weight length {w.shape[0]}"
-        )
-    d = _reweight(x.T[None], np.asarray(w, float)[None], epsilon_floor_rel, 1.0)[0]
-    return d if d.any() else None
 
 
 def msmv_weights(
@@ -180,17 +157,16 @@ def msmv_weights(
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    penalty snapshot rows. From the MV weight, every step solves each pixel's
-    r_loaded + (x^T Lambda) x, one unsymmetrized matmul of a contiguous x^T
-    (the solver reads one triangle), Lambda = beta / max(|x w|, eps * peak) of
-    the last iterate, or 0 if all outputs are 0. A pixel drops out when its
-    step matrix is not positive definite (keeping its last iterate) or, with
-    early stopping, once its infinity-norm step falls below the tolerance.
+    snapshot rows. From the MV weight, each of ``cfg.n_iter`` steps solves
+    each pixel's r_loaded + (x^T Lambda) x, one unsymmetrized matmul of a
+    contiguous x^T (the solver reads one triangle), Lambda = beta /
+    max(|x w|, eps * peak) of the last iterate, or 0 if all outputs are 0. A
+    pixel drops out only when its step matrix is not positive definite, and
+    keeps its last iterate.
 
     ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
     made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
-    when the caller holds it, e.g. the one its covariance was formed from; a
-    strided slice is fine, as each step scales it into a new array.
+    when the caller holds it, e.g. the one its covariance was formed from.
 
     Returns:
         (w, ok, iterations): weights (P, L), the mask of pixels whose MV
@@ -209,18 +185,15 @@ def msmv_weights(
             break
         sub = slice(None) if idx.size == len(w) else idx
         xs = x[sub]
-        lam = _reweight(xs, w[sub], cfg.epsilon_floor_rel, cfg.beta)
+        lam = _reweight(xs, w[sub], cfg.beta)
         a = np.matmul(xt[sub] * lam[:, None, :], xs)
         a += r_loaded[sub]
         w_next, solved = capon_weights(a)
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
         active[idx[~solved]] = False
-        idx, w_next = idx[solved], w_next[solved]
-        if cfg.early_stop:
-            step = np.max(np.abs(w_next - w[idx]), axis=-1)
-            active[idx[step < cfg.early_stop_tol]] = False
-        w[idx] = w_next
+        idx = idx[solved]
+        w[idx] = w_next[solved]
         iterations[idx] = k
     return w, ok, iterations
 
@@ -231,20 +204,14 @@ def msmv_weight(
     """Sparse-regularized MV weights via the iteratively reweighted update.
 
     Starts from the MV weight (the iteration is insensitive to the
-    initializer) and repeatedly solves with the covariance augmented by
-    beta * X D X^T, D the reweighting diagonal of the previous iterate. Runs
-    cfg.n_iter steps, or stops early once the infinity-norm step falls below
-    cfg.early_stop_tol when early stopping is enabled. One-pixel case of
-    ``msmv_weights``.
+    initializer) and runs cfg.n_iter steps, each solving with the covariance
+    augmented by beta * X D X^T, D the reweighting diagonal of the previous
+    iterate over every snapshot column. One-pixel case of ``msmv_weights``.
 
     Raises:
         NotPositiveDefinite: the MV starting solve failed.
     """
-    x = (
-        snapshots.center_columns
-        if cfg.penalty_window == "center"
-        else snapshots.columns
-    )
+    x = snapshots.columns
     if x.shape[0] != r_loaded.shape[0]:
         raise DimensionMismatch(
             f"snapshot rows {x.shape[0]} != covariance dim {r_loaded.shape[0]}"

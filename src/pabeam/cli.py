@@ -63,10 +63,7 @@ def cmd_beamform(args) -> int:
     frame = pio.read_rf(args.rf)
     m = frame.geometry.n_elements
     L = args.L if args.L is not None else m // 2
-    msmv = MsmvConfig(
-        beta=args.beta, n_iter=args.iters, early_stop=args.early_stop,
-        penalty_window=args.penalty_window,
-    )
+    msmv = MsmvConfig(beta=args.beta, n_iter=args.iters)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
     else:
@@ -172,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="x_min,x_max,z_min,z_max,nx,nz (meters)")
     p.add_argument("--dr", type=float, default=50.0, help="dynamic range in dB")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--early-stop", action="store_true", dest="early_stop")
-    p.add_argument("--penalty-window", choices=["full", "center"],
-                   default=MsmvConfig.penalty_window, dest="penalty_window")
     p.add_argument("--profile-depth", type=float, action="append", default=[],
                    metavar="METERS")
     p.set_defaults(func=cmd_beamform)

@@ -54,11 +54,6 @@ def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
     return d / geometry.sound_speed * geometry.sampling_rate
 
 
-def delay_samples(geometry: ArrayGeometry, p: FocalPoint) -> np.ndarray:
-    """One-way delay of each element to the focal point, in fractional samples."""
-    return _delays(geometry, p.x, p.z)
-
-
 def gather_delayed(
     frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
 ) -> np.ndarray:
@@ -91,11 +86,6 @@ def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:
     """
     p = delayed.shape[0]
     return sliding_window_view(delayed, L, axis=-1).reshape(p, -1, L)
-
-
-def extract_delayed(frame: RfFrame, p: FocalPoint, time_offset: int = 0) -> np.ndarray:
-    """Delayed sample per element for a focal point, shape (M,)."""
-    return gather_delayed(frame, np.array([p.x]), p.z, np.array([time_offset]))[0, 0]
 
 
 def build_snapshots(frame: RfFrame, p: FocalPoint, L: int, K: int) -> SnapshotMatrix:

@@ -8,21 +8,30 @@ grayscale PGM (P5).
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .beamformers import Method, MsmvConfig
+from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
 from .covariance import default_dl_factor
 from .delays import FocalPoint
 from .errors import ConfigError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
 from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
-from .pipeline import IMAGE_METHODS, ImageGrid, PaImage, finalize
+from .pipeline import ImageGrid, PaImage, finalize
 
 RF_MAGIC = "PARF"
 RF_VERSION = 1
+# msmv keys of older manifests, accepted only at the one value the iteration
+# now always has (msmv.early_stop_tol, which only early stopping read, is
+# ignored), so an old manifest either reruns to the same image or is refused
+RETIRED_MSMV_KEYS = {
+    "early_stop": False,
+    "epsilon_floor_rel": EPSILON_FLOOR_REL,
+    "penalty_window": "full",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +43,6 @@ class RunConfig:
     geometry: ArrayGeometry
     phantom: Phantom | None
     grid: ImageGrid
-    method: Method
     L: int
     K: int
     dl_factor: float
@@ -137,12 +145,6 @@ def resolve_config(raw: dict) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    method_name = str(_get(raw, "method", "msmv")).lower()
-    names = [m.value for m in IMAGE_METHODS]
-    if method_name not in names:
-        raise ConfigError(f"method: {method_name!r} is not one of {', '.join(names)}")
-    method = Method(method_name)
-
     L = int(_num(raw, "L", m // 2))
     if not 1 <= L <= m:
         raise ConfigError(f"L: {L} outside [1, {m}]")
@@ -158,15 +160,15 @@ def resolve_config(raw: dict) -> RunConfig:
         msmv = MsmvConfig(
             beta=float(_num(raw, "msmv.beta", d.beta)),
             n_iter=int(_num(raw, "msmv.n_iter", d.n_iter)),
-            early_stop=bool(_get(raw, "msmv.early_stop", d.early_stop)),
-            early_stop_tol=float(_num(raw, "msmv.early_stop_tol", d.early_stop_tol)),
-            epsilon_floor_rel=float(
-                _num(raw, "msmv.epsilon_floor_rel", d.epsilon_floor_rel)
-            ),
-            penalty_window=str(_get(raw, "msmv.penalty_window", d.penalty_window)),
         )
     except ValueError as exc:
         raise ConfigError(f"msmv: {exc}") from exc
+    for key, fixed in RETIRED_MSMV_KEYS.items():
+        value = _get(raw, f"msmv.{key}", fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ConfigError(
+                f"msmv.{key}: retired, only {fixed!r} is accepted, got {value!r}"
+            )
 
     snr_db = _num(raw, "noise.snr_db")
     seed = int(_num(raw, "noise.seed", 0))
@@ -195,7 +197,6 @@ def resolve_config(raw: dict) -> RunConfig:
         geometry=geometry,
         phantom=phantom,
         grid=grid,
-        method=method,
         L=L,
         K=K,
         dl_factor=dl,
@@ -224,7 +225,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "fractional_bandwidth": cfg.geometry.fractional_bandwidth,
         },
         "grid": asdict(cfg.grid),
-        "method": cfg.method.value,
         "L": cfg.L,
         "K": cfg.K,
         "dl": cfg.dl_factor,
@@ -241,9 +241,20 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+@contextmanager
+def _json_file(path):
+    """The parsed JSON of ``path``, for a ``with`` block that reads fields
+    from it. A file that is not JSON, or whose JSON lacks or mistypes a field
+    the block reads, raises a ConfigError that names the file."""
+    try:
+        yield json.loads(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        return resolve_config(json.load(f))
+    with _json_file(path) as raw:
+        return resolve_config(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +290,27 @@ def write_rf(base, frame: RfFrame) -> None:
 
 def read_rf(base) -> RfFrame:
     bin_path, json_path = _pair(base)
-    header = json.loads(json_path.read_text())
-    if header.get("magic") != RF_MAGIC or header.get("version") != RF_VERSION:
-        raise ConfigError(f"{json_path}: not a version-{RF_VERSION} {RF_MAGIC} header")
-    element_x = np.asarray(header["element_x"], dtype=np.float64)
-    pitch = float(np.median(np.diff(element_x))) if element_x.size > 1 else 1.0
-    geometry = ArrayGeometry(
-        n_elements=int(header["n_elements"]),
-        pitch=pitch,
-        sound_speed=float(header["sound_speed"]),
-        sampling_rate=float(header["sampling_rate"]),
-        center_frequency=float(header["center_frequency"]),
-        fractional_bandwidth=float(header["fractional_bandwidth"]),
-        element_x=element_x,
-    )
+    with _json_file(json_path) as header:
+        if header.get("magic") != RF_MAGIC or header.get("version") != RF_VERSION:
+            raise ConfigError(
+                f"{json_path}: not a version-{RF_VERSION} {RF_MAGIC} header"
+            )
+        element_x = np.asarray(header["element_x"], dtype=np.float64)
+        pitch = float(np.median(np.diff(element_x))) if element_x.size > 1 else 1.0
+        geometry = ArrayGeometry(
+            n_elements=int(header["n_elements"]),
+            pitch=pitch,
+            sound_speed=float(header["sound_speed"]),
+            sampling_rate=float(header["sampling_rate"]),
+            center_frequency=float(header["center_frequency"]),
+            fractional_bandwidth=float(header["fractional_bandwidth"]),
+            element_x=element_x,
+        )
+        m, t = int(header["n_elements"]), int(header["n_samples"])
+        snr = header.get("channel_snr_db")
     data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
-    m, t = int(header["n_elements"]), int(header["n_samples"])
     if data.size != m * t:
         raise ConfigError(f"{bin_path}: expected {m * t} samples, found {data.size}")
-    snr = header.get("channel_snr_db")
     return RfFrame(
         geometry=geometry,
         samples=data.reshape(m, t),
@@ -329,8 +342,11 @@ def write_image(base, image: PaImage) -> None:
 def read_image(base) -> PaImage:
     """Reads a raw image pair and recomputes the envelope and db views."""
     bin_path, json_path = _pair(base)
-    sidecar = json.loads(json_path.read_text())
-    grid = ImageGrid(**sidecar["grid"])
+    with _json_file(json_path) as sidecar:
+        grid = ImageGrid(**sidecar["grid"])
+        method = Method(sidecar["method"])
+        fallback = int(sidecar.get("fallback_pixel_count", 0))
+        dynamic_range_db = float(sidecar.get("dynamic_range_db", 50.0))
     data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
     if data.size != grid.nx * grid.nz:
         raise ConfigError(
@@ -339,9 +355,9 @@ def read_image(base) -> PaImage:
     image = PaImage(
         grid=grid,
         beamformed=data.reshape(grid.nz, grid.nx),
-        method=Method(sidecar["method"]),
-        fallback_pixel_count=int(sidecar.get("fallback_pixel_count", 0)),
-        dynamic_range_db=float(sidecar.get("dynamic_range_db", 50.0)),
+        method=method,
+        fallback_pixel_count=fallback,
+        dynamic_range_db=dynamic_range_db,
     )
     return finalize(image, image.dynamic_range_db)
 
@@ -369,16 +385,16 @@ def write_profile_csv(path, profile: np.ndarray) -> None:
 
 
 def load_targets(path) -> TargetSpec:
-    raw = json.loads(Path(path).read_text())
-    targets = raw.get("targets")
-    if not targets:
-        raise ConfigError("targets: must be a non-empty list")
-    pts = []
-    for i, t in enumerate(targets):
-        try:
-            pts.append(FocalPoint(x=float(t["x"]), z=float(t["z"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"targets[{i}]: {exc}") from exc
+    with _json_file(path) as raw:
+        targets = raw.get("targets")
+        if not targets:
+            raise ConfigError("targets: must be a non-empty list")
+        pts = []
+        for i, t in enumerate(targets):
+            try:
+                pts.append(FocalPoint(x=float(t["x"]), z=float(t["z"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"targets[{i}]: {exc}") from exc
     return TargetSpec(targets=tuple(pts))
 
 
@@ -407,12 +423,12 @@ def write_metrics_json(path, reports: list[MetricsReport]) -> None:
 
 
 def read_metrics_json(path) -> list[MetricsReport]:
-    raw = json.loads(Path(path).read_text())
-    return [
-        MetricsReport(
-            method=r["method"],
-            snr_db=r["snr_db"],
-            per_target=tuple(TargetMetrics(**t) for t in r["per_target"]),
-        )
-        for r in raw
-    ]
+    with _json_file(path) as raw:
+        return [
+            MetricsReport(
+                method=r["method"],
+                snr_db=r["snr_db"],
+                per_target=tuple(TargetMetrics(**t) for t in r["per_target"]),
+            )
+            for r in raw
+        ]

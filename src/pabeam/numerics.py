@@ -34,12 +34,6 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Returns (A + A^T)/2 over the last two axes, killing roundoff asymmetry."""
-    a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solves A_p x_p = b for a stack of symmetric matrices and one
     right-hand side.

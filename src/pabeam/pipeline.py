@@ -111,19 +111,12 @@ def _beamform_tile(
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
     w, ok = capon_weights(r_loaded)
     n_sub = frame.geometry.n_elements - L + 1
-    cols = slice(K * n_sub, (K + 1) * n_sub)
-    center = snaps[:, cols]
+    center = snaps[:, K * n_sub:(K + 1) * n_sub]
     values = {Method.DAS: das}
     if Method.MV in methods:
         values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
     if Method.MSMV in methods:
-        if msmv.penalty_window == "center":
-            penalty, penalty_t = center, xt[..., cols]
-        else:
-            penalty, penalty_t = snaps, xt
-        w, _, _ = msmv_weights(
-            r_loaded, penalty, msmv, start=(w.copy(), ok), xt=penalty_t
-        )
+        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w.copy(), ok), xt=xt)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
     return values, ~ok
 

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pabeam.covariance import estimate
-from pabeam.delays import (
-    FocalPoint,
-    build_snapshots,
-    delay_samples,
-    extract_delayed,
-    gather_delayed,
-)
+from pabeam.delays import FocalPoint, _delays, build_snapshots, gather_delayed
 from pabeam.errors import InvalidSubarrayLength
 from pabeam.phantom import ArrayGeometry, RfFrame
 
@@ -31,58 +25,48 @@ def test_delay_hand_value():
         n_elements=1, pitch=3e-4, sound_speed=1540.0, sampling_rate=20e6,
         center_frequency=5e6, fractional_bandwidth=0.77,
     )
-    tau = delay_samples(geo, FocalPoint(0.0, 0.03))
+    tau = _delays(geo, 0.0, 0.03)
     assert tau[0] == pytest.approx(0.03 / 1540.0 * 20e6, rel=1e-12)  # 389.610...
 
 
 def test_delay_minimum_above_element():
     geo = geometry(m=5)
-    p = FocalPoint(geo.element_x[2], 0.02)
-    tau = delay_samples(geo, p)
-    assert np.argmin(tau) == 2
+    tau = _delays(geo, np.array([[geo.element_x[2]], [geo.element_x[4]]]), 0.02)
+    np.testing.assert_array_equal(np.argmin(tau, axis=-1), [2, 4])
 
 
 def test_delay_symmetry():
     geo = geometry(m=4)
-    p = FocalPoint(0.0, 0.025)  # midway between elements 1 and 2
-    tau = delay_samples(geo, p)
+    tau = _delays(geo, 0.0, 0.025)  # midway between elements 1 and 2
     assert abs(tau[1] - tau[2]) < 1e-9
     assert abs(tau[0] - tau[3]) < 1e-9
 
 
 def test_extract_impulse_frame():
+    # channel m holds ones at samples floor(tau_m) and floor(tau_m) + 1, so
+    # the interpolated read at tau_m is exactly 1 whatever its fraction
     geo = geometry()
-    p = FocalPoint(0.0, 0.03)
-    # place unit impulses at the rounded delay of each channel; delays are
-    # made integral by constructing the frame from floor(tau)
-    tau = delay_samples(geo, p)
-    t = 900
-    samples = np.zeros((4, t))
+    tau = _delays(geo, 0.0, 0.03)
     k = np.floor(tau).astype(int)
-    frac = tau - k
+    samples = np.zeros((4, 900))
     for m in range(4):
-        # linear-interpolation inverse: split the impulse so the read at tau
-        # returns exactly 1
-        samples[m, k[m]] = 1.0 - frac[m] if frac[m] < 0.5 else 0.0
-    # simpler exact case: integer delays
-    samples = np.zeros((4, t))
-    for m in range(4):
-        samples[m, k[m]] = 1.0
-        samples[m, k[m] + 1] = 1.0
+        samples[m, k[m]:k[m] + 2] = 1.0
     frame = RfFrame(geometry=geo, samples=samples)
-    out = extract_delayed(frame, p, 0)
-    np.testing.assert_allclose(out, np.ones(4), atol=1e-12)
+    out = gather_delayed(frame, np.array([0.0]), 0.03, np.zeros(1))
+    np.testing.assert_allclose(out, np.ones((1, 1, 4)), atol=1e-12)
 
 
 def test_extract_beyond_record():
     frame = frame_from(np.ones((4, 50)))
-    out = extract_delayed(frame, FocalPoint(0.0, 0.03), time_offset=10_000)
+    out = gather_delayed(frame, np.array([-1e-3, 0.0, 2e-3]), 0.03,
+                         np.array([-10_000, 10_000]))
+    assert out.shape == (3, 2, 4)
     assert not np.any(out)
 
 
 def test_extract_constant_channels():
     frame = frame_from(np.full((4, 900), 2.5))
-    out = extract_delayed(frame, FocalPoint(0.0, 0.03), 0)
+    out = gather_delayed(frame, np.array([-1e-3, 0.0, 2e-3]), 0.03, np.arange(-2, 3))
     np.testing.assert_allclose(out, 2.5)
 
 
@@ -90,13 +74,14 @@ def test_extract_linearity():
     rng = np.random.default_rng(5)
     s1 = rng.standard_normal((4, 900))
     s2 = rng.standard_normal((4, 900))
-    p = FocalPoint(0.5e-3, 0.022)
+    xs, z, offsets = np.array([0.5e-3, -1e-3]), 0.022, np.arange(-2, 3)
     a = 2.75
-    combined = extract_delayed(frame_from(a * s1 + s2), p)
+
+    def gather(samples):
+        return gather_delayed(frame_from(samples), xs, z, offsets)
+
     np.testing.assert_allclose(
-        combined,
-        a * extract_delayed(frame_from(s1), p) + extract_delayed(frame_from(s2), p),
-        rtol=1e-12, atol=1e-12,
+        gather(a * s1 + s2), a * gather(s1) + gather(s2), rtol=1e-12, atol=1e-12
     )
 
 
@@ -169,7 +154,7 @@ def test_gather_matches_reference_bitwise(seed, m, n_t, xs_mm, z_mm):
     )
     xs, z = np.array(xs_mm) * 1e-3, z_mm * 1e-3
     rng = np.random.default_rng(seed)
-    tau0 = np.stack([delay_samples(geo, FocalPoint(x, z)) for x in xs])[:, None, :]
+    tau0 = np.stack([_delays(geo, x, z) for x in xs])[:, None, :]
     k0 = np.floor(tau0).astype(np.int64)
 
     def check(n_samples, offsets):

@@ -31,7 +31,6 @@ class TestResolveConfig:
         assert cfg.dl_factor == pytest.approx(1.0 / 6400.0)
         assert cfg.msmv.beta == 1.0
         assert cfg.msmv.n_iter == 10
-        assert cfg.method is Method.MSMV
         assert cfg.dynamic_range_db == 50.0
         assert cfg.phantom is None
 
@@ -47,8 +46,6 @@ class TestResolveConfig:
             pio.resolve_config({"phantom": {"absorbers": []}})
         with pytest.raises(ConfigError, match=r"phantom\.absorbers\[0\]"):
             pio.resolve_config({"phantom": {"absorbers": [{"x": 0.0}]}})
-        with pytest.raises(ConfigError, match="method"):
-            pio.resolve_config({"method": "bogus"})
         with pytest.raises(ConfigError, match="L"):
             pio.resolve_config({"L": 500})
         with pytest.raises(ConfigError, match="sampling_rate|geometry"):
@@ -56,11 +53,31 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="dynamic_range_db"):
             pio.resolve_config({"dynamic_range_db": -5})
 
-    def test_sc_method_rejected(self):
-        # sc forms no image, so a config may not ask for it
-        with pytest.raises(ConfigError, match="method: 'sc' is not one of das, mv, msmv"):
-            pio.resolve_config({"method": "sc"})
-        assert pio.resolve_config({"method": "MV"}).method is Method.MV
+    def test_method_key_ignored(self):
+        # no command reads a method from a config (compare forms all three
+        # images), so like any key that is never read it changes nothing
+        base = pio.config_to_dict(pio.resolve_config({}))
+        assert "method" not in base
+        for method in ("sc", "bogus", "MV"):
+            assert pio.config_to_dict(pio.resolve_config({"method": method})) == base
+
+    def test_retired_msmv_keys(self):
+        # older manifests carry these keys; each is accepted at the one value
+        # the iteration now always has, and early_stop_tol is ignored
+        base = pio.config_to_dict(pio.resolve_config({}))
+        old = {"early_stop": False, "early_stop_tol": 1e-6,
+               "epsilon_floor_rel": 1e-12, "penalty_window": "full"}
+        for msmv in (old, {"early_stop_tol": 0.5}):
+            assert pio.config_to_dict(pio.resolve_config({"msmv": msmv})) == base
+        assert base["msmv"] == {"beta": 1.0, "n_iter": 10}
+
+    @pytest.mark.parametrize("key, value", [
+        ("early_stop", True), ("early_stop", 0), ("epsilon_floor_rel", 1e-4),
+        ("epsilon_floor_rel", "1e-12"), ("penalty_window", "center"),
+    ])
+    def test_retired_msmv_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"msmv\.{key}"):
+            pio.resolve_config({"msmv": {key: value}})
 
     def test_retired_keys_ignored(self, tmp_path):
         ab = {"x": 0.0, "z": 0.02, "amplitude": 3.0}
@@ -183,6 +200,73 @@ class TestReportsAndTargets:
             pio.load_targets(path)
 
 
+# The run-manifest.json that `compare` wrote for small_config while the msmv
+# block still carried its retired keys and the config a method
+OLD_MANIFEST = {
+    "geometry": {"n_elements": 16, "pitch": 0.0003, "sound_speed": 1540.0,
+                 "sampling_rate": 40000000.0, "center_frequency": 5000000.0,
+                 "fractional_bandwidth": 0.77},
+    "grid": {"x_min": -0.002, "x_max": 0.002, "z_min": 0.018, "z_max": 0.022,
+             "nx": 9, "nz": 11},
+    "method": "msmv", "L": 8, "K": 1, "dl": 0.00125,
+    "msmv": {"beta": 1.0, "n_iter": 10, "early_stop": False, "early_stop_tol": 1e-06,
+             "epsilon_floor_rel": 1e-12, "penalty_window": "full"},
+    "noise": {"snr_db": 50.0, "seed": 5}, "dynamic_range_db": 50.0,
+    "t_max": 1.5068938027648527e-05, "workers": 1,
+    "phantom": {"absorbers": [{"x": 0.0, "z": 0.02, "amplitude": 1.0}]},
+}
+
+
+def _valid_rf(tmp_path):
+    pio.write_rf(tmp_path / "rf", RfFrame(geometry=geometry(), samples=np.zeros((8, 10))))
+    return tmp_path / "rf.json"
+
+
+def _valid_image(tmp_path):
+    grid = ImageGrid(-2e-3, 2e-3, 0.018, 0.022, 3, 2)
+    image = PaImage(grid=grid, beamformed=np.ones((2, 3)), method=Method.MV)
+    pio.write_image(tmp_path / "img", finalize(image))
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps({"targets": [{"x": 0.0, "z": 0.02}]}))
+    return tmp_path / "img.json", targets
+
+
+def _rewrite_json(path, edit):
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+
+
+def _rf_without_element_x(tmp_path):
+    header = _valid_rf(tmp_path)
+    _rewrite_json(header, lambda raw: raw.pop("element_x"))
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
+def _rf_header_not_json(tmp_path):
+    header = _valid_rf(tmp_path)
+    header.write_text("PARF v1")
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
+def _image_partial_grid(tmp_path):
+    sidecar, targets = _valid_image(tmp_path)
+    _rewrite_json(sidecar, lambda raw: raw["grid"].pop("nz"))
+    return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
+
+
+def _targets_not_json(tmp_path):
+    _, targets = _valid_image(tmp_path)
+    targets.write_text("{targets: []")
+    return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], targets
+
+
+def _config_not_json(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("geometry = 16")
+    return ["compare", "--config", str(config)], config
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     raw = {
@@ -263,11 +347,48 @@ class TestCli:
 
     def test_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"method": "bogus"}))
+        bad.write_text(json.dumps({"L": 500}))
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "rf")])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
+
+    def test_old_manifest_reruns_identically(self, tmp_path, small_config):
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(OLD_MANIFEST))
+        for config, out in ((small_config, "new"), (old, "old")):
+            assert main(["compare", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        for name in ("run-manifest.json", "image_das.bin", "image_mv.bin", "image_msmv.bin"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    @pytest.mark.parametrize("make_input", [
+        _rf_without_element_x, _rf_header_not_json, _image_partial_grid,
+        _targets_not_json, _config_not_json,
+    ])
+    def test_malformed_input_file(self, tmp_path, capsys, make_input):
+        # one line of JSON naming the file and exit code 1, not a traceback
+        argv, bad = make_input(tmp_path)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert str(bad) in err["message"]
+        assert not list(tmp_path.glob("out*"))
+
+    def test_beamform_rejects_retired_flags(self, tmp_path, capsys):
+        # MSMV has no early stop and penalizes every snapshot column
+        _valid_rf(tmp_path)
+        for flag in (["--early-stop"], ["--penalty-window", "center"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["beamform", "--rf", str(tmp_path / "rf"), "--method", "msmv",
+                      "--out", str(tmp_path / "img"), *flag])
+            assert exc.value.code != 0
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("img*"))
+        with pytest.raises(SystemExit) as exc:
+            main(["beamform", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--early-stop" not in usage and "--penalty-window" not in usage
 
     def test_beamform_rejects_sc(self, tmp_path, small_config, capsys):
         # sc cannot differ from mv, so it forms no image (it used to run as

@@ -14,7 +14,7 @@ from pabeam.beamformers import (
     mv_weight,
 )
 from pabeam.covariance import apply_dl, estimate
-from pabeam.delays import FocalPoint, build_snapshots, delay_samples
+from pabeam.delays import FocalPoint, build_snapshots
 from pabeam.errors import ConfigError, NotPositiveDefinite
 from pabeam.phantom import (
     Absorber,
@@ -206,7 +206,7 @@ def noisy_frame():
     return add_channel_noise(simulate_rf(geo, phantom, 40e-6), 40.0, 11)
 
 
-def per_pixel_plane(frame, grid, method, dl=TILE_DL, msmv=MsmvConfig()):
+def per_pixel_plane(frame, grid, method, dl=TILE_DL):
     """The per-pixel definition: build_snapshots -> estimate -> apply_dl ->
     weights -> beamform_output, falling back to DAS weights on a failed
     solve. Returns (plane, fallback count)."""
@@ -220,7 +220,7 @@ def per_pixel_plane(frame, grid, method, dl=TILE_DL, msmv=MsmvConfig()):
             if method is not Method.DAS:
                 r = apply_dl(estimate(snaps), dl)
                 try:
-                    w = mv_weight(r) if method is Method.MV else msmv_weight(r, snaps, msmv)
+                    w = mv_weight(r) if method is Method.MV else msmv_weight(r, snaps)
                 except NotPositiveDefinite:
                     fallbacks += 1
             plane[iz, ix] = beamform_output(snaps, w)
@@ -280,23 +280,20 @@ class TestTiles:
         assert np.count_nonzero(das[0, 9:]) == 5
 
 
-@pytest.mark.parametrize("penalty_window", ["full", "center"])
 @pytest.mark.parametrize("scene", ["noisy", "truncated"])
-def test_fused_pass_matches_single_methods(scene, penalty_window):
+def test_fused_pass_matches_single_methods(scene):
     # one pass for several methods gives each method's one-method image: MV
     # and MSMV bit for bit, DAS (a different tile size) to roundoff; the
     # truncated record is test_mixed_tile_fallback's, with 5 fallback pixels.
-    # The one-method MSMV image is also held to the per-pixel definition,
-    # which takes its penalty columns from the snapshot matrix itself.
+    # The one-method MSMV image is also held to the per-pixel definition.
     frame = noisy_frame()
     grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 13, 3)
     if scene == "truncated":
         frame = RfFrame(geometry=frame.geometry, samples=frame.samples[:, :520])
         grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, 19, 1)
-    cfg = MsmvConfig(penalty_window=penalty_window)
-    kw = dict(L=TILE_L, K=TILE_K, msmv=cfg)
+    kw = dict(L=TILE_L, K=TILE_K)
     single = {m: reconstruct(frame, grid, m, **kw) for m in IMAGE_METHODS}
-    plane, fallbacks = per_pixel_plane(frame, grid, Method.MSMV, msmv=cfg)
+    plane, fallbacks = per_pixel_plane(frame, grid, Method.MSMV)
     assert single[Method.MSMV].fallback_pixel_count == fallbacks
     diff = np.max(np.abs(single[Method.MSMV].beamformed - plane))
     assert diff <= MSMV_RTOL * np.max(np.abs(plane))
