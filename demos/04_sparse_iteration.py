@@ -14,19 +14,16 @@ import numpy as np
 from pabeam import (
     Absorber,
     ArrayGeometry,
-    FocalPoint,
     MsmvConfig,
     Phantom,
+    SnapshotMatrix,
     add_channel_noise,
-    apply_dl,
-    build_snapshots,
     default_dl_factor,
-    estimate,
-    msmv_weight,
-    mv_weight,
     simulate_rf,
 )
-from pabeam.beamformers import msmv_objective
+from pabeam.beamformers import capon_weights, msmv_objective, msmv_weights
+from pabeam.covariance import loaded_covariance
+from pabeam.delays import gather_delayed, subarray_snapshots
 
 geometry = ArrayGeometry(
     n_elements=64,
@@ -39,20 +36,26 @@ geometry = ArrayGeometry(
 phantom = Phantom.from_points([Absorber(0.0, 0.030, amplitude=10.0)])
 frame = add_channel_noise(simulate_rf(geometry, phantom, 50e-6), 50.0, 1)
 
-# a pixel 1.5 mm off the target axis: DAS sees a sidelobe here
-snaps = build_snapshots(frame, FocalPoint(1.5e-3, 0.030), L=32, K=2)
-r = apply_dl(estimate(snaps), default_dl_factor(32))
+# a pixel 1.5 mm off the target axis (a tile of one): DAS sees a sidelobe here
+L, K = 32, 2
+gathered = gather_delayed(frame, np.array([1.5e-3]), 0.030, np.arange(-K, K + 1))
+snaps = subarray_snapshots(gathered, L)  # (1, snapshots, L)
+r = loaded_covariance(snaps, default_dl_factor(L))
+cols = SnapshotMatrix(
+    columns=snaps[0].T, subarray_len=L, n_subarrays=geometry.n_elements - L + 1,
+    temporal_half_window=K,
+)
 
-w0 = mv_weight(r).values
-f0 = msmv_objective(r, snaps, w0, beta=1.0)
-mags0 = np.abs(snaps.columns.T @ w0)
+w0 = capon_weights(r)[0][0]
+f0 = msmv_objective(r[0], cols, w0, beta=1.0)
+mags0 = np.abs(snaps[0] @ w0)
 print(f"iter  0 (mv start)  objective {f0:10.4f}  "
       f"outputs < 1% of max: {np.mean(mags0 < 0.01 * mags0.max()):.0%}")
 
 for k in range(1, 11):
-    w = msmv_weight(r, snaps, MsmvConfig(beta=1.0, n_iter=k)).values
-    f = msmv_objective(r, snaps, w, beta=1.0)
-    mags = np.abs(snaps.columns.T @ w)
+    w = msmv_weights(r, snaps, MsmvConfig(beta=1.0, n_iter=k))[0][0]
+    f = msmv_objective(r[0], cols, w, beta=1.0)
+    mags = np.abs(snaps[0] @ w)
     print(f"iter {k:2d}             objective {f:10.4f}  "
           f"outputs < 1% of max: {np.mean(mags < 0.01 * mags.max()):.0%}")
 

@@ -10,16 +10,14 @@ from .beamformers import (
     Method,
     MsmvConfig,
     WeightVector,
-    beamform_output,
     das_weight,
     msmv_weight,
     mv_weight,
     sc_weight,
 )
-from .covariance import apply_dl, default_dl_factor, estimate
-from .delays import FocalPoint, SnapshotMatrix, build_snapshots
+from .covariance import apply_dl, default_dl_factor
+from .delays import FocalPoint, SnapshotMatrix
 from .metrics import MetricsReport, TargetSpec, evaluate, fwhm, lateral_profile, peak_sidelobe, snr
-from .numerics import spd_solve
 from .phantom import (
     Absorber,
     ArrayGeometry,

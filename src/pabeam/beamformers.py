@@ -9,8 +9,9 @@ quadratic via a diagonal of reciprocal output magnitudes, which augments the
 covariance before the Capon solve.
 
 ``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work on a tile
-of pixels (a leading pixel axis); ``mv_weight``, ``msmv_weight`` and
-``beamform_output`` are their one-pixel case.
+of pixels (a leading pixel axis) and are what images are formed from.
+``mv_weight``, ``msmv_weight``, ``sc_weight`` and ``msmv_objective`` state
+the one-pixel definitions the tile results are checked against.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .delays import SnapshotMatrix
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 from .numerics import check_symmetric, spd_solve_stack
 
 
@@ -54,10 +55,10 @@ class MsmvConfig:
     n_iter: int = 10
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < np.inf:
+            raise ConfigError("msmv.beta: must be finite and >= 0")
         if self.n_iter < 0:
-            raise ValueError("n_iter must be >= 0")
+            raise ConfigError("msmv.n_iter: must be >= 0")
 
 
 def das_weight(L: int) -> WeightVector:
@@ -233,20 +234,7 @@ def msmv_objective(
 def beamform_outputs(center: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Subarray-averaged output of each pixel of a tile: the mean of w^T X_l
     over the center-time snapshot rows ``center`` (P, M-L+1, L), for weights
-    w of shape (P, L)."""
+    w of shape (P, L). The other temporal offsets feed only the covariance
+    and the sparsity penalty."""
     return np.matmul(center, w[..., None])[..., 0].mean(axis=-1)
 
-
-def beamform_output(snapshots: SnapshotMatrix, w: WeightVector) -> float:
-    """Subarray-averaged output: mean of w^T X_l over the center-time columns.
-
-    The temporal-offset columns feed only the covariance and the sparsity
-    penalty; the output itself uses the offset-0 subarray columns.
-    """
-    values = np.asarray(w.values)
-    if values.shape[0] != snapshots.subarray_len:
-        raise DimensionMismatch(
-            f"weight length {values.shape[0]} != subarray length "
-            f"{snapshots.subarray_len}"
-        )
-    return float(beamform_outputs(snapshots.center_columns.T[None], values[None])[0])

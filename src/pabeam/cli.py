@@ -52,10 +52,13 @@ def _parse_grid(spec: str) -> ImageGrid:
         raise pio.ConfigError(
             "grid: expected x_min,x_max,z_min,z_max,nx,nz"
         )
-    vals = [float(p) for p in parts[:4]]
+    try:
+        vals = [float(p) for p in parts[:4]]
+        nx, nz = int(parts[4]), int(parts[5])
+    except ValueError as exc:
+        raise pio.ConfigError(f"grid: {exc}") from exc
     return ImageGrid(
-        x_min=vals[0], x_max=vals[1], z_min=vals[2], z_max=vals[3],
-        nx=int(parts[4]), nz=int(parts[5]),
+        x_min=vals[0], x_max=vals[1], z_min=vals[2], z_max=vals[3], nx=nx, nz=nz
     )
 
 

@@ -1,37 +1,14 @@
 """Spatially smoothed covariance estimation with diagonal loading.
 
-Both stages work over any leading (pixel) axes; ``estimate`` is the
-one-pixel case of ``loaded_covariance`` without the loading.
+Both stages work over any leading (pixel) axes.
 """
 
 import numpy as np
-
-from .delays import SnapshotMatrix
 
 
 def default_dl_factor(L: int) -> float:
     """Default diagonal-loading constant, 1/(100 L)."""
     return 1.0 / (100.0 * L)
-
-
-def _covariance(snapshots: np.ndarray, xt: np.ndarray | None = None) -> np.ndarray:
-    """(1/N) X X^T from snapshot rows X^T of shape (..., N, L) and, if the
-    caller holds it, their contiguous transpose ``xt``; symmetric only up to
-    roundoff, as the solver reads the lower triangle alone."""
-    if xt is None:
-        xt = np.ascontiguousarray(np.swapaxes(snapshots, -1, -2))
-    r = np.matmul(xt, snapshots)
-    r /= snapshots.shape[-2]
-    return r
-
-
-def estimate(snapshots: SnapshotMatrix) -> np.ndarray:
-    """Mean outer product over all subarray x temporal snapshot columns.
-
-    Equals (1/N) X X^T for the snapshot matrix X, which makes the covariance
-    estimator and the sparsity-penalty column set definitionally consistent.
-    """
-    return _covariance(snapshots.columns.T)
 
 
 def apply_dl(r: np.ndarray, dl_factor: float) -> np.ndarray:
@@ -47,5 +24,17 @@ def loaded_covariance(
     snapshots: np.ndarray, dl_factor: float, xt: np.ndarray | None = None
 ) -> np.ndarray:
     """Diagonally loaded covariance of each pixel of a tile: snapshot rows
-    (P, N, L) to matrices (P, L, L). ``xt`` is as for ``_covariance``."""
-    return apply_dl(_covariance(snapshots, xt), dl_factor)
+    X^T (P, N, L) to R = (1/N) X X^T plus dl_factor * trace(R) on the
+    diagonal, shape (P, L, L).
+
+    The mean outer product over all subarray x temporal snapshot columns makes
+    the covariance estimator and the sparsity-penalty column set consistent.
+    ``xt`` is the contiguous transpose of ``snapshots`` if the caller holds it.
+    The Gram is symmetric only up to roundoff, as the solver reads the lower
+    triangle alone.
+    """
+    if xt is None:
+        xt = np.ascontiguousarray(np.swapaxes(snapshots, -1, -2))
+    r = np.matmul(xt, snapshots)
+    r /= snapshots.shape[-2]
+    return apply_dl(r, dl_factor)

@@ -5,7 +5,7 @@ sample indices; reads at fractional indices use linear interpolation and
 out-of-record reads return 0 so edge pixels still reconstruct.
 
 The gather and the snapshot build work on a tile of focal points sharing one
-depth; the single-point functions are the one-point case of the same code.
+depth; a single point is a tile of one.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidSubarrayLength
 from .phantom import ArrayGeometry, RfFrame
 
 
@@ -32,19 +31,14 @@ class SnapshotMatrix:
     """Delayed subarray snapshots for one focal point.
 
     Columns are ordered temporal-major: for each temporal offset
-    n = -K..K (in order), all subarrays l = 0..M-L in order.
+    n = -K..K (in order), all subarrays l = 0..M-L in order. For pixel p of
+    a tile, ``columns`` is ``subarray_snapshots(...)[p].T``.
     """
 
     columns: np.ndarray  # (L, (2K+1)(M-L+1))
     subarray_len: int
     n_subarrays: int
     temporal_half_window: int
-
-    @property
-    def center_columns(self) -> np.ndarray:
-        """The temporal-offset-0 block, used for the beamformed output."""
-        k = self.temporal_half_window
-        return self.columns[:, k * self.n_subarrays:(k + 1) * self.n_subarrays]
 
 
 def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
@@ -87,25 +81,3 @@ def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:
     p = delayed.shape[0]
     return sliding_window_view(delayed, L, axis=-1).reshape(p, -1, L)
 
-
-def build_snapshots(frame: RfFrame, p: FocalPoint, L: int, K: int) -> SnapshotMatrix:
-    """Builds the L x (2K+1)(M-L+1) snapshot matrix for one focal point.
-
-    For each temporal offset n in -K..K the delayed vector is sliced into the
-    M-L+1 overlapping length-L subarrays.
-
-    Raises:
-        InvalidSubarrayLength: L outside [1, M].
-    """
-    m = frame.geometry.n_elements
-    if not 1 <= L <= m:
-        raise InvalidSubarrayLength(f"subarray length {L} outside [1, {m}]")
-    if K < 0:
-        raise ValueError("temporal half window K must be >= 0")
-    delayed = gather_delayed(frame, np.array([p.x]), p.z, np.arange(-K, K + 1))
-    return SnapshotMatrix(
-        columns=subarray_snapshots(delayed, L)[0].T,
-        subarray_len=L,
-        n_subarrays=m - L + 1,
-        temporal_half_window=K,
-    )

@@ -29,10 +29,6 @@ class ZeroSignal(PabeamError):
     pass
 
 
-class InvalidSubarrayLength(PabeamError):
-    pass
-
-
 class ConfigError(PabeamError):
     """Invalid or missing configuration value; message names the JSON path."""
 

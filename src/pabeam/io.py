@@ -75,6 +75,14 @@ def _num(raw: dict, path: str, default=None, required: bool = False):
     return v
 
 
+def _int(raw: dict, path: str, default: int) -> int:
+    """An integer field; a float is accepted only with an integral value."""
+    v = _num(raw, path, default)
+    if isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"config field {path} must be an integer, got {v!r}")
+    return int(v)
+
+
 def resolve_config(raw: dict) -> RunConfig:
     """Fills in defaults and validates a raw config dict.
 
@@ -89,7 +97,7 @@ def resolve_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    m = int(_num(raw, "geometry.n_elements", 128))
+    m = _int(raw, "geometry.n_elements", 128)
     try:
         geometry = ArrayGeometry(
             n_elements=m,
@@ -139,30 +147,27 @@ def resolve_config(raw: dict) -> RunConfig:
             x_max=x_max,
             z_min=z_min,
             z_max=z_max,
-            nx=int(_num(raw, "grid.nx", nx_default)),
-            nz=int(_num(raw, "grid.nz", nz_default)),
+            nx=_int(raw, "grid.nx", nx_default),
+            nz=_int(raw, "grid.nz", nz_default),
         )
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    L = int(_num(raw, "L", m // 2))
+    L = _int(raw, "L", m // 2)
     if not 1 <= L <= m:
         raise ConfigError(f"L: {L} outside [1, {m}]")
-    K = int(_num(raw, "K", 2))
+    K = _int(raw, "K", 2)
     if K < 0:
         raise ConfigError("K: must be >= 0")
     dl = float(_num(raw, "dl", default_dl_factor(L)))
-    if dl < 0:
-        raise ConfigError("dl: must be >= 0")
+    if not 0 <= dl < np.inf:
+        raise ConfigError("dl: must be finite and >= 0")
 
     d = MsmvConfig  # its field defaults are the config defaults
-    try:
-        msmv = MsmvConfig(
-            beta=float(_num(raw, "msmv.beta", d.beta)),
-            n_iter=int(_num(raw, "msmv.n_iter", d.n_iter)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"msmv: {exc}") from exc
+    msmv = MsmvConfig(
+        beta=float(_num(raw, "msmv.beta", d.beta)),
+        n_iter=_int(raw, "msmv.n_iter", d.n_iter),
+    )
     for key, fixed in RETIRED_MSMV_KEYS.items():
         value = _get(raw, f"msmv.{key}", fixed)
         if type(value) is not type(fixed) or value != fixed:
@@ -171,7 +176,7 @@ def resolve_config(raw: dict) -> RunConfig:
             )
 
     snr_db = _num(raw, "noise.snr_db")
-    seed = int(_num(raw, "noise.seed", 0))
+    seed = _int(raw, "noise.seed", 0)
 
     t_max = _num(raw, "t_max")
     if t_max is None:
@@ -187,9 +192,9 @@ def resolve_config(raw: dict) -> RunConfig:
     t_max = float(t_max)
 
     dr = float(_num(raw, "dynamic_range_db", 50.0))
-    if dr <= 0:
-        raise ConfigError("dynamic_range_db: must be > 0")
-    workers = int(_num(raw, "workers", 1))
+    if not 0 < dr < np.inf:
+        raise ConfigError("dynamic_range_db: must be finite and > 0")
+    workers = _int(raw, "workers", 1)
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
 

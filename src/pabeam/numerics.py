@@ -5,16 +5,16 @@ real symmetric by construction and diagonally loaded to positive definiteness,
 so a failing Cholesky factorization is a meaningful signal, not a condition to
 recover from.
 
-The solver works on a stack of matrices (one per pixel of a tile): one LAPACK
-``posv`` per matrix both decides positive definiteness and solves, from a
-single Cholesky factorization of the matrix's lower triangle. ``spd_solve``
-is its one-matrix case with input validation.
+The solver works on a stack of matrices (one per pixel of a tile; one matrix
+is a stack of one): one LAPACK ``posv`` per matrix both decides positive
+definiteness and solves, from a single Cholesky factorization of the matrix's
+lower triangle.
 """
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 
 SYMMETRY_ATOL_REL = 1e-12
 
@@ -60,28 +60,3 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
             x[p], ok[p] = x_p, True
     return x, ok
 
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solves A x = b for symmetric positive-definite A.
-
-    Args:
-        a: symmetric positive-definite matrix, shape (n, n).
-        b: right-hand side vector, shape (n,).
-
-    Returns:
-        Solution vector x with A @ x == b.
-
-    Raises:
-        NotPositiveDefinite: a Cholesky pivot was <= 0.
-        DimensionMismatch: shapes are inconsistent or A is not symmetric.
-    """
-    a = check_symmetric(a)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"rhs length {b.shape} does not match matrix dim {a.shape[0]}"
-        )
-    x, ok = spd_solve_stack(a[None], b)
-    if not ok[0]:
-        raise NotPositiveDefinite("matrix is not positive definite")
-    return x[0]

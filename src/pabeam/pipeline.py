@@ -176,6 +176,8 @@ def reconstruct_methods(
         raise ConfigError("K must be >= 0")
     if dl_factor is None:
         dl_factor = default_dl_factor(L)
+    if not 0 <= dl_factor < np.inf:
+        raise ConfigError("dl_factor must be finite and >= 0")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -249,8 +251,8 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
     """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0]."""
-    if dynamic_range_db <= 0:
-        raise ConfigError("dynamic_range_db must be > 0")
+    if not 0 < dynamic_range_db < np.inf:
+        raise ConfigError("dynamic_range_db must be finite and > 0")
     envelope = np.asarray(envelope, dtype=np.float64)
     peak = envelope.max(initial=0.0)
     if peak == 0.0:

@@ -10,7 +10,7 @@ from pabeam.beamformers import (
     Method,
     MsmvConfig,
     _reweight,
-    beamform_output,
+    beamform_outputs,
     das_taps,
     das_weight,
     msmv_objective,
@@ -21,7 +21,7 @@ from pabeam.beamformers import (
 )
 from pabeam.covariance import apply_dl, default_dl_factor, loaded_covariance
 from pabeam.delays import SnapshotMatrix
-from pabeam.errors import DimensionMismatch, NotPositiveDefinite
+from pabeam.errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 
 
 def snaps_from(columns, K=0):
@@ -192,9 +192,9 @@ class TestMsmv:
             msmv_weight(np.eye(3), snaps_from(np.ones((2, 4))))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"msmv\.beta"):
             MsmvConfig(beta=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"msmv\.n_iter"):
             MsmvConfig(n_iter=-1)
 
     def test_two_settings(self):
@@ -203,22 +203,21 @@ class TestMsmv:
 
 class TestBeamformOutput:
     def test_hand_value(self):
-        snaps = snaps_from([[1.0, 3.0], [2.0, 4.0]])
-        w = das_weight(2)
-        # column outputs 1.5 and 3.5, mean 2.5
-        assert beamform_output(snaps, w) == pytest.approx(2.5)
+        # one pixel, snapshot rows [1, 2] and [3, 4]: column outputs 1.5 and
+        # 3.5, mean 2.5
+        center = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        out = beamform_outputs(center, das_weight(2).values[None])
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(2.5)
 
     def test_center_block_only(self):
-        # K=1: columns [off -1 | off 0 | off +1], one subarray each
-        cols = np.array([[10.0, 1.0, 10.0], [10.0, 3.0, 10.0]])
-        snaps = snaps_from(cols, K=1)
-        out = beamform_output(snaps, das_weight(2))
-        assert out == pytest.approx(2.0)  # only the offset-0 column counts
-
-    def test_length_mismatch(self):
-        snaps = snaps_from(np.ones((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            beamform_output(snaps, das_weight(2))
+        # K=1: columns [off -1 | off 0 | off +1], one subarray each; the
+        # output reads only the offset-0 block of the offset-major rows
+        snaps = snaps_from([[10.0, 1.0, 10.0], [10.0, 3.0, 10.0]], K=1)
+        k, n_sub = snaps.temporal_half_window, snaps.n_subarrays
+        center = snaps.columns.T[None, k * n_sub:(k + 1) * n_sub]
+        out = beamform_outputs(center, das_weight(2).values[None])
+        assert out[0] == pytest.approx(2.0)
 
 
 M_AND_L = st.integers(2, 96).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
@@ -236,13 +235,8 @@ def test_das_taps_match_subarray_average(ml, seed):
     assert c.shape == (M,)
     assert abs(c.sum() - 1.0) <= 1e-12
     gathered = np.random.default_rng(seed).standard_normal((3, M))
-    ref = np.array([
-        beamform_output(
-            snaps_from(np.stack([d[i:i + L] for i in range(M - L + 1)], axis=1)),
-            das_weight(L),
-        )
-        for d in gathered
-    ])
+    windows = np.stack([gathered[:, i:i + L] for i in range(M - L + 1)], axis=1)
+    ref = beamform_outputs(windows, np.tile(das_weight(L).values, (3, 1)))
     assert np.max(np.abs(gathered @ c - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from pabeam.covariance import apply_dl, default_dl_factor, estimate
-from pabeam.delays import SnapshotMatrix
+from pabeam.covariance import apply_dl, default_dl_factor, loaded_covariance
 
 
-def snaps_from(columns):
-    columns = np.asarray(columns, float)
-    return SnapshotMatrix(
-        columns=columns,
-        subarray_len=columns.shape[0],
-        n_subarrays=columns.shape[1],
-        temporal_half_window=0,
-    )
+def cov(columns):
+    """Unloaded covariance of one pixel whose snapshot columns are ``columns``
+    (L, N): a tile of one with zero loading."""
+    return loaded_covariance(np.asarray(columns, float).T[None], 0.0)[0]
 
 
 def test_single_column_outer_product():
     x = np.array([[1.0], [2.0]])
-    r = estimate(snaps_from(x))
+    r = cov(x)
     np.testing.assert_allclose(r, [[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_mean_over_columns():
     # columns e1 and e2: covariance is I/2
     x = np.eye(2)
-    np.testing.assert_allclose(estimate(snaps_from(x)), np.eye(2) / 2.0)
+    np.testing.assert_allclose(cov(x), np.eye(2) / 2.0)
 
 
 def test_symmetric_psd():
@@ -33,7 +28,7 @@ def test_symmetric_psd():
         L = int(rng.integers(2, 10))
         n = int(rng.integers(1, 30))
         x = rng.standard_normal((L, n))
-        r = estimate(snaps_from(x))
+        r = cov(x)
         assert np.array_equal(r, r.T)
         eig = np.linalg.eigvalsh(r)
         assert eig.min() >= -1e-10 * max(eig.max(), 1.0)
@@ -42,8 +37,8 @@ def test_symmetric_psd():
 def test_scaling_quadratic():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 9))
-    r = estimate(snaps_from(x))
-    r3 = estimate(snaps_from(3.0 * x))
+    r = cov(x)
+    r3 = cov(3.0 * x)
     np.testing.assert_allclose(r3, 9.0 * r, rtol=1e-12)
 
 
@@ -71,6 +66,6 @@ def test_apply_dl_negative_rejected():
 def test_apply_dl_restores_definiteness():
     # rank-1 covariance becomes positive definite after loading
     x = np.array([[1.0], [1.0], [1.0]])
-    r = estimate(snaps_from(x))
-    loaded = apply_dl(r, default_dl_factor(3))
+    loaded = loaded_covariance(x.T[None], default_dl_factor(3))[0]
+    np.testing.assert_array_equal(loaded, apply_dl(cov(x), default_dl_factor(3)))
     assert np.linalg.eigvalsh(loaded).min() > 0

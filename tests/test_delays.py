@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabeam.covariance import estimate
-from pabeam.delays import FocalPoint, _delays, build_snapshots, gather_delayed
-from pabeam.errors import InvalidSubarrayLength
+from pabeam.covariance import loaded_covariance
+from pabeam.delays import _delays, gather_delayed, subarray_snapshots
 from pabeam.phantom import ArrayGeometry, RfFrame
 
 
@@ -85,6 +84,12 @@ def test_extract_linearity():
     )
 
 
+def snapshot_rows(frame, x, z, L, K):
+    """Snapshot rows (N, L) of the one-point tile (x, z)."""
+    delayed = gather_delayed(frame, np.array([x]), z, np.arange(-K, K + 1))
+    return subarray_snapshots(delayed, L)[0]
+
+
 class TestBuildSnapshots:
     def delayed_frame(self, values):
         """Frame of constant channels so the delayed vector equals ``values``."""
@@ -94,36 +99,32 @@ class TestBuildSnapshots:
 
     def test_degenerate_full_aperture(self):
         frame = self.delayed_frame([1.0, 2.0, 3.0, 4.0])
-        snaps = build_snapshots(frame, FocalPoint(0.0, 0.03), L=4, K=0)
-        assert snaps.columns.shape == (4, 1)
-        np.testing.assert_allclose(snaps.columns[:, 0], [1, 2, 3, 4])
+        rows = snapshot_rows(frame, 0.0, 0.03, L=4, K=0)
+        assert rows.shape == (1, 4)
+        np.testing.assert_allclose(rows[0], [1, 2, 3, 4])
 
     def test_sliding_window(self):
         frame = self.delayed_frame([1.0, 2.0, 3.0, 4.0])
-        snaps = build_snapshots(frame, FocalPoint(0.0, 0.03), L=2, K=0)
-        np.testing.assert_allclose(snaps.columns, [[1, 2, 3], [2, 3, 4]])
+        rows = snapshot_rows(frame, 0.0, 0.03, L=2, K=0)
+        np.testing.assert_allclose(rows, [[1, 2], [2, 3], [3, 4]])
 
     def test_temporal_window_count(self):
         frame = self.delayed_frame([1.0, 2.0, 3.0, 4.0])
-        snaps = build_snapshots(frame, FocalPoint(0.0, 0.03), L=2, K=1)
-        assert snaps.columns.shape == (2, 9)
-        assert snaps.n_subarrays == 3
-        # center block is the K-offset-0 columns
-        np.testing.assert_allclose(snaps.center_columns, [[1, 2, 3], [2, 3, 4]])
-
-    def test_invalid_length(self):
-        frame = self.delayed_frame([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvalidSubarrayLength):
-            build_snapshots(frame, FocalPoint(0.0, 0.03), L=5, K=0)
+        rows = snapshot_rows(frame, 0.0, 0.03, L=2, K=1)
+        assert rows.shape == (9, 2)
+        # offset-major: the centre block (offset 0) is rows K n_sub..(K+1) n_sub
+        n_sub = 3
+        np.testing.assert_allclose(rows[n_sub:2 * n_sub], [[1, 2], [2, 3], [3, 4]])
 
     def test_covariance_consistency(self):
         # (1/N) X X^T must equal the covariance estimator exactly
         rng = np.random.default_rng(11)
         frame = frame_from(rng.standard_normal((4, 900)))
-        snaps = build_snapshots(frame, FocalPoint(0.3e-3, 0.021), L=2, K=2)
-        x = snaps.columns
+        rows = snapshot_rows(frame, 0.3e-3, 0.021, L=2, K=2)
+        x = rows.T
         direct = x @ x.T / x.shape[1]
-        np.testing.assert_allclose(estimate(snaps), direct, atol=1e-12)
+        r = loaded_covariance(rows[None], 0.0)[0]
+        np.testing.assert_allclose(r, direct, atol=1e-12)
 
 
 def interp_reference(samples, tau):

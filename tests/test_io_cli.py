@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ class TestResolveConfig:
             pio.resolve_config({"geometry": {"sampling_rate": 1e6}})
         with pytest.raises(ConfigError, match="dynamic_range_db"):
             pio.resolve_config({"dynamic_range_db": -5})
+        with pytest.raises(ConfigError, match=r"msmv\.beta"):
+            pio.resolve_config({"msmv": {"beta": float("nan")}})
+        with pytest.raises(ConfigError, match="dl"):
+            pio.resolve_config({"dl": float("inf")})
 
     def test_method_key_ignored(self):
         # no command reads a method from a config (compare forms all three
@@ -88,6 +93,31 @@ class TestResolveConfig:
             {"targets": [{"x": 0.0, "z": 0.02}], "depth_tolerance": 5e-4}
         ))
         assert pio.load_targets(path).targets == (FocalPoint(0.0, 0.02),)
+
+    @pytest.mark.parametrize("path, value", [
+        ("geometry.n_elements", 16.5), ("grid.nx", 9.5), ("grid.nz", 11.2),
+        ("L", 16.5), ("K", 1.5), ("msmv.n_iter", 2.5), ("noise.seed", 5.5),
+        ("workers", 1.9),
+    ])
+    def test_integer_field_rejects_fraction(self, path, value):
+        # a fraction used to be truncated, and the manifest recorded the
+        # truncated value; an integral float such as 16.0 is still accepted
+        def nested(v):
+            raw = {}
+            *parents, key = path.split(".")
+            node = raw
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[key] = v
+            return raw
+
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
+            pio.resolve_config(nested(value))
+        whole = float(int(value))
+        cfg = pio.config_to_dict(pio.resolve_config(nested(whole)))
+        for part in path.split("."):
+            cfg = cfg[part]
+        assert cfg == whole and type(cfg) is int
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="geometry.pitch"):
@@ -401,6 +431,57 @@ class TestCli:
         assert exc.value.code != 0
         assert "invalid choice" in capsys.readouterr().err
         assert not list(tmp_path.glob("img*"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "-1"], ["--iters", "-2"], ["--dl", "-1"], ["--dr", "0"],
+        ["--beta", "nan"], ["--dl", "inf"], ["--dr", "nan"],
+        ["--grid=a,b,c,d,1,1"], ["--grid=0,1,2,3,x,1"],
+    ], ids=lambda flags: "".join(flags))
+    def test_beamform_bad_flag_value(self, tmp_path, capsys, flags):
+        # one line of JSON and exit code 1, not a traceback (or, for nan and
+        # inf, an all-NaN image), and no image written
+        _valid_rf(tmp_path)
+        rc = main(["beamform", "--rf", str(tmp_path / "rf"), "--method", "msmv",
+                   "--grid=-1e-3,1e-3,0.018,0.022,3,2", *flags,
+                   "--out", str(tmp_path / "img")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not list(tmp_path.glob("img*"))
+
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    def test_beamform_matches_compare(self, tmp_path, seed):
+        # beamform from the float32 RF that compare writes gives compare's own
+        # planes: DAS and MV to 1e-6 of the plane maximum, MSMV to its tile
+        # tolerance, 1e-4, as the reweighting amplifies the RF's rounding
+        cfg = {
+            "geometry": {"n_elements": 24, "sampling_rate": 40e6, "pitch": 0.38e-3},
+            "phantom": {"absorbers": [{"x": 0.0, "z": 0.02, "amplitude": 10.0},
+                                      {"x": 1.5e-3, "z": 0.021, "amplitude": 4.0}]},
+            "grid": {"x_min": -3e-3, "x_max": 3e-3, "z_min": 18e-3, "z_max": 22e-3,
+                     "nx": 31, "nz": 25},
+            "noise": {"snr_db": 50.0, "seed": seed},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+        run = json.loads((out / "run-manifest.json").read_text())
+        g = run["grid"]
+        grid = ",".join(repr(g[k]) for k in ("x_min", "x_max", "z_min", "z_max"))
+        flags = ["--L", str(run["L"]), "--K", str(run["K"]), "--dl", repr(run["dl"]),
+                 "--beta", repr(run["msmv"]["beta"]), "--iters", str(run["msmv"]["n_iter"]),
+                 f"--grid={grid},{g['nx']},{g['nz']}"]
+        for method, rtol in (("das", 1e-6), ("mv", 1e-6), ("msmv", 1e-4)):
+            img = tmp_path / f"bf_{method}"
+            assert main(["beamform", "--rf", str(out / "rf"), "--method", method,
+                         *flags, "--out", str(img)]) == 0
+            ref = pio.read_image(out / f"image_{method}")
+            got = pio.read_image(img)
+            assert got.fallback_pixel_count == ref.fallback_pixel_count
+            scale = np.max(np.abs(ref.beamformed))
+            assert np.max(np.abs(got.beamformed - ref.beamformed)) <= rtol * scale
 
     def test_missing_rf(self, tmp_path):
         rc = main(["beamform", "--rf", str(tmp_path / "nope"), "--method", "mv",

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from pabeam.beamformers import (
     Method,
     MsmvConfig,
-    beamform_output,
+    beamform_outputs,
     das_weight,
     msmv_weight,
     mv_weight,
 )
-from pabeam.covariance import apply_dl, estimate
-from pabeam.delays import FocalPoint, build_snapshots
+from pabeam.covariance import loaded_covariance
+from pabeam.delays import SnapshotMatrix, gather_delayed, subarray_snapshots
 from pabeam.errors import ConfigError, NotPositiveDefinite
 from pabeam.phantom import (
     Absorber,
@@ -110,8 +110,9 @@ class TestLogCompress:
         np.testing.assert_allclose(db, -40.0)
 
     def test_invalid_range(self):
-        with pytest.raises(ConfigError):
-            log_compress(np.ones((2, 2)), 0.0)
+        for dr in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                log_compress(np.ones((2, 2)), dr)
 
 
 class TestReconstruct:
@@ -176,6 +177,8 @@ class TestReconstruct:
             reconstruct(frame, SMALL_GRID, Method.DAS, K=-1)
         with pytest.raises(ConfigError):
             reconstruct(frame, SMALL_GRID, Method.DAS, workers=0)
+        with pytest.raises(ConfigError):
+            reconstruct(frame, SMALL_GRID, Method.MV, dl_factor=-1e-3)
 
     def test_finalize_planes(self):
         frame = point_frame()
@@ -207,23 +210,37 @@ def noisy_frame():
 
 
 def per_pixel_plane(frame, grid, method, dl=TILE_DL):
-    """The per-pixel definition: build_snapshots -> estimate -> apply_dl ->
-    weights -> beamform_output, falling back to DAS weights on a failed
-    solve. Returns (plane, fallback count)."""
-    das_w = das_weight(TILE_L)
+    """The per-pixel definition: each point on its own through gather ->
+    snapshots -> loaded covariance -> one-pixel weights -> subarray-averaged
+    output, falling back to the uniform DAS weights on a failed solve.
+    Returns (plane, fallback count)."""
+    n_sub = frame.geometry.n_elements - TILE_L + 1
+    offsets = np.arange(-TILE_K, TILE_K + 1)
     plane = np.zeros((grid.nz, grid.nx))
     fallbacks = 0
     for iz, z in enumerate(grid.z_coords):
         for ix, x in enumerate(grid.x_coords):
-            snaps = build_snapshots(frame, FocalPoint(x, z), TILE_L, TILE_K)
-            w = das_w
+            delayed = gather_delayed(frame, np.array([x]), z, offsets)
+            snaps = subarray_snapshots(delayed, TILE_L)
+            w = das_weight(TILE_L).values
             if method is not Method.DAS:
-                r = apply_dl(estimate(snaps), dl)
+                r = loaded_covariance(snaps, dl)[0]
                 try:
-                    w = mv_weight(r) if method is Method.MV else msmv_weight(r, snaps)
+                    if method is Method.MV:
+                        w = mv_weight(r).values
+                    else:
+                        # msmv_weight iterates on columns.T, so this view gives
+                        # it the tile's own C-ordered rows: MSMV's bits depend
+                        # on that layout
+                        columns = SnapshotMatrix(
+                            columns=snaps[0].T, subarray_len=TILE_L,
+                            n_subarrays=n_sub, temporal_half_window=TILE_K,
+                        )
+                        w = msmv_weight(r, columns).values
                 except NotPositiveDefinite:
                     fallbacks += 1
-            plane[iz, ix] = beamform_output(snaps, w)
+            center = snaps[:, TILE_K * n_sub:(TILE_K + 1) * n_sub]
+            plane[iz, ix] = beamform_outputs(center, w[None])[0]
     return plane, fallbacks
 
 
