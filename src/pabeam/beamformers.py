@@ -27,14 +27,12 @@ from .numerics import check_symmetric, spd_solve_stack
 class Method(str, Enum):
     DAS = "das"
     MV = "mv"
-    SC = "sc"
     MSMV = "msmv"
 
 
 @dataclass(frozen=True)
 class WeightVector:
     values: np.ndarray
-    method: Method
     iterations_run: int = 0
 
 
@@ -65,7 +63,7 @@ def das_weight(L: int) -> WeightVector:
     """Uniform 1/L weights (unit sum, comparable gain to the adaptive methods)."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    return WeightVector(values=np.full(L, 1.0 / L), method=Method.DAS)
+    return WeightVector(values=np.full(L, 1.0 / L))
 
 
 def das_taps(M: int, L: int) -> np.ndarray:
@@ -104,7 +102,7 @@ def mv_weight(r_loaded: np.ndarray) -> WeightVector:
         NotPositiveDefinite: covariance was not loaded to positive definiteness;
             callers fall back to DAS for that pixel.
     """
-    return WeightVector(values=_capon_solve(r_loaded), method=Method.MV)
+    return WeightVector(values=_capon_solve(r_loaded))
 
 
 def sc_weight(
@@ -123,7 +121,7 @@ def sc_weight(
     L = r_loaded.shape[0]
     w = _capon_solve(r_loaded)
     if alpha == 0.0:
-        return WeightVector(values=w, method=Method.SC, iterations_run=0)
+        return WeightVector(values=w)
     ones_mat = np.ones((L, L))
     it = 0
     for it in range(1, n_iter + 1):
@@ -131,7 +129,7 @@ def sc_weight(
         s = abs(w.sum())
         d_term = alpha * n_steer / s * ones_mat
         w = _capon_solve(r_loaded + d_term)
-    return WeightVector(values=w, method=Method.SC, iterations_run=it)
+    return WeightVector(values=w, iterations_run=it)
 
 
 def _reweight(x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
@@ -220,7 +218,7 @@ def msmv_weight(
     w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], x.T[None], cfg)
     if not ok[0]:
         raise NotPositiveDefinite("matrix is not positive definite")
-    return WeightVector(values=w[0], method=Method.MSMV, iterations_run=int(iterations[0]))
+    return WeightVector(values=w[0], iterations_run=int(iterations[0]))
 
 
 def msmv_objective(

@@ -3,21 +3,16 @@
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io as pio
-from .beamformers import Method, MsmvConfig
+from .beamformers import Method
 from .delays import FocalPoint
 from .errors import PabeamError
 from .metrics import TargetSpec, evaluate, lateral_profile
 from .phantom import add_channel_noise, simulate_rf
-from .pipeline import (
-    IMAGE_METHODS,
-    ImageGrid,
-    finalize,
-    reconstruct,
-    reconstruct_methods,
-)
+from .pipeline import finalize, reconstruct, reconstruct_methods
 
 
 def _fail(exc: Exception) -> int:
@@ -46,49 +41,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> ImageGrid:
+def _parse_grid(spec: str | None) -> dict | None:
+    """The config ``grid`` block of a ``--grid`` value."""
+    if spec is None:
+        return None
     parts = spec.split(",")
     if len(parts) != 6:
         raise pio.ConfigError(
             "grid: expected x_min,x_max,z_min,z_max,nx,nz"
         )
     try:
-        vals = [float(p) for p in parts[:4]]
-        nx, nz = int(parts[4]), int(parts[5])
+        vals = [float(p) for p in parts[:4]] + [int(p) for p in parts[4:]]
     except ValueError as exc:
         raise pio.ConfigError(f"grid: {exc}") from exc
-    return ImageGrid(
-        x_min=vals[0], x_max=vals[1], z_min=vals[2], z_max=vals[3], nx=nx, nz=nz
-    )
+    return dict(zip(("x_min", "x_max", "z_min", "z_max", "nx", "nz"), vals))
 
 
 def cmd_beamform(args) -> int:
     frame = pio.read_rf(args.rf)
-    m = frame.geometry.n_elements
-    L = args.L if args.L is not None else m // 2
-    msmv = MsmvConfig(beta=args.beta, n_iter=args.iters)
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = pio.resolve_config(
-            {"geometry": {"n_elements": m,
-                          "sampling_rate": frame.geometry.sampling_rate,
-                          "center_frequency": frame.geometry.center_frequency,
-                          "fractional_bandwidth": frame.geometry.fractional_bandwidth,
-                          "sound_speed": frame.geometry.sound_speed}}
-        ).grid
+    # the config a file would give for the file's array: an unset flag is
+    # None, which reads as absent, so every default and range check is
+    # resolve_config's (it ignores element_x)
+    cfg = pio.resolve_config({
+        "geometry": asdict(frame.geometry),
+        "grid": _parse_grid(args.grid),
+        "L": args.L, "K": args.K, "dl": args.dl,
+        "msmv": {"beta": args.beta, "n_iter": args.iters},
+        "dynamic_range_db": args.dr, "workers": args.workers,
+    })
     image = reconstruct(
-        frame, grid, Method(args.method), L=L, K=args.K,
-        dl_factor=args.dl, msmv=msmv, workers=args.workers,
+        frame, cfg.grid, Method(args.method), L=cfg.L, K=cfg.K,
+        dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
     )
-    image = finalize(image, args.dr)
+    image = finalize(image, cfg.dynamic_range_db)
     pio.write_image(args.out, image)
     out = Path(args.out).with_suffix("")
     for depth in args.profile_depth:
         prof = lateral_profile(image, depth)
         pio.write_profile_csv(f"{out}_profile_{depth * 1e3:.1f}mm.csv", prof)
     print(
-        f"wrote {args.method} image ({grid.nx}x{grid.nz}, "
+        f"wrote {args.method} image ({cfg.grid.nx}x{cfg.grid.nz}, "
         f"{image.fallback_pixel_count} fallback pixels) to {args.out}"
     )
     return 0
@@ -116,16 +108,19 @@ def cmd_compare(args) -> int:
     )
     frame = _simulate_frame(cfg)
     pio.write_rf(outdir / "rf", frame)
-    depths = sorted({ab.z for ab in cfg.phantom.absorbers})
+    # a profile at each absorber depth the grid spans; an absorber outside
+    # it fails the metrics, reported below
+    zs = cfg.grid.z_coords
+    depths = sorted({ab.z for ab in cfg.phantom.absorbers if zs[0] <= ab.z <= zs[-1]})
     spec = TargetSpec(
         targets=tuple(FocalPoint(ab.x, ab.z) for ab in cfg.phantom.absorbers)
     )
     reports = []
     images = reconstruct_methods(
-        frame, cfg.grid, IMAGE_METHODS, L=cfg.L, K=cfg.K,
+        frame, cfg.grid, tuple(Method), L=cfg.L, K=cfg.K,
         dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
     )
-    for method, image in zip(IMAGE_METHODS, images):
+    for method, image in zip(Method, images):
         image = finalize(image, cfg.dynamic_range_db)
         pio.write_image(outdir / f"image_{method.value}", image)
         for depth in depths:
@@ -161,17 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beamform", help="reconstruct an image from an RF file")
     p.add_argument("--rf", required=True)
-    p.add_argument("--method", required=True, choices=[m.value for m in IMAGE_METHODS])
+    p.add_argument("--method", required=True, choices=[m.value for m in Method])
     p.add_argument("--out", required=True, help="output image file base path")
-    p.add_argument("--beta", type=float, default=MsmvConfig.beta)
-    p.add_argument("--iters", type=int, default=MsmvConfig.n_iter)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--K", type=int, default=2)
-    p.add_argument("--dl", type=float, default=None)
-    p.add_argument("--grid", default=None,
-                   help="x_min,x_max,z_min,z_max,nx,nz (meters)")
-    p.add_argument("--dr", type=float, default=50.0, help="dynamic range in dB")
-    p.add_argument("--workers", type=int, default=1)
+    # an unset flag takes the config default of its key
+    p.add_argument("--beta", type=float, help="msmv.beta")
+    p.add_argument("--iters", type=int, help="msmv.n_iter")
+    p.add_argument("--L", type=int)
+    p.add_argument("--K", type=int)
+    p.add_argument("--dl", type=float)
+    p.add_argument("--grid", help="x_min,x_max,z_min,z_max,nx,nz (meters)")
+    p.add_argument("--dr", type=float, help="dynamic_range_db")
+    p.add_argument("--workers", type=int)
     p.add_argument("--profile-depth", type=float, action="append", default=[],
                    metavar="METERS")
     p.set_defaults(func=cmd_beamform)

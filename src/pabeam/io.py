@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
-from .covariance import default_dl_factor
 from .delays import FocalPoint
 from .errors import ConfigError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
 from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
-from .pipeline import ImageGrid, PaImage, finalize
+from .pipeline import ImageGrid, PaImage, finalize, kernel_settings
 
 RF_MAGIC = "PARF"
 RF_VERSION = 1
@@ -55,10 +54,10 @@ class RunConfig:
 
 
 def _get(raw: dict, path: str, default=None, required: bool = False):
+    """The value at the dotted ``path``; a JSON null reads as an absent key."""
     node = raw
-    parts = path.split(".")
-    for i, key in enumerate(parts):
-        if not isinstance(node, dict) or key not in node:
+    for key in path.split("."):
+        if not isinstance(node, dict) or node.get(key) is None:
             if required:
                 raise ConfigError(f"missing required config field: {path}")
             return default
@@ -75,12 +74,12 @@ def _num(raw: dict, path: str, default=None, required: bool = False):
     return v
 
 
-def _int(raw: dict, path: str, default: int) -> int:
+def _int(raw: dict, path: str, default: int | None = None) -> int | None:
     """An integer field; a float is accepted only with an integral value."""
     v = _num(raw, path, default)
     if isinstance(v, float) and not v.is_integer():
         raise ConfigError(f"config field {path} must be an integer, got {v!r}")
-    return int(v)
+    return v if v is None else int(v)
 
 
 def resolve_config(raw: dict) -> RunConfig:
@@ -153,15 +152,9 @@ def resolve_config(raw: dict) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    L = _int(raw, "L", m // 2)
-    if not 1 <= L <= m:
-        raise ConfigError(f"L: {L} outside [1, {m}]")
     K = _int(raw, "K", 2)
-    if K < 0:
-        raise ConfigError("K: must be >= 0")
-    dl = float(_num(raw, "dl", default_dl_factor(L)))
-    if not 0 <= dl < np.inf:
-        raise ConfigError("dl: must be finite and >= 0")
+    workers = _int(raw, "workers", 1)
+    L, dl = kernel_settings(m, _int(raw, "L"), K, _num(raw, "dl"), workers)
 
     d = MsmvConfig  # its field defaults are the config defaults
     msmv = MsmvConfig(
@@ -194,9 +187,6 @@ def resolve_config(raw: dict) -> RunConfig:
     dr = float(_num(raw, "dynamic_range_db", 50.0))
     if not 0 < dr < np.inf:
         raise ConfigError("dynamic_range_db: must be finite and > 0")
-    workers = _int(raw, "workers", 1)
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
 
     return RunConfig(
         geometry=geometry,

@@ -135,11 +135,12 @@ def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:
     """SNR plus per-target FWHM and peak sidelobe for every target."""
     per_target = []
     for t in spec.targets:
+        width = fwhm(image, t)
         per_target.append(
             TargetMetrics(
                 depth=t.z,
-                fwhm=fwhm(image, t),
-                peak_sidelobe_db=peak_sidelobe(image, t),
+                fwhm=width,
+                peak_sidelobe_db=peak_sidelobe(image, t, 3.0 * width),
             )
         )
     return MetricsReport(

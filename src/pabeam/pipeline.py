@@ -20,8 +20,6 @@ from .delays import gather_delayed, subarray_snapshots
 from .errors import ConfigError
 from .phantom import RfFrame
 
-# The methods that form an image; SC cannot differ from MV (see sc_weight).
-IMAGE_METHODS = (Method.DAS, Method.MV, Method.MSMV)
 # Largest size of one tile's snapshot tensor. Tiles this small are as fast
 # per pixel as whole rows (MSMV faster: the tile stays in cache) and keep the
 # kernel's working set small and independent of the grid; at 512 KiB the
@@ -67,6 +65,30 @@ class PaImage:
     envelope: np.ndarray | None = None  # normalized to unit max
     db: np.ndarray | None = None
     dynamic_range_db: float = 50.0
+
+
+def kernel_settings(
+    n_elements: int, L: int | None, K: int, dl_factor: float | None, workers: int
+) -> tuple[int, float]:
+    """``(L, dl_factor)`` with their defaults filled in, M/2 and 1/(100 L),
+    once ``L``, ``K``, ``dl_factor`` and ``workers`` pass their range checks.
+
+    Raises:
+        ConfigError: naming the config key of the first setting out of range.
+    """
+    if L is None:
+        L = n_elements // 2
+    if not 1 <= L <= n_elements:
+        raise ConfigError(f"L: {L} outside [1, {n_elements}]")
+    if K < 0:
+        raise ConfigError("K: must be >= 0")
+    if dl_factor is None:
+        dl_factor = default_dl_factor(L)
+    if not 0 <= dl_factor < np.inf:
+        raise ConfigError("dl: must be finite and >= 0")
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
+    return L, float(dl_factor)
 
 
 def tile_pixels(method: Method, n_elements: int, L: int, K: int) -> int:
@@ -155,31 +177,19 @@ def reconstruct_methods(
         One image per entry of ``methods``, in order.
 
     Raises:
-        ConfigError: an invalid parameter, or a method that forms no image
-            (SC, which cannot differ from MV).
+        ConfigError: a setting out of range (see ``kernel_settings``), or a
+            method that is not one of das, mv and msmv.
     """
-    methods = tuple(Method(m) for m in methods)
+    try:
+        methods = tuple(Method(m) for m in methods)
+    except ValueError as exc:
+        raise ConfigError(
+            f"method: {exc}; use one of " + ", ".join(m.value for m in Method)
+        ) from exc
     if not methods:
         raise ConfigError("no method to reconstruct")
-    for method in methods:
-        if method not in IMAGE_METHODS:
-            raise ConfigError(
-                f"method {method.value!r} forms no image; use one of "
-                + ", ".join(m.value for m in IMAGE_METHODS)
-            )
     m = frame.geometry.n_elements
-    if L is None:
-        L = m // 2
-    if not 1 <= L <= m:
-        raise ConfigError(f"L={L} outside [1, {m}] for an {m}-element array")
-    if K < 0:
-        raise ConfigError("K must be >= 0")
-    if dl_factor is None:
-        dl_factor = default_dl_factor(L)
-    if not 0 <= dl_factor < np.inf:
-        raise ConfigError("dl_factor must be finite and >= 0")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    L, dl_factor = kernel_settings(m, L, K, dl_factor, workers)
 
     xs = grid.x_coords
     zs = grid.z_coords
@@ -230,8 +240,7 @@ def reconstruct(
     ``reconstruct_methods``, which documents the kernel.
 
     Raises:
-        ConfigError: an invalid parameter, or a method that forms no image
-            (SC, which cannot differ from MV).
+        ConfigError: as ``reconstruct_methods``.
     """
     images = reconstruct_methods(frame, grid, (method,), L, K, dl_factor, msmv, workers)
     return images[0]
@@ -243,10 +252,7 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
     The analytic signal is formed in the frequency domain: negative
     frequencies zeroed, positive doubled, DC and Nyquist kept singly.
     """
-    beamformed = np.asarray(beamformed, dtype=np.float64)
-    if not np.any(beamformed):
-        return np.zeros_like(beamformed)
-    return np.abs(hilbert(beamformed, axis=0))
+    return np.abs(hilbert(np.asarray(beamformed, dtype=np.float64), axis=0))
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:

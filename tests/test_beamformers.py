@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pabeam.beamformers import (
     EPSILON_FLOOR_REL,
-    Method,
     MsmvConfig,
     _reweight,
     beamform_outputs,
@@ -44,7 +43,6 @@ class TestDas:
     def test_uniform(self):
         w = das_weight(4)
         np.testing.assert_allclose(w.values, 0.25)
-        assert w.method is Method.DAS
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,17 @@ class TestResolveConfig:
             cfg = cfg[part]
         assert cfg == whole and type(cfg) is int
 
+    @pytest.mark.parametrize("path", ["L", "grid.x_min", "dynamic_range_db", "workers"])
+    def test_null_reads_as_absent(self, path):
+        # a JSON null is an absent key: the field takes its default
+        *parents, key = path.split(".")
+        raw = node = {}
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[key] = None
+        got = pio.config_to_dict(pio.resolve_config(raw))
+        assert got == pio.config_to_dict(pio.resolve_config({}))
+
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="geometry.pitch"):
             pio.resolve_config({"geometry": {"pitch": "wide"}})
@@ -482,6 +493,75 @@ class TestCli:
             assert got.fallback_pixel_count == ref.fallback_pixel_count
             scale = np.max(np.abs(ref.beamformed))
             assert np.max(np.abs(got.beamformed - ref.beamformed)) <= rtol * scale
+
+    def test_beamform_defaults_are_config_defaults(self, tmp_path, small_config):
+        # with no --grid, beamform images resolve_config's default grid for
+        # the file's array; every other unset flag takes its config default
+        rf = tmp_path / "frame"
+        assert main(["simulate", "--config", str(small_config), "--out", str(rf)]) == 0
+        assert main(["beamform", "--rf", str(rf), "--method", "das",
+                     "--out", str(tmp_path / "default")]) == 0
+        cfg = pio.resolve_config({"geometry": {"n_elements": 16, "sampling_rate": 40e6}})
+        image = pio.read_image(tmp_path / "default")
+        assert image.grid == cfg.grid
+        assert (image.grid.nx, image.grid.nz) == (131, 715)
+        assert image.dynamic_range_db == cfg.dynamic_range_db
+        grid = "--grid=-2e-3,2e-3,0.018,0.022,9,11"
+        explicit = ["--L", str(cfg.L), "--K", str(cfg.K), "--dl", repr(cfg.dl_factor),
+                    "--beta", repr(cfg.msmv.beta), "--iters", str(cfg.msmv.n_iter),
+                    "--dr", repr(cfg.dynamic_range_db), "--workers", str(cfg.workers)]
+        for name, flags in (("unset", []), ("explicit", explicit)):
+            assert main(["beamform", "--rf", str(rf), "--method", "msmv", grid,
+                         *flags, "--out", str(tmp_path / name)]) == 0
+        for ext in (".bin", ".json", ".pgm"):
+            unset = (tmp_path / f"unset{ext}").read_bytes()
+            assert unset == (tmp_path / f"explicit{ext}").read_bytes()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--L", "99"], "L"), (["--K", "-1"], "K"), (["--dl", "-1"], "dl"),
+        (["--workers", "0"], "workers"), (["--dr", "0"], "dynamic_range_db"),
+        (["--beta", "-1"], "msmv.beta"), (["--iters", "-1"], "msmv.n_iter"),
+        (["--grid=0,1,2,3,0,1"], "grid"),
+    ], ids=lambda v: v if isinstance(v, str) else "".join(v))
+    def test_beamform_error_names_config_key(self, tmp_path, capsys, monkeypatch,
+                                             flags, key):
+        # every flag is checked, under its config key, before reconstructing
+        _valid_rf(tmp_path)
+
+        def no_reconstruct(*args, **kwargs):
+            raise AssertionError("reconstruct called with a bad setting")
+
+        monkeypatch.setattr("pabeam.cli.reconstruct", no_reconstruct)
+        rc = main(["beamform", "--rf", str(tmp_path / "rf"), "--method", "msmv",
+                   *flags, "--out", str(tmp_path / "img")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{key}: ")
+
+    def test_compare_absorber_outside_grid(self, tmp_path, capsys):
+        # an absorber deeper than the grid has no profile and fails its
+        # metrics; every image and the in-grid profiles are still written
+        raw = {
+            "geometry": {"n_elements": 16, "sampling_rate": 40e6},
+            "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}, {"x": 0.0, "z": 0.03}]},
+            "grid": {"x_min": -8e-3, "x_max": 8e-3, "z_min": 0.018,
+                     "z_max": 0.022, "nx": 81, "nz": 21},
+            "K": 1,
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out", str(outdir)]) == 0
+        for m in ("das", "mv", "msmv"):
+            for ext in (".bin", ".json", ".pgm"):
+                assert (outdir / f"image_{m}{ext}").exists()
+            assert (outdir / f"profile_{m}_20.0mm.csv").exists()
+            assert not (outdir / f"profile_{m}_30.0mm.csv").exists()
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["method"] for e in errors] == ["das", "mv", "msmv"]
+        assert {e["error"] for e in errors} == {"DepthOutOfGrid"}
+        assert pio.read_metrics_json(outdir / "metrics.json") == []
 
     def test_missing_rf(self, tmp_path):
         rc = main(["beamform", "--rf", str(tmp_path / "nope"), "--method", "mv",

@@ -25,7 +25,6 @@ from pabeam.phantom import (
     simulate_rf,
 )
 from pabeam.pipeline import (
-    IMAGE_METHODS,
     ImageGrid,
     envelope_detect,
     finalize,
@@ -170,14 +169,15 @@ class TestReconstruct:
         np.testing.assert_allclose(ms, mv, atol=1e-12)
 
     def test_parameter_validation(self):
+        # each message names the config key, as resolve_config's do
         frame = point_frame(m=8)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^L: 9 outside \[1, 8\]"):
             reconstruct(frame, SMALL_GRID, Method.DAS, L=9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^K: "):
             reconstruct(frame, SMALL_GRID, Method.DAS, K=-1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^workers: "):
             reconstruct(frame, SMALL_GRID, Method.DAS, workers=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^dl: "):
             reconstruct(frame, SMALL_GRID, Method.MV, dl_factor=-1e-3)
 
     def test_finalize_planes(self):
@@ -189,8 +189,14 @@ class TestReconstruct:
         assert img.dynamic_range_db == 40.0
 
     def test_sc_forms_no_image(self):
+        # sc_weight cannot differ from MV, so Method has no sc member
+        assert [m.value for m in Method] == ["das", "mv", "msmv"]
         with pytest.raises(ConfigError, match="sc"):
-            reconstruct(point_frame(), SMALL_GRID, Method.SC)
+            reconstruct(point_frame(), SMALL_GRID, "sc")
+
+    def test_unknown_method_is_config_error(self):
+        with pytest.raises(ConfigError, match="^method: 'bogus'.*das, mv, msmv"):
+            reconstruct(point_frame(), SMALL_GRID, "bogus")
 
 
 # A 64-element array with L=32, K=2 gives tiles of a few dozen pixels, so
@@ -255,7 +261,7 @@ def assert_matches_per_pixel(frame, grid, method, dl=TILE_DL):
 
 
 class TestTiles:
-    @pytest.mark.parametrize("method", IMAGE_METHODS)
+    @pytest.mark.parametrize("method", tuple(Method))
     @pytest.mark.parametrize("shape", ["nx=1", "nz=1", "tile+1", "ragged"])
     def test_matches_per_pixel_definition(self, method, shape):
         tile = tile_pixels(method, 64, TILE_L, TILE_K)
@@ -271,7 +277,7 @@ class TestTiles:
         assert tile_pixels(Method.DAS, 64, 32, 2) == 768  # P x M x 8 B gathered
         assert tile_pixels(Method.MV, 4096, 2048, 8) == 1
 
-    @pytest.mark.parametrize("method", IMAGE_METHODS)
+    @pytest.mark.parametrize("method", tuple(Method))
     def test_mixed_tile_fallback(self, method):
         # the record ends at 20 mm of travel: on the 10 mm row, pixels past
         # x = 27 mm read only zeros and fall back, the rest carry signal
@@ -309,12 +315,12 @@ def test_fused_pass_matches_single_methods(scene):
         frame = RfFrame(geometry=frame.geometry, samples=frame.samples[:, :520])
         grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, 19, 1)
     kw = dict(L=TILE_L, K=TILE_K)
-    single = {m: reconstruct(frame, grid, m, **kw) for m in IMAGE_METHODS}
+    single = {m: reconstruct(frame, grid, m, **kw) for m in Method}
     plane, fallbacks = per_pixel_plane(frame, grid, Method.MSMV)
     assert single[Method.MSMV].fallback_pixel_count == fallbacks
     diff = np.max(np.abs(single[Method.MSMV].beamformed - plane))
     assert diff <= MSMV_RTOL * np.max(np.abs(plane))
-    for methods in (IMAGE_METHODS, (Method.MSMV, Method.DAS)):
+    for methods in (tuple(Method), (Method.MSMV, Method.DAS)):
         for workers in (1, 2):
             fused = reconstruct_methods(frame, grid, methods, workers=workers, **kw)
             assert [image.method for image in fused] == list(methods)
@@ -332,13 +338,13 @@ def test_fused_pass_matches_single_methods(scene):
 
 
 def test_reconstruct_methods_validation():
-    for methods in ((), (Method.DAS, Method.SC)):
+    for methods in ((), (Method.DAS, "sc")):
         with pytest.raises(ConfigError):
             reconstruct_methods(point_frame(), SMALL_GRID, methods)
 
 
 @settings(max_examples=6, deadline=None)
-@given(method=st.sampled_from(IMAGE_METHODS), nx=st.integers(1, 40),
+@given(method=st.sampled_from(Method), nx=st.integers(1, 40),
        nz=st.integers(1, 3))
 def test_workers_bit_identical(method, nx, nz):
     grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, nx, nz)
