@@ -10,7 +10,7 @@ from . import io as pio
 from .beamformers import Method
 from .delays import FocalPoint
 from .errors import PabeamError
-from .metrics import TargetSpec, evaluate, lateral_profile
+from .metrics import TargetSpec, depth_row, evaluate, lateral_profile
 from .phantom import add_channel_noise, simulate_rf
 from .pipeline import finalize, reconstruct, reconstruct_methods
 
@@ -69,6 +69,8 @@ def cmd_beamform(args) -> int:
         "msmv": {"beta": args.beta, "n_iter": args.iters},
         "dynamic_range_db": args.dr, "workers": args.workers,
     })
+    for depth in args.profile_depth:
+        depth_row(cfg.grid, depth)  # a depth outside the grid fails before any work
     image = reconstruct(
         frame, cfg.grid, Method(args.method), L=cfg.L, K=cfg.K,
         dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
@@ -101,17 +103,16 @@ def cmd_metrics(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = pio.load_config(args.config)
+    frame = _simulate_frame(cfg)  # no phantom fails here, before any file
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "run-manifest.json").write_text(
         json.dumps(pio.config_to_dict(cfg), indent=2)
     )
-    frame = _simulate_frame(cfg)
     pio.write_rf(outdir / "rf", frame)
     # a profile at each absorber depth the grid spans; an absorber outside
     # it fails the metrics, reported below
-    zs = cfg.grid.z_coords
-    depths = sorted({ab.z for ab in cfg.phantom.absorbers if zs[0] <= ab.z <= zs[-1]})
+    depths = sorted({a.z for a in cfg.phantom.absorbers if cfg.grid.spans_depth(a.z)})
     spec = TargetSpec(
         targets=tuple(FocalPoint(ab.x, ab.z) for ab in cfg.phantom.absorbers)
     )

@@ -19,7 +19,7 @@ from .delays import FocalPoint
 from .errors import ConfigError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
 from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
-from .pipeline import ImageGrid, PaImage, finalize, kernel_settings
+from .pipeline import ImageGrid, PaImage, dynamic_range, finalize, kernel_settings
 
 RF_MAGIC = "PARF"
 RF_VERSION = 1
@@ -152,9 +152,9 @@ def resolve_config(raw: dict) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    K = _int(raw, "K", 2)
-    workers = _int(raw, "workers", 1)
-    L, dl = kernel_settings(m, _int(raw, "L"), K, _num(raw, "dl"), workers)
+    L, K, dl, workers = kernel_settings(
+        m, _int(raw, "L"), _int(raw, "K"), _num(raw, "dl"), _int(raw, "workers")
+    )
 
     d = MsmvConfig  # its field defaults are the config defaults
     msmv = MsmvConfig(
@@ -184,10 +184,6 @@ def resolve_config(raw: dict) -> RunConfig:
         t_max = d_max / geometry.sound_speed + 2e-6
     t_max = float(t_max)
 
-    dr = float(_num(raw, "dynamic_range_db", 50.0))
-    if not 0 < dr < np.inf:
-        raise ConfigError("dynamic_range_db: must be finite and > 0")
-
     return RunConfig(
         geometry=geometry,
         phantom=phantom,
@@ -198,7 +194,7 @@ def resolve_config(raw: dict) -> RunConfig:
         msmv=msmv,
         noise_snr_db=None if snr_db is None else float(snr_db),
         noise_seed=seed,
-        dynamic_range_db=dr,
+        dynamic_range_db=dynamic_range(_num(raw, "dynamic_range_db")),
         t_max=t_max,
         workers=workers,
     )
@@ -210,15 +206,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
     Re-resolving this dict reproduces the run exactly, so it doubles as the
     run manifest.
     """
+    geometry = asdict(cfg.geometry)
+    del geometry["element_x"]  # resolve_config derives it from the pitch
     out = {
-        "geometry": {
-            "n_elements": cfg.geometry.n_elements,
-            "pitch": cfg.geometry.pitch,
-            "sound_speed": cfg.geometry.sound_speed,
-            "sampling_rate": cfg.geometry.sampling_rate,
-            "center_frequency": cfg.geometry.center_frequency,
-            "fractional_bandwidth": cfg.geometry.fractional_bandwidth,
-        },
+        "geometry": geometry,
         "grid": asdict(cfg.grid),
         "L": cfg.L,
         "K": cfg.K,
@@ -318,8 +309,9 @@ def read_rf(base) -> RfFrame:
 
 
 def write_image(base, image: PaImage) -> None:
-    """Writes <base>.bin (raw beamformed plane, f32le, row-major nz x nx),
-    <base>.json sidecar and <base>.pgm (8-bit view of the db plane)."""
+    """Writes a finalized image as <base>.bin (raw beamformed plane, f32le,
+    row-major nz x nx), <base>.json sidecar and <base>.pgm (8-bit view of
+    the db plane)."""
     bin_path, json_path = _pair(base)
     image.beamformed.astype("<f4").tofile(bin_path)
     sidecar = {
@@ -330,8 +322,7 @@ def write_image(base, image: PaImage) -> None:
         "plane_encoding": "f32le",
     }
     json_path.write_text(json.dumps(sidecar, indent=2))
-    img = image if image.db is not None else finalize(image, image.dynamic_range_db)
-    write_pgm(Path(base).with_suffix(".pgm"), img.db, img.dynamic_range_db)
+    write_pgm(Path(base).with_suffix(".pgm"), image.db, image.dynamic_range_db)
 
 
 def read_image(base) -> PaImage:
@@ -340,8 +331,8 @@ def read_image(base) -> PaImage:
     with _json_file(json_path) as sidecar:
         grid = ImageGrid(**sidecar["grid"])
         method = Method(sidecar["method"])
-        fallback = int(sidecar.get("fallback_pixel_count", 0))
-        dynamic_range_db = float(sidecar.get("dynamic_range_db", 50.0))
+        fallback = int(sidecar["fallback_pixel_count"])
+        dynamic_range_db = float(sidecar["dynamic_range_db"])
     data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
     if data.size != grid.nx * grid.nz:
         raise ConfigError(
@@ -352,9 +343,8 @@ def read_image(base) -> PaImage:
         beamformed=data.reshape(grid.nz, grid.nx),
         method=method,
         fallback_pixel_count=fallback,
-        dynamic_range_db=dynamic_range_db,
     )
-    return finalize(image, image.dynamic_range_db)
+    return finalize(image, dynamic_range_db)
 
 
 def write_pgm(path, db: np.ndarray, dynamic_range_db: float) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .delays import FocalPoint
 from .errors import DegenerateImage, DepthOutOfGrid, NoPeakFound, WidthUnbounded
-from .pipeline import PaImage
+from .pipeline import ImageGrid, PaImage
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ def _require_envelope(image: PaImage) -> np.ndarray:
     return image.envelope
 
 
-def _depth_row(image: PaImage, depth: float) -> int:
-    zs = image.grid.z_coords
-    if not zs[0] <= depth <= zs[-1]:
+def depth_row(grid: ImageGrid, depth: float) -> int:
+    """Index of the grid row nearest ``depth``; DepthOutOfGrid outside the grid."""
+    zs = grid.z_coords
+    if not grid.spans_depth(depth):
         raise DepthOutOfGrid(f"depth {depth} outside grid [{zs[0]}, {zs[-1]}]")
     return int(np.argmin(np.abs(zs - depth)))
 
@@ -60,7 +61,7 @@ def lateral_profile(image: PaImage, depth: float) -> np.ndarray:
     (x, value_db) pairs."""
     if image.db is None:
         raise ValueError("image has no db plane; run pipeline.finalize first")
-    row = _depth_row(image, depth)
+    row = depth_row(image.grid, depth)
     return np.column_stack([image.grid.x_coords, image.db[row]])
 
 
@@ -86,7 +87,7 @@ def fwhm(image: PaImage, target: FocalPoint) -> float:
         WidthUnbounded: the profile never falls below half max within the grid.
     """
     env = _require_envelope(image)
-    row = _depth_row(image, target.z)
+    row = depth_row(image.grid, target.z)
     profile = env[row]
     xs = image.grid.x_coords
     ipk = _find_peak(profile, xs, target.x)
@@ -119,7 +120,7 @@ def peak_sidelobe(
     if image.db is None:
         raise ValueError("image has no db plane; run pipeline.finalize first")
     env = _require_envelope(image)
-    row = _depth_row(image, target.z)
+    row = depth_row(image.grid, target.z)
     xs = image.grid.x_coords
     ipk = _find_peak(env[row], xs, target.x)
     if mainlobe_exclusion is None:

@@ -50,10 +50,14 @@ class ImageGrid:
     def z_coords(self) -> np.ndarray:
         return np.linspace(self.z_min, self.z_max, self.nz)
 
+    def spans_depth(self, z: float) -> bool:
+        zs = self.z_coords
+        return bool(zs[0] <= z <= zs[-1])
+
 
 @dataclass(frozen=True)
 class PaImage:
-    """Reconstructed image: raw beamformed plane plus optional envelope/db views.
+    """Reconstructed image: raw beamformed plane plus the views ``finalize`` adds.
 
     Planes are (nz, nx), depth down the rows.
     """
@@ -64,14 +68,15 @@ class PaImage:
     fallback_pixel_count: int = 0
     envelope: np.ndarray | None = None  # normalized to unit max
     db: np.ndarray | None = None
-    dynamic_range_db: float = 50.0
+    dynamic_range_db: float | None = None
 
 
 def kernel_settings(
-    n_elements: int, L: int | None, K: int, dl_factor: float | None, workers: int
-) -> tuple[int, float]:
-    """``(L, dl_factor)`` with their defaults filled in, M/2 and 1/(100 L),
-    once ``L``, ``K``, ``dl_factor`` and ``workers`` pass their range checks.
+    n_elements: int, L: int | None, K: int | None, dl_factor: float | None,
+    workers: int | None,
+) -> tuple[int, int, float, int]:
+    """``(L, K, dl_factor, workers)`` with each None filled in by its
+    default, M/2, 2, 1/(100 L) and 1, once all four pass their range checks.
 
     Raises:
         ConfigError: naming the config key of the first setting out of range.
@@ -80,15 +85,25 @@ def kernel_settings(
         L = n_elements // 2
     if not 1 <= L <= n_elements:
         raise ConfigError(f"L: {L} outside [1, {n_elements}]")
+    K = 2 if K is None else K
     if K < 0:
         raise ConfigError("K: must be >= 0")
     if dl_factor is None:
         dl_factor = default_dl_factor(L)
     if not 0 <= dl_factor < np.inf:
         raise ConfigError("dl: must be finite and >= 0")
+    workers = 1 if workers is None else workers
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
-    return L, float(dl_factor)
+    return L, K, float(dl_factor), workers
+
+
+def dynamic_range(dynamic_range_db: float | None = None) -> float:
+    """``dynamic_range_db``, 50 dB if None; a ConfigError unless finite and > 0."""
+    dr = 50.0 if dynamic_range_db is None else dynamic_range_db
+    if not 0 < dr < np.inf:
+        raise ConfigError("dynamic_range_db: must be finite and > 0")
+    return float(dr)
 
 
 def tile_pixels(method: Method, n_elements: int, L: int, K: int) -> int:
@@ -148,10 +163,10 @@ def reconstruct_methods(
     grid: ImageGrid,
     methods: tuple[Method, ...],
     L: int | None = None,
-    K: int = 2,
+    K: int | None = None,
     dl_factor: float | None = None,
     msmv: MsmvConfig = MsmvConfig(),
-    workers: int = 1,
+    workers: int | None = None,
 ) -> tuple[PaImage, ...]:
     """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
@@ -165,7 +180,8 @@ def reconstruct_methods(
     adaptive method makes every tile the MV/MSMV size. A pixel whose loaded
     covariance still fails the positive-definiteness check (an identically
     zero neighborhood) falls back to the DAS value and is counted in the MV
-    and MSMV images' fallback_pixel_count; the image is never aborted.
+    and MSMV images' fallback_pixel_count; the image is never aborted. A
+    setting left None takes its default (see ``kernel_settings``).
 
     The tile partition depends only on the grid, the array, L, K and whether
     an adaptive method is asked for, so the output is bit-identical for any
@@ -189,7 +205,7 @@ def reconstruct_methods(
     if not methods:
         raise ConfigError("no method to reconstruct")
     m = frame.geometry.n_elements
-    L, dl_factor = kernel_settings(m, L, K, dl_factor, workers)
+    L, K, dl_factor, workers = kernel_settings(m, L, K, dl_factor, workers)
 
     xs = grid.x_coords
     zs = grid.z_coords
@@ -226,24 +242,15 @@ def reconstruct_methods(
     )
 
 
-def reconstruct(
-    frame: RfFrame,
-    grid: ImageGrid,
-    method: Method,
-    L: int | None = None,
-    K: int = 2,
-    dl_factor: float | None = None,
-    msmv: MsmvConfig = MsmvConfig(),
-    workers: int = 1,
-) -> PaImage:
+def reconstruct(frame: RfFrame, grid: ImageGrid, method: Method, **settings) -> PaImage:
     """Beamformed plane for one of DAS, MV and MSMV: the one-method case of
-    ``reconstruct_methods``, which documents the kernel.
+    ``reconstruct_methods``, which documents the kernel and takes
+    ``settings`` (L, K, dl_factor, msmv, workers) by keyword.
 
     Raises:
         ConfigError: as ``reconstruct_methods``.
     """
-    images = reconstruct_methods(frame, grid, (method,), L, K, dl_factor, msmv, workers)
-    return images[0]
+    return reconstruct_methods(frame, grid, (method,), **settings)[0]
 
 
 def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
@@ -257,8 +264,7 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
     """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0]."""
-    if not 0 < dynamic_range_db < np.inf:
-        raise ConfigError("dynamic_range_db must be finite and > 0")
+    dynamic_range_db = dynamic_range(dynamic_range_db)
     envelope = np.asarray(envelope, dtype=np.float64)
     peak = envelope.max(initial=0.0)
     if peak == 0.0:
@@ -268,8 +274,10 @@ def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
     return np.maximum(db, -dynamic_range_db)
 
 
-def finalize(image: PaImage, dynamic_range_db: float = 50.0) -> PaImage:
-    """Fills in the normalized envelope and log-compressed planes."""
+def finalize(image: PaImage, dynamic_range_db: float | None = None) -> PaImage:
+    """Fills in the normalized envelope and log-compressed planes over
+    ``dynamic_range_db`` (see ``dynamic_range`` for its default)."""
+    dynamic_range_db = dynamic_range(dynamic_range_db)
     env = envelope_detect(image.beamformed)
     peak = env.max(initial=0.0)
     env_norm = env / peak if peak > 0.0 else env
@@ -277,5 +285,5 @@ def finalize(image: PaImage, dynamic_range_db: float = 50.0) -> PaImage:
         image,
         envelope=env_norm,
         db=log_compress(env, dynamic_range_db),
-        dynamic_range_db=float(dynamic_range_db),
+        dynamic_range_db=dynamic_range_db,
     )

@@ -296,6 +296,12 @@ def _image_partial_grid(tmp_path):
     return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
 
 
+def _image_without_dynamic_range(tmp_path):
+    sidecar, targets = _valid_image(tmp_path)
+    _rewrite_json(sidecar, lambda raw: raw.pop("dynamic_range_db"))
+    return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
+
+
 def _targets_not_json(tmp_path):
     _, targets = _valid_image(tmp_path)
     targets.write_text("{targets: []")
@@ -404,7 +410,7 @@ class TestCli:
 
     @pytest.mark.parametrize("make_input", [
         _rf_without_element_x, _rf_header_not_json, _image_partial_grid,
-        _targets_not_json, _config_not_json,
+        _image_without_dynamic_range, _targets_not_json, _config_not_json,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback
@@ -538,6 +544,35 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{key}: ")
+
+    def test_beamform_profile_depth_outside_grid(self, tmp_path, capsys, monkeypatch):
+        # every profile depth is checked against the grid before any work,
+        # so a bad one leaves no image and no profile behind
+        _valid_rf(tmp_path)
+
+        def no_reconstruct(*args, **kwargs):
+            raise AssertionError("reconstruct called with a depth outside the grid")
+
+        monkeypatch.setattr("pabeam.cli.reconstruct", no_reconstruct)
+        rc = main(["beamform", "--rf", str(tmp_path / "rf"), "--method", "das",
+                   "--grid=-2e-3,2e-3,0.018,0.022,9,11", "--profile-depth", "0.02",
+                   "--profile-depth", "0.03", "--out", str(tmp_path / "img")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DepthOutOfGrid"
+        assert "0.03" in err["message"]
+        assert not list(tmp_path.glob("img*"))
+
+    def test_compare_without_phantom_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"geometry": {"n_elements": 16,
+                                                   "sampling_rate": 40e6}}))
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out", str(outdir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "phantom.absorbers" in err["message"]
+        assert not outdir.exists()
 
     def test_compare_absorber_outside_grid(self, tmp_path, capsys):
         # an absorber deeper than the grid has no profile and fails its

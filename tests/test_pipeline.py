@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pabeam import io as pio
 from pabeam.beamformers import (
     Method,
     MsmvConfig,
@@ -110,7 +111,7 @@ class TestLogCompress:
 
     def test_invalid_range(self):
         for dr in (0.0, np.nan, np.inf):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="^dynamic_range_db: "):
                 log_compress(np.ones((2, 2)), dr)
 
 
@@ -187,6 +188,27 @@ class TestReconstruct:
         assert img.db.max() == pytest.approx(0.0)
         assert img.db.min() >= -40.0
         assert img.dynamic_range_db == 40.0
+
+    def test_finalize_default_is_config_default(self):
+        image = reconstruct(point_frame(), SMALL_GRID, Method.DAS, K=1)
+        assert image.dynamic_range_db is None
+        cfg = pio.resolve_config({})
+        assert finalize(image).dynamic_range_db == cfg.dynamic_range_db
+        explicit = finalize(image, cfg.dynamic_range_db)
+        assert np.array_equal(finalize(image).db, explicit.db)
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_unset_settings_are_config_defaults(self, method):
+        # reconstruct holds no default of its own: with no setting it gives
+        # the image of resolve_config's L, K, dl and workers for the array
+        frame = point_frame()
+        grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 5, 7)
+        cfg = pio.resolve_config({"geometry": {"n_elements": 16, "sampling_rate": 40e6}})
+        explicit = reconstruct(frame, grid, method, L=cfg.L, K=cfg.K,
+                               dl_factor=cfg.dl_factor, workers=cfg.workers)
+        unset = reconstruct(frame, grid, method)
+        assert np.array_equal(unset.beamformed, explicit.beamformed)
+        assert unset.fallback_pixel_count == explicit.fallback_pixel_count
 
     def test_sc_forms_no_image(self):
         # sc_weight cannot differ from MV, so Method has no sc member
