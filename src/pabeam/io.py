@@ -311,7 +311,14 @@ def read_rf(base) -> RfFrame:
 def write_image(base, image: PaImage) -> None:
     """Writes a finalized image as <base>.bin (raw beamformed plane, f32le,
     row-major nz x nx), <base>.json sidecar and <base>.pgm (8-bit view of
-    the db plane)."""
+    the db plane).
+
+    Raises:
+        ConfigError: the image has no db plane or dynamic range (it has not
+            been through ``pipeline.finalize``); no file is written.
+    """
+    if image.db is None or image.dynamic_range_db is None:
+        raise ConfigError("image has no db plane; run pipeline.finalize first")
     bin_path, json_path = _pair(base)
     image.beamformed.astype("<f4").tofile(bin_path)
     sidecar = {

@@ -41,6 +41,26 @@ def test_delay_symmetry():
     assert abs(tau[0] - tau[3]) < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(xs_mm=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5),
+       z_mm=st.floats(0.1, 100.0))
+def test_delays_match_hypot(xs_mm, z_mm):
+    # against the earlier formula, kept here as the reference, on a 24 mm
+    # aperture so that x reaches points off either end of it. The in-place
+    # sqrt(dx^2 + z^2) rounds differently from np.hypot: by up to 4.4e-16
+    # relative over 25.6 M random delays
+    geo = ArrayGeometry(
+        n_elements=64, pitch=3.8e-4, sound_speed=1540.0, sampling_rate=100e6,
+        center_frequency=5e6, fractional_bandwidth=0.77,
+    )
+    xs, z = np.array(xs_mm) * 1e-3, z_mm * 1e-3
+    tau = _delays(geo, xs[:, None, None], z)
+    ref = np.stack([np.hypot(geo.element_x - x, z) / geo.sound_speed * geo.sampling_rate
+                    for x in xs])[:, None, :]
+    assert tau.shape == ref.shape
+    assert np.max(np.abs(tau - ref) / ref) <= 4.5e-16
+
+
 def test_extract_impulse_frame():
     # channel m holds ones at samples floor(tau_m) and floor(tau_m) + 1, so
     # the interpolated read at tau_m is exactly 1 whatever its fraction

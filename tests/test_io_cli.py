@@ -198,6 +198,14 @@ class TestImageRoundtrip:
         # envelope/db recomputed from the raw plane, not stored
         np.testing.assert_allclose(back.envelope, img.envelope, atol=1e-5)
 
+    def test_unfinalized_image_writes_nothing(self, tmp_path):
+        grid = ImageGrid(-2e-3, 2e-3, 0.018, 0.022, 3, 2)
+        image = PaImage(grid=grid, beamformed=np.ones((2, 3)), method=Method.MV)
+        with pytest.raises(ConfigError, match="finalize"):
+            pio.write_image(tmp_path / "img", image)
+        for suffix in (".bin", ".json", ".pgm"):
+            assert not (tmp_path / "img").with_suffix(suffix).exists()
+
     def test_pgm_mapping(self, tmp_path):
         path = tmp_path / "view.pgm"
         db = np.array([[0.0, -25.0, -50.0]])
