@@ -13,11 +13,17 @@ def default_dl_factor(L: int) -> float:
 
 def apply_dl(r: np.ndarray, dl_factor: float) -> np.ndarray:
     """Adds dl_factor * trace(R) to the diagonal of R (of each R in a stack)."""
+    return _load_diagonal(np.array(r, dtype=np.float64), dl_factor)
+
+
+def _load_diagonal(r: np.ndarray, dl_factor: float) -> np.ndarray:
+    """``apply_dl`` in place on the float64 array ``r``, which it returns."""
     if dl_factor < 0:
         raise ValueError("diagonal loading factor must be >= 0")
-    r = np.asarray(r, dtype=np.float64)
     load = dl_factor * np.trace(r, axis1=-2, axis2=-1)
-    return r + np.asarray(load)[..., None, None] * np.eye(r.shape[-1])
+    diagonal = np.einsum("...ii->...i", r)
+    diagonal += np.asarray(load)[..., None]
+    return r
 
 
 def loaded_covariance(
@@ -37,4 +43,4 @@ def loaded_covariance(
         xt = np.ascontiguousarray(np.swapaxes(snapshots, -1, -2))
     r = np.matmul(xt, snapshots)
     r /= snapshots.shape[-2]
-    return apply_dl(r, dl_factor)
+    return _load_diagonal(r, dl_factor)

@@ -59,10 +59,12 @@ def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
 
 
 def gather_delayed(
-    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
+    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray | None = None
 ) -> np.ndarray:
     """Delayed channel data for the focal points (xs[i], z), read at each
-    temporal offset in samples. Shape (P, len(offsets), M).
+    temporal offset in samples. Shape (P, len(offsets), M); with no
+    ``offsets``, (P, 1, M) read at the delays themselves, skipping the
+    offset pass.
 
     Each channel is read at its fractional index t by linear interpolation
     between flat ``take``s of samples floor(t) and floor(t) + 1 from a view of
@@ -70,7 +72,8 @@ def gather_delayed(
     """
     n_t = frame.samples.shape[1]
     tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
-    tau = tau + np.asarray(offsets)[:, None]
+    if offsets is not None:
+        tau = tau + np.asarray(offsets)[:, None]
     k = np.floor(tau)
     frac = np.subtract(tau, k, out=tau)
     k = k.astype(np.int64)

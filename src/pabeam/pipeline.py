@@ -1,7 +1,6 @@
 """Image formation: the tiled reconstruction kernel, envelope detection and
 log compression."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,7 +138,7 @@ def _beamform_tile(
     and Capon-solved once: MV outputs that weight and MSMV iterates from it.
     """
     if all(m is Method.DAS for m in methods):
-        das = gather_delayed(frame, xs, z, np.zeros(1))[:, 0] @ taps
+        das = gather_delayed(frame, xs, z)[:, 0] @ taps
         return {Method.DAS: das}, np.zeros(len(xs), bool)
     gathered = gather_delayed(frame, xs, z, np.arange(-K, K + 1))
     das = gathered[:, K] @ taps
@@ -156,6 +155,45 @@ def _beamform_tile(
         w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w.copy(), ok), xt=xt)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
     return values, ~ok
+
+
+def _beamform_rows(
+    rows: range,
+    *,
+    frame: RfFrame,
+    xs: np.ndarray,
+    zs: np.ndarray,
+    methods: tuple[Method, ...],
+    size: int,
+    **tile_settings,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The planes (method, row, column) and fallback mask (row, column) of
+    the image rows ``rows``, beamformed tile by tile of ``size`` pixels; row
+    j holds image row rows[j]. ``tile_settings`` are the rest of
+    ``_beamform_tile``'s arguments.
+    """
+    planes = np.zeros((len(methods), len(rows), len(xs)))
+    fallback = np.zeros((len(rows), len(xs)), dtype=bool)
+    for j, iz in enumerate(rows):
+        for i in range(0, len(xs), size):
+            cols = slice(i, i + size)
+            values, fallback[j, cols] = _beamform_tile(
+                frame, xs[cols], zs[iz], methods, **tile_settings
+            )
+            for k, method in enumerate(methods):
+                planes[k, j, cols] = values[method]
+    return planes, fallback
+
+
+# The keyword arguments of _beamform_rows in a worker process, filled in once
+# per worker by the pool's initializer; the fork hands them over unpickled.
+# The calling process leaves it empty.
+_worker_kernel: dict = {}
+
+
+def _worker_rows(rows: range) -> tuple[np.ndarray, np.ndarray]:
+    """``_beamform_rows`` in a worker process."""
+    return _beamform_rows(rows, **_worker_kernel)
 
 
 def reconstruct_methods(
@@ -185,8 +223,13 @@ def reconstruct_methods(
 
     The tile partition depends only on the grid, the array, L, K and whether
     an adaptive method is asked for, so the output is bit-identical for any
-    ``workers``; worker threads take whole rows of tiles and write disjoint
-    rows of the planes. Each MV and MSMV plane is bit-identical to its
+    ``workers``. One worker runs in this process. More are forked worker
+    processes (the tiles' solves hold the interpreter lock, so threads do
+    not run them in parallel), which inherit the frame and settings through
+    the fork, so ``fork`` must be a start method of the platform (Linux) and
+    the calling process should run no other threads. Each takes one block of
+    whole rows and returns its block of the planes; all have exited when this
+    returns or raises. Each MV and MSMV plane is bit-identical to its
     one-method run, and DAS agrees with its one-method run to roundoff.
 
     Returns:
@@ -207,38 +250,42 @@ def reconstruct_methods(
     m = frame.geometry.n_elements
     L, K, dl_factor, workers = kernel_settings(m, L, K, dl_factor, workers)
 
-    xs = grid.x_coords
-    zs = grid.z_coords
-    planes = {method: np.zeros((grid.nz, grid.nx)) for method in methods}
-    fallback = np.zeros((grid.nz, grid.nx), dtype=bool)
-    size = min(tile_pixels(method, m, L, K) for method in methods)
-    taps = das_taps(m, L)
-
-    def run_row(iz: int) -> None:
-        for i in range(0, grid.nx, size):
-            cols = slice(i, i + size)
-            values, fallback[iz, cols] = _beamform_tile(
-                frame, xs[cols], zs[iz], methods, L, K, dl_factor, msmv, taps
-            )
-            for method, plane in planes.items():
-                plane[iz, cols] = values[method]
-
+    kernel = dict(
+        frame=frame, xs=grid.x_coords, zs=grid.z_coords, methods=methods,
+        size=min(tile_pixels(method, m, L, K) for method in methods),
+        L=L, K=K, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
+    )
     if workers == 1:
-        for iz in range(grid.nz):
-            run_row(iz)
+        planes, fallback = _beamform_rows(range(grid.nz), **kernel)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_row, range(grid.nz)))
+        # Imported here: loading the process pool costs 17-20 ms, which a
+        # one-worker run need not pay.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one block of rows per worker: blocks of 8 rows or of one row ran
+        # no faster
+        step = -(-grid.nz // workers)
+        blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
+        with ProcessPoolExecutor(
+            max_workers=len(blocks),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_kernel.update,
+            initargs=(kernel,),
+        ) as pool:
+            parts = list(pool.map(_worker_rows, blocks))
+        planes = np.concatenate([block for block, _ in parts], axis=1)
+        fallback = np.concatenate([block for _, block in parts])
 
     n_fallback = int(fallback.sum())
     return tuple(
         PaImage(
             grid=grid,
-            beamformed=planes[method],
+            beamformed=plane,
             method=method,
             fallback_pixel_count=0 if method is Method.DAS else n_fallback,
         )
-        for method in methods
+        for method, plane in zip(methods, planes)
     )
 
 

@@ -53,6 +53,19 @@ def test_apply_dl_hand_value():
     np.testing.assert_allclose(loaded, [[2.5, 1.0], [1.0, 3.5]])
 
 
+def test_apply_dl_matches_identity_formula():
+    # loading the diagonal in place gives the bits of R + load * I and
+    # leaves the caller's R untouched
+    rng = np.random.default_rng(4)
+    for shape in ((2, 2), (9, 32, 32), (3, 2, 5, 5)):
+        r = rng.standard_normal(shape)
+        before = r.copy()
+        load = 0.013 * np.trace(r, axis1=-2, axis2=-1)
+        expected = r + np.asarray(load)[..., None, None] * np.eye(shape[-1])
+        assert np.array_equal(apply_dl(r, 0.013), expected)
+        assert np.array_equal(r, before)
+
+
 def test_apply_dl_zero_noop():
     r = np.array([[2.0, 1.0], [1.0, 3.0]])
     np.testing.assert_allclose(apply_dl(r, 0.0), r)

@@ -75,6 +75,17 @@ def test_extract_impulse_frame():
     np.testing.assert_allclose(out, np.ones((1, 1, 4)), atol=1e-12)
 
 
+def test_no_offset_is_the_zero_offset():
+    # the DAS-only read skips the offset pass and must not move a bit, on
+    # reads inside, straddling and past the end of the record
+    rng = np.random.default_rng(8)
+    frame = frame_from(rng.standard_normal((4, 900)))
+    xs = np.linspace(-3e-3, 3e-3, 7)
+    for z in (0.01, 0.0692, 0.08):
+        assert np.array_equal(gather_delayed(frame, xs, z),
+                              gather_delayed(frame, xs, z, np.zeros(1)))
+
+
 def test_extract_beyond_record():
     frame = frame_from(np.ones((4, 50)))
     out = gather_delayed(frame, np.array([-1e-3, 0.0, 2e-3]), 0.03,

@@ -1,4 +1,7 @@
 import functools
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pabeam import io as pio
+from pabeam import pipeline
 from pabeam.beamformers import (
     Method,
     MsmvConfig,
@@ -419,6 +423,60 @@ def test_workers_bit_identical(method, nx, nz):
         again = reconstruct(noisy_frame(), grid, method, L=TILE_L, K=TILE_K,
                             workers=workers).beamformed
         assert np.array_equal(base, again)
+
+
+class TileFailure(Exception):
+    pass
+
+
+def test_worker_processes_end_with_the_call(monkeypatch):
+    frame = point_frame()
+    grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 5, 6)
+    base = reconstruct(frame, grid, Method.MV, K=1)
+
+    # the frame reaches the workers through the fork: pickling it would fail
+    def no_pickle(self, protocol):
+        raise TypeError("RfFrame pickled")
+
+    monkeypatch.setattr(RfFrame, "__reduce_ex__", no_pickle)
+    again = reconstruct(frame, grid, Method.MV, K=1, workers=2)
+    assert np.array_equal(base.beamformed, again.beamformed)
+    assert multiprocessing.active_children() == []
+
+    # a tile that raises in a worker: the fork inherits the patched kernel
+    tile = pipeline._beamform_tile
+    last_row = grid.z_coords[-1]
+
+    def failing_tile(frame, xs, z, *args, **kwargs):
+        if z == last_row:
+            raise TileFailure(f"tile at z={z}")
+        return tile(frame, xs, z, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_beamform_tile", failing_tile)
+    with pytest.raises(TileFailure, match="^tile at z="):
+        reconstruct(frame, grid, Method.MV, K=1, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_loads_no_process_pool():
+    # a fresh interpreter, so that what other tests imported does not count
+    code = (
+        "import sys\n"
+        "from pabeam import Absorber, ArrayGeometry, ImageGrid, Method, Phantom\n"
+        "from pabeam import reconstruct, simulate_rf\n"
+        "geo = ArrayGeometry(n_elements=16, pitch=3e-4, sound_speed=1540.0,\n"
+        "                    sampling_rate=40e6, center_frequency=5e6,\n"
+        "                    fractional_bandwidth=0.77)\n"
+        "frame = simulate_rf(geo, Phantom.from_points([Absorber(0.0, 0.02)]), 40e-6)\n"
+        "grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 3, 2)\n"
+        "for method in Method:\n"
+        "    reconstruct(frame, grid, method, K=1, workers=1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('concurrent.futures.process', 'multiprocessing'))))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 @settings(max_examples=10, deadline=None)
