@@ -61,7 +61,7 @@ def cmd_beamform(args) -> int:
     frame = pio.read_rf(args.rf)
     # the config a file would give for the file's array: an unset flag is
     # None, which reads as absent, so every default and range check is
-    # resolve_config's (it ignores element_x)
+    # resolve_config's
     cfg = pio.resolve_config({
         "geometry": asdict(frame.geometry),
         "grid": _parse_grid(args.grid),

@@ -71,6 +71,8 @@ def _num(raw: dict, path: str, default=None, required: bool = False):
         return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config field {path} must be a number, got {v!r}")
+    if not -np.inf < v < np.inf:  # json reads NaN and Infinity literals
+        raise ConfigError(f"config field {path} must be finite, got {v!r}")
     return v
 
 
@@ -183,6 +185,8 @@ def resolve_config(raw: dict) -> RunConfig:
         # pulse tail margin: 2 us covers the truncated emission pulse
         t_max = d_max / geometry.sound_speed + 2e-6
     t_max = float(t_max)
+    if t_max <= 0:
+        raise ConfigError(f"t_max: must be > 0, got {t_max!r}")
 
     return RunConfig(
         geometry=geometry,
@@ -206,10 +210,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     Re-resolving this dict reproduces the run exactly, so it doubles as the
     run manifest.
     """
-    geometry = asdict(cfg.geometry)
-    del geometry["element_x"]  # resolve_config derives it from the pitch
     out = {
-        "geometry": geometry,
+        "geometry": asdict(cfg.geometry),
         "grid": asdict(cfg.grid),
         "L": cfg.L,
         "K": cfg.K,
@@ -281,18 +283,26 @@ def read_rf(base) -> RfFrame:
             raise ConfigError(
                 f"{json_path}: not a version-{RF_VERSION} {RF_MAGIC} header"
             )
+        if header["sample_encoding"] != "f32le":
+            raise ConfigError(f"{json_path}: sample_encoding must be f32le")
+        m, t = int(header["n_elements"]), int(header["n_samples"])
         element_x = np.asarray(header["element_x"], dtype=np.float64)
-        pitch = float(np.median(np.diff(element_x))) if element_x.size > 1 else 1.0
+        if element_x.shape != (m,):
+            raise ConfigError(f"{json_path}: element_x must hold {m} positions")
+        # the exact pitch: element (M+1)//2 lies at pitch/2 for even M and at
+        # pitch for odd M; one element is at 0.0 for any pitch, read as 1.0
+        i = (m + 1) // 2
+        pitch = element_x[i] / (i - (m - 1) / 2.0) if m > 1 else 1.0
         geometry = ArrayGeometry(
-            n_elements=int(header["n_elements"]),
-            pitch=pitch,
+            n_elements=m,
+            pitch=float(pitch),
             sound_speed=float(header["sound_speed"]),
             sampling_rate=float(header["sampling_rate"]),
             center_frequency=float(header["center_frequency"]),
             fractional_bandwidth=float(header["fractional_bandwidth"]),
-            element_x=element_x,
         )
-        m, t = int(header["n_elements"]), int(header["n_samples"])
+        if not np.array_equal(element_x, geometry.element_x):
+            raise ConfigError(f"{json_path}: element_x is not uniform and centred on x=0")
         snr = header.get("channel_snr_db")
     data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
     if data.size != m * t:
@@ -340,6 +350,8 @@ def read_image(base) -> PaImage:
         method = Method(sidecar["method"])
         fallback = int(sidecar["fallback_pixel_count"])
         dynamic_range_db = float(sidecar["dynamic_range_db"])
+        if sidecar["plane_encoding"] != "f32le":
+            raise ConfigError(f"{json_path}: plane_encoding must be f32le")
     data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
     if data.size != grid.nx * grid.nz:
         raise ConfigError(

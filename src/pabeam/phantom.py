@@ -6,7 +6,8 @@ spreading, sub-sample arrival times split linearly between adjacent samples,
 plus optional Gaussian channel noise.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import gausspulse
@@ -19,7 +20,7 @@ PULSE_TRUNCATION = 1e-4
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Linear array in the z=0 plane, elements centered on x=0."""
+    """Uniform linear array in the z=0 plane, elements centered on x=0."""
 
     n_elements: int
     pitch: float            # m
@@ -27,11 +28,14 @@ class ArrayGeometry:
     sampling_rate: float    # Hz
     center_frequency: float  # Hz
     fractional_bandwidth: float
-    element_x: np.ndarray = field(default=None)  # filled in __post_init__
 
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
+        for name in ("pitch", "sound_speed", "sampling_rate", "center_frequency"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.fractional_bandwidth <= 1.0:
             raise InvalidBandwidth(
                 f"fractional_bandwidth must be in (0, 1], got {self.fractional_bandwidth}"
@@ -41,17 +45,11 @@ class ArrayGeometry:
             raise ValueError(
                 f"sampling_rate {self.sampling_rate} below pulse-band Nyquist {nyquist}"
             )
-        if self.element_x is None:
-            m = self.n_elements
-            x = (np.arange(m) - (m - 1) / 2.0) * self.pitch
-            object.__setattr__(self, "element_x", x)
-        else:
-            x = np.asarray(self.element_x, dtype=np.float64)
-            if x.shape != (self.n_elements,):
-                raise ValueError("element_x length must equal n_elements")
-            if np.any(np.diff(x) <= 0):
-                raise ValueError("element x positions must be strictly increasing")
-            object.__setattr__(self, "element_x", x)
+
+    @cached_property
+    def element_x(self) -> np.ndarray:
+        """Element x positions (m), derived from the pitch."""
+        return (np.arange(self.n_elements) - (self.n_elements - 1) / 2.0) * self.pitch
 
 
 @dataclass(frozen=True)

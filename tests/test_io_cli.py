@@ -1,8 +1,13 @@
 import json
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pabeam import io as pio
 from pabeam.beamformers import Method
@@ -19,6 +24,32 @@ def geometry(m=8, fs=40e6):
         n_elements=m, pitch=3e-4, sound_speed=1540.0, sampling_rate=fs,
         center_frequency=5e6, fractional_bandwidth=0.77,
     )
+
+
+def _nested(path, value):
+    """The config dict that sets only the dotted ``path``; a ``[0]`` part
+    is the first element of a list of objects."""
+    raw = node = {}
+    *parents, key = path.split(".")
+    for part in parents:
+        if part.endswith("[0]"):
+            node[part[:-3]] = [{"x": 0.0, "z": 0.02}]
+            node = node[part[:-3]][0]
+        else:
+            node = node.setdefault(part, {})
+    node[key] = value
+    return raw
+
+
+# config values refused with a ConfigError that names their key
+BAD_VALUES = [
+    ("geometry.pitch", 0.0), ("geometry.pitch", -3e-4),
+    ("geometry.pitch", float("nan")), ("geometry.sound_speed", 0.0),
+    ("geometry.sound_speed", -1540.0), ("geometry.center_frequency", -5e6),
+    ("geometry.sampling_rate", float("nan")), ("noise.snr_db", float("nan")),
+    ("t_max", -1e-6), ("t_max", 0.0), ("t_max", float("nan")),
+    ("phantom.absorbers[0].z", float("nan")), ("phantom.absorbers[0].x", float("inf")),
+]
 
 
 class TestResolveConfig:
@@ -57,6 +88,10 @@ class TestResolveConfig:
             pio.resolve_config({"msmv": {"beta": float("nan")}})
         with pytest.raises(ConfigError, match="dl"):
             pio.resolve_config({"dl": float("inf")})
+        for path, value in BAD_VALUES:
+            with pytest.raises(ConfigError) as exc:
+                pio.resolve_config(_nested(path, value))
+            assert all(part in str(exc.value) for part in path.split("."))
 
     def test_method_key_ignored(self):
         # no command reads a method from a config (compare forms all three
@@ -102,19 +137,10 @@ class TestResolveConfig:
     def test_integer_field_rejects_fraction(self, path, value):
         # a fraction used to be truncated, and the manifest recorded the
         # truncated value; an integral float such as 16.0 is still accepted
-        def nested(v):
-            raw = {}
-            *parents, key = path.split(".")
-            node = raw
-            for part in parents:
-                node = node.setdefault(part, {})
-            node[key] = v
-            return raw
-
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
-            pio.resolve_config(nested(value))
+            pio.resolve_config(_nested(path, value))
         whole = float(int(value))
-        cfg = pio.config_to_dict(pio.resolve_config(nested(whole)))
+        cfg = pio.config_to_dict(pio.resolve_config(_nested(path, whole)))
         for part in path.split("."):
             cfg = cfg[part]
         assert cfg == whole and type(cfg) is int
@@ -122,12 +148,7 @@ class TestResolveConfig:
     @pytest.mark.parametrize("path", ["L", "grid.x_min", "dynamic_range_db", "workers"])
     def test_null_reads_as_absent(self, path):
         # a JSON null is an absent key: the field takes its default
-        *parents, key = path.split(".")
-        raw = node = {}
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[key] = None
-        got = pio.config_to_dict(pio.resolve_config(raw))
+        got = pio.config_to_dict(pio.resolve_config(_nested(path, None)))
         assert got == pio.config_to_dict(pio.resolve_config({}))
 
     def test_non_numeric_rejected(self):
@@ -145,6 +166,7 @@ class TestResolveConfig:
         cfg = pio.resolve_config(raw)
         again = pio.resolve_config(pio.config_to_dict(cfg))
         assert pio.config_to_dict(again) == pio.config_to_dict(cfg)
+        assert again == cfg
 
 
 class TestRfRoundtrip:
@@ -156,9 +178,24 @@ class TestRfRoundtrip:
         pio.write_rf(tmp_path / "rf", frame)
         back = pio.read_rf(tmp_path / "rf")
         assert back.geometry.n_elements == 8
-        np.testing.assert_allclose(back.geometry.element_x, geo.element_x)
+        assert np.array_equal(back.geometry.element_x, geo.element_x)
         # float32 storage quantizes the samples
         np.testing.assert_allclose(back.samples, frame.samples, atol=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 256), pitch=st.floats(1e-5, 2e-3))
+    def test_geometry_exact(self, m, pitch):
+        # the header's element_x gives back the pitch, and so the geometry;
+        # a one-element array records no pitch, and reads as pitch 1.0
+        geo = ArrayGeometry(
+            n_elements=m, pitch=pitch, sound_speed=1540.0, sampling_rate=40e6,
+            center_frequency=5e6, fractional_bandwidth=0.77,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            pio.write_rf(Path(tmp) / "rf", RfFrame(geometry=geo, samples=np.zeros((m, 3))))
+            back = pio.read_rf(Path(tmp) / "rf")
+        assert back.geometry == (geo if m > 1 else replace(geo, pitch=1.0))
+        assert np.array_equal(back.geometry.element_x, geo.element_x)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "rf.json").write_text(json.dumps({"magic": "NOPE"}))
@@ -292,6 +329,28 @@ def _rf_without_element_x(tmp_path):
     return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
 
 
+def _rf_non_uniform_element_x(tmp_path):
+    header = _valid_rf(tmp_path)
+
+    def nudge(raw):  # still increasing, but no longer uniform
+        raw["element_x"][2] += 1e-5
+
+    _rewrite_json(header, nudge)
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
+def _rf_element_x_wrong_length(tmp_path):
+    header = _valid_rf(tmp_path)
+    _rewrite_json(header, lambda raw: raw["element_x"].pop())
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
+def _rf_sample_encoding(tmp_path):
+    header = _valid_rf(tmp_path)
+    _rewrite_json(header, lambda raw: raw.update(sample_encoding="f64le"))
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
 def _rf_header_not_json(tmp_path):
     header = _valid_rf(tmp_path)
     header.write_text("PARF v1")
@@ -307,6 +366,12 @@ def _image_partial_grid(tmp_path):
 def _image_without_dynamic_range(tmp_path):
     sidecar, targets = _valid_image(tmp_path)
     _rewrite_json(sidecar, lambda raw: raw.pop("dynamic_range_db"))
+    return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
+
+
+def _image_plane_encoding(tmp_path):
+    sidecar, targets = _valid_image(tmp_path)
+    _rewrite_json(sidecar, lambda raw: raw.update(plane_encoding="f64le"))
     return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
 
 
@@ -417,8 +482,10 @@ class TestCli:
             assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
     @pytest.mark.parametrize("make_input", [
-        _rf_without_element_x, _rf_header_not_json, _image_partial_grid,
-        _image_without_dynamic_range, _targets_not_json, _config_not_json,
+        _rf_without_element_x, _rf_non_uniform_element_x, _rf_element_x_wrong_length,
+        _rf_sample_encoding, _rf_header_not_json, _image_partial_grid,
+        _image_without_dynamic_range, _image_plane_encoding, _targets_not_json,
+        _config_not_json,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback
@@ -580,6 +647,24 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "phantom.absorbers" in err["message"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("path, value", BAD_VALUES, ids=str)
+    def test_compare_bad_value_writes_nothing(self, tmp_path, capsys, small_config,
+                                              path, value):
+        # one line of JSON naming the key and exit code 1, not a traceback
+        # or an image of junk
+        raw = json.loads(small_config.read_text())
+        for key, val in _nested(path, value).items():
+            raw[key] = {**raw[key], **val} if isinstance(val, dict) else val
+        small_config.write_text(json.dumps(raw))
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(small_config), "--out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "ConfigError"
+        assert all(part in err["message"] for part in path.split("."))
         assert not outdir.exists()
 
     def test_compare_absorber_outside_grid(self, tmp_path, capsys):

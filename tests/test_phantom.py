@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,29 @@ def minus6db_band(pulse, fs):
     peak = spec.max()
     above = np.nonzero(spec >= peak / 2.0)[0]
     return freqs[above[0]], freqs[above[-1]]
+
+
+class TestArrayGeometry:
+    SETTINGS = dict(n_elements=8, pitch=3e-4, sound_speed=1540.0, sampling_rate=20e6,
+                    center_frequency=5e6, fractional_bandwidth=0.77)
+
+    def test_value_semantics(self):
+        # the element positions are derived from the pitch, not a setting
+        a, b = ArrayGeometry(**self.SETTINGS), ArrayGeometry(**self.SETTINGS)
+        assert a == b and hash(a) == hash(b)
+        assert asdict(a) == self.SETTINGS
+        assert np.array_equal(a.element_x, (np.arange(8) - 3.5) * 3e-4)
+        with pytest.raises(TypeError):
+            ArrayGeometry(**self.SETTINGS, element_x=a.element_x)
+
+    @pytest.mark.parametrize("name, value", [
+        ("pitch", 0.0), ("pitch", -3e-4), ("pitch", float("nan")), ("pitch", float("inf")),
+        ("sound_speed", 0.0), ("sound_speed", -1540.0), ("center_frequency", -5e6),
+        ("center_frequency", 0.0), ("sampling_rate", float("nan")),
+    ])
+    def test_rejects_non_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ArrayGeometry(**{**self.SETTINGS, name: value})
 
 
 class TestSynthPulse:
