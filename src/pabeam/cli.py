@@ -15,8 +15,9 @@ from .phantom import add_channel_noise, simulate_rf
 from .pipeline import finalize, reconstruct, reconstruct_methods
 
 
-def _fail(exc: Exception) -> int:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
+def _fail(exc: Exception, **context) -> int:
+    """Reports ``exc`` as one JSON line on stderr; 1 is main's failure code."""
+    payload = {**context, "error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload), file=sys.stderr)
     return 1
 
@@ -132,11 +133,7 @@ def cmd_compare(args) -> int:
         try:
             reports.append(evaluate(image, spec))
         except PabeamError as exc:
-            print(
-                json.dumps({"method": method.value, "error": type(exc).__name__,
-                            "message": str(exc)}),
-                file=sys.stderr,
-            )
+            _fail(exc, method=method.value)
     pio.write_metrics_csv(outdir / "metrics.csv", reports)
     pio.write_metrics_json(outdir / "metrics.json", reports)
     print(f"wrote comparison run ({len(reports)} method reports) to {outdir}")
@@ -192,9 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PabeamError as exc:
-        return _fail(exc)
-    except OSError as exc:
+    except (PabeamError, OSError) as exc:
         return _fail(exc)
 
 

@@ -8,6 +8,7 @@ grayscale PGM (P5).
 
 import csv
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
 from .delays import FocalPoint
-from .errors import ConfigError
+from .errors import ConfigError, PabeamError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
 from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
 from .pipeline import ImageGrid, PaImage, dynamic_range, finalize, kernel_settings
@@ -54,34 +55,60 @@ class RunConfig:
 
 
 def _get(raw: dict, path: str, default=None, required: bool = False):
-    """The value at the dotted ``path``; a JSON null reads as an absent key."""
-    node = raw
-    for key in path.split("."):
+    """The value at the dotted ``path``; a JSON null reads as an absent key,
+    and a block on the path that is not an object is refused."""
+    node, keys = raw, path.split(".")
+    for i, key in enumerate(keys):
+        if i and not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(keys[:i])} must be an object, got {node!r}")
         if not isinstance(node, dict) or node.get(key) is None:
             if required:
-                raise ConfigError(f"missing required config field: {path}")
+                raise ConfigError(f"missing required field: {path}")
             return default
         node = node[key]
     return node
 
 
 def _num(raw: dict, path: str, default=None, required: bool = False):
+    """A finite number field, of any file pabeam reads."""
     v = _get(raw, path, default, required)
     if v is None:
         return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config field {path} must be a number, got {v!r}")
-    if not -np.inf < v < np.inf:  # json reads NaN and Infinity literals
-        raise ConfigError(f"config field {path} must be finite, got {v!r}")
+        raise ConfigError(f"field {path} must be a number, got {v!r}")
+    # json reads NaN and Infinity literals, and an integer literal of any size
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"field {path} must be finite, got {v!r}")
     return v
 
 
-def _int(raw: dict, path: str, default: int | None = None) -> int | None:
+def _int(raw: dict, path: str, default: int | None = None,
+         required: bool = False) -> int | None:
     """An integer field; a float is accepted only with an integral value."""
-    v = _num(raw, path, default)
+    v = _num(raw, path, default, required)
     if isinstance(v, float) and not v.is_integer():
-        raise ConfigError(f"config field {path} must be an integer, got {v!r}")
+        raise ConfigError(f"field {path} must be an integer, got {v!r}")
     return v if v is None else int(v)
+
+
+def _points(raw: dict, path: str, point, **optional) -> tuple:
+    """``point(x=, z=, **optional)`` for each item of the non-empty list at
+    ``path``: x and z are required numbers, each key of ``optional`` a number
+    with that default. A refused item is named by its index."""
+    items = _get(raw, path, required=True)
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{path} must be a non-empty list")
+    pts = []
+    for i, item in enumerate(items):
+        try:
+            pts.append(point(
+                x=float(_num(item, "x", required=True)),
+                z=float(_num(item, "z", required=True)),
+                **{key: float(_num(item, key, d)) for key, d in optional.items()},
+            ))
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{path}[{i}]: {exc}") from exc
+    return tuple(pts)
 
 
 def resolve_config(raw: dict) -> RunConfig:
@@ -99,59 +126,32 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
 
     m = _int(raw, "geometry.n_elements", 128)
+    defaults = {"pitch": 0.3e-3, "sound_speed": 1540.0, "sampling_rate": 20e6,
+                "center_frequency": 5e6, "fractional_bandwidth": 0.77}
     try:
-        geometry = ArrayGeometry(
-            n_elements=m,
-            pitch=float(_num(raw, "geometry.pitch", 0.3e-3)),
-            sound_speed=float(_num(raw, "geometry.sound_speed", 1540.0)),
-            sampling_rate=float(_num(raw, "geometry.sampling_rate", 20e6)),
-            center_frequency=float(_num(raw, "geometry.center_frequency", 5e6)),
-            fractional_bandwidth=float(
-                _num(raw, "geometry.fractional_bandwidth", 0.77)
-            ),
-        )
-    except (ValueError, TypeError) as exc:
+        geometry = ArrayGeometry(n_elements=m, **{
+            key: float(_num(raw, f"geometry.{key}", d)) for key, d in defaults.items()
+        })
+    except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
     phantom = None
-    absorbers = _get(raw, "phantom.absorbers")
-    if absorbers is not None:
-        if not isinstance(absorbers, list) or not absorbers:
-            raise ConfigError("phantom.absorbers must be a non-empty list")
-        pts = []
-        for i, ab in enumerate(absorbers):
-            try:
-                pts.append(
-                    Absorber(
-                        x=float(_num(ab, "x", required=True)),
-                        z=float(_num(ab, "z", required=True)),
-                        amplitude=float(_num(ab, "amplitude", 1.0)),
-                    )
-                )
-            except ConfigError as exc:
-                raise ConfigError(f"phantom.absorbers[{i}]: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(f"phantom.absorbers[{i}]: {exc}") from exc
-        phantom = Phantom.from_points(pts)
+    if _get(raw, "phantom.absorbers") is not None:
+        phantom = Phantom(_points(raw, "phantom.absorbers", Absorber, amplitude=1.0))
 
     wavelength = geometry.sound_speed / geometry.center_frequency
     x_min = float(_num(raw, "grid.x_min", -10e-3))
     x_max = float(_num(raw, "grid.x_max", 10e-3))
     z_min = float(_num(raw, "grid.z_min", 15e-3))
     z_max = float(_num(raw, "grid.z_max", 70e-3))
-    # default resolution: quarter wavelength axially, half laterally
-    nx_default = max(2, round((x_max - x_min) / (wavelength / 2)) + 1)
-    nz_default = max(2, round((z_max - z_min) / (wavelength / 4)) + 1)
     try:
-        grid = ImageGrid(
-            x_min=x_min,
-            x_max=x_max,
-            z_min=z_min,
-            z_max=z_max,
-            nx=_int(raw, "grid.nx", nx_default),
-            nz=_int(raw, "grid.nz", nz_default),
-        )
-    except ConfigError as exc:
+        # default resolution: quarter wavelength axially, half laterally; a
+        # span beyond float range overflows to inf, which no count can hold
+        nx_default = max(2, round((x_max - x_min) / (wavelength / 2)) + 1)
+        nz_default = max(2, round((z_max - z_min) / (wavelength / 4)) + 1)
+        grid = ImageGrid(x_min, x_max, z_min, z_max,
+                         _int(raw, "grid.nx", nx_default), _int(raw, "grid.nz", nz_default))
+    except (ConfigError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
     L, K, dl, workers = kernel_settings(
@@ -172,6 +172,8 @@ def resolve_config(raw: dict) -> RunConfig:
 
     snr_db = _num(raw, "noise.snr_db")
     seed = _int(raw, "noise.seed", 0)
+    if seed < 0:
+        raise ConfigError(f"noise.seed: must be >= 0, got {seed}")
 
     t_max = _num(raw, "t_max")
     if t_max is None:
@@ -233,10 +235,13 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def _json_file(path):
     """The parsed JSON of ``path``, for a ``with`` block that reads fields
     from it. A file that is not JSON, or whose JSON lacks or mistypes a field
-    the block reads, raises a ConfigError that names the file."""
+    the block reads, raises a ConfigError that names the file, as does any
+    pabeam error the block raises: no reader names the file itself."""
     try:
         yield json.loads(Path(path).read_text())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except PabeamError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -279,16 +284,15 @@ def write_rf(base, frame: RfFrame) -> None:
 def read_rf(base) -> RfFrame:
     bin_path, json_path = _pair(base)
     with _json_file(json_path) as header:
-        if header.get("magic") != RF_MAGIC or header.get("version") != RF_VERSION:
-            raise ConfigError(
-                f"{json_path}: not a version-{RF_VERSION} {RF_MAGIC} header"
-            )
-        if header["sample_encoding"] != "f32le":
-            raise ConfigError(f"{json_path}: sample_encoding must be f32le")
-        m, t = int(header["n_elements"]), int(header["n_samples"])
+        if _get(header, "magic") != RF_MAGIC or _int(header, "version") != RF_VERSION:
+            raise ConfigError(f"not a version-{RF_VERSION} {RF_MAGIC} header")
+        if _get(header, "sample_encoding") != "f32le":
+            raise ConfigError("sample_encoding must be f32le")
+        m = _int(header, "n_elements", required=True)
+        t = _int(header, "n_samples", required=True)
         element_x = np.asarray(header["element_x"], dtype=np.float64)
         if element_x.shape != (m,):
-            raise ConfigError(f"{json_path}: element_x must hold {m} positions")
+            raise ConfigError(f"element_x must hold {m} positions")
         # the exact pitch: element (M+1)//2 lies at pitch/2 for even M and at
         # pitch for odd M; one element is at 0.0 for any pitch, read as 1.0
         i = (m + 1) // 2
@@ -296,17 +300,17 @@ def read_rf(base) -> RfFrame:
         geometry = ArrayGeometry(
             n_elements=m,
             pitch=float(pitch),
-            sound_speed=float(header["sound_speed"]),
-            sampling_rate=float(header["sampling_rate"]),
-            center_frequency=float(header["center_frequency"]),
-            fractional_bandwidth=float(header["fractional_bandwidth"]),
+            **{key: float(_num(header, key, required=True)) for key in (
+                "sound_speed", "sampling_rate", "center_frequency",
+                "fractional_bandwidth",
+            )},
         )
         if not np.array_equal(element_x, geometry.element_x):
-            raise ConfigError(f"{json_path}: element_x is not uniform and centred on x=0")
-        snr = header.get("channel_snr_db")
-    data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
-    if data.size != m * t:
-        raise ConfigError(f"{bin_path}: expected {m * t} samples, found {data.size}")
+            raise ConfigError("element_x is not uniform and centred on x=0")
+        snr = _num(header, "channel_snr_db")
+        data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
+        if data.size != m * t:
+            raise ConfigError(f"{bin_path.name} holds {data.size} samples, not {m * t}")
     return RfFrame(
         geometry=geometry,
         samples=data.reshape(m, t),
@@ -346,17 +350,21 @@ def read_image(base) -> PaImage:
     """Reads a raw image pair and recomputes the envelope and db views."""
     bin_path, json_path = _pair(base)
     with _json_file(json_path) as sidecar:
-        grid = ImageGrid(**sidecar["grid"])
-        method = Method(sidecar["method"])
-        fallback = int(sidecar["fallback_pixel_count"])
-        dynamic_range_db = float(sidecar["dynamic_range_db"])
-        if sidecar["plane_encoding"] != "f32le":
-            raise ConfigError(f"{json_path}: plane_encoding must be f32le")
-    data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
-    if data.size != grid.nx * grid.nz:
-        raise ConfigError(
-            f"{bin_path}: expected {grid.nx * grid.nz} pixels, found {data.size}"
+        grid = ImageGrid(
+            *(float(_num(sidecar, f"grid.{k}", required=True))
+              for k in ("x_min", "x_max", "z_min", "z_max")),
+            *(_int(sidecar, f"grid.{k}", required=True) for k in ("nx", "nz")),
         )
+        method = Method(_get(sidecar, "method", required=True))
+        fallback = _int(sidecar, "fallback_pixel_count", required=True)
+        dynamic_range_db = dynamic_range(_num(sidecar, "dynamic_range_db", required=True))
+        if _get(sidecar, "plane_encoding") != "f32le":
+            raise ConfigError("plane_encoding must be f32le")
+        data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
+        if data.size != grid.nx * grid.nz:
+            raise ConfigError(
+                f"{bin_path.name} holds {data.size} pixels, not {grid.nx * grid.nz}"
+            )
     image = PaImage(
         grid=grid,
         beamformed=data.reshape(grid.nz, grid.nx),
@@ -390,16 +398,7 @@ def write_profile_csv(path, profile: np.ndarray) -> None:
 
 def load_targets(path) -> TargetSpec:
     with _json_file(path) as raw:
-        targets = raw.get("targets")
-        if not targets:
-            raise ConfigError("targets: must be a non-empty list")
-        pts = []
-        for i, t in enumerate(targets):
-            try:
-                pts.append(FocalPoint(x=float(t["x"]), z=float(t["z"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"targets[{i}]: {exc}") from exc
-    return TargetSpec(targets=tuple(pts))
+        return TargetSpec(targets=_points(raw, "targets", FocalPoint))
 
 
 METRICS_CSV_COLUMNS = ["method", "snr_db", "depth_m", "fwhm_m", "peak_sidelobe_db"]

@@ -1,7 +1,10 @@
 import json
 import re
+import shutil
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from pabeam import io as pio
 from pabeam.beamformers import Method
 from pabeam.cli import main
 from pabeam.delays import FocalPoint
-from pabeam.errors import ConfigError
+from pabeam.errors import ConfigError, PabeamError
 from pabeam.metrics import MetricsReport, TargetMetrics
 from pabeam.phantom import Absorber, ArrayGeometry, Phantom, RfFrame, simulate_rf
 from pabeam.pipeline import ImageGrid, PaImage, finalize
@@ -41,6 +44,13 @@ def _nested(path, value):
     return raw
 
 
+HUGE = 10**400  # an integer literal too large for a float
+
+
+def _id(value):
+    return "10**400" if value == HUGE else str(value)
+
+
 # config values refused with a ConfigError that names their key
 BAD_VALUES = [
     ("geometry.pitch", 0.0), ("geometry.pitch", -3e-4),
@@ -49,6 +59,16 @@ BAD_VALUES = [
     ("geometry.sampling_rate", float("nan")), ("noise.snr_db", float("nan")),
     ("t_max", -1e-6), ("t_max", 0.0), ("t_max", float("nan")),
     ("phantom.absorbers[0].z", float("nan")), ("phantom.absorbers[0].x", float("inf")),
+    ("noise.seed", -1), ("K", HUGE),
+    *[(path, HUGE) for path in (
+        "geometry.pitch", "geometry.sound_speed", "geometry.sampling_rate",
+        "geometry.center_frequency", "geometry.fractional_bandwidth", "grid.x_min",
+        "grid.x_max", "grid.z_min", "grid.z_max", "dl", "msmv.beta", "noise.snr_db",
+        "dynamic_range_db", "t_max", "phantom.absorbers[0].x",
+        "phantom.absorbers[0].z", "phantom.absorbers[0].amplitude",
+    )],
+    # a block that is not an object is refused, not read as absent
+    ("grid", "abc"), ("msmv", [1]), ("geometry", 16),
 ]
 
 
@@ -381,24 +401,36 @@ def _targets_not_json(tmp_path):
     return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], targets
 
 
+def _rf_element_x_overflows(tmp_path):
+    header = _valid_rf(tmp_path)
+
+    def overflow(raw):  # a position no float can hold
+        raw["element_x"][0] = HUGE
+
+    _rewrite_json(header, overflow)
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
 def _config_not_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("geometry = 16")
     return ["compare", "--config", str(config)], config
 
 
+SMALL_CONFIG = {
+    "geometry": {"n_elements": 16, "sampling_rate": 40e6},
+    "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
+    "grid": {"x_min": -2e-3, "x_max": 2e-3, "z_min": 0.018,
+             "z_max": 0.022, "nx": 9, "nz": 11},
+    "noise": {"snr_db": 50.0, "seed": 5},
+    "K": 1,
+}
+
+
 @pytest.fixture()
 def small_config(tmp_path):
-    raw = {
-        "geometry": {"n_elements": 16, "sampling_rate": 40e6},
-        "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
-        "grid": {"x_min": -2e-3, "x_max": 2e-3, "z_min": 0.018,
-                 "z_max": 0.022, "nx": 9, "nz": 11},
-        "noise": {"snr_db": 50.0, "seed": 5},
-        "K": 1,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(SMALL_CONFIG))
     return path
 
 
@@ -485,7 +517,7 @@ class TestCli:
         _rf_without_element_x, _rf_non_uniform_element_x, _rf_element_x_wrong_length,
         _rf_sample_encoding, _rf_header_not_json, _image_partial_grid,
         _image_without_dynamic_range, _image_plane_encoding, _targets_not_json,
-        _config_not_json,
+        _config_not_json, _rf_element_x_overflows,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback
@@ -527,7 +559,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--beta", "-1"], ["--iters", "-2"], ["--dl", "-1"], ["--dr", "0"],
         ["--beta", "nan"], ["--dl", "inf"], ["--dr", "nan"],
-        ["--grid=a,b,c,d,1,1"], ["--grid=0,1,2,3,x,1"],
+        ["--grid=a,b,c,d,1,1"], ["--grid=0,1,2,3,x,1"], ["--grid=-1e308,1e308,0,1,3,2"],
     ], ids=lambda flags: "".join(flags))
     def test_beamform_bad_flag_value(self, tmp_path, capsys, flags):
         # one line of JSON and exit code 1, not a traceback (or, for nan and
@@ -649,14 +681,14 @@ class TestCli:
         assert "phantom.absorbers" in err["message"]
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("path, value", BAD_VALUES, ids=str)
+    @pytest.mark.parametrize("path, value", BAD_VALUES, ids=_id)
     def test_compare_bad_value_writes_nothing(self, tmp_path, capsys, small_config,
                                               path, value):
         # one line of JSON naming the key and exit code 1, not a traceback
         # or an image of junk
         raw = json.loads(small_config.read_text())
         for key, val in _nested(path, value).items():
-            raw[key] = {**raw[key], **val} if isinstance(val, dict) else val
+            raw[key] = {**raw.get(key, {}), **val} if isinstance(val, dict) else val
         small_config.write_text(json.dumps(raw))
         outdir = tmp_path / "cmp"
         assert main(["compare", "--config", str(small_config), "--out", str(outdir)]) == 1
@@ -695,3 +727,134 @@ class TestCli:
         rc = main(["beamform", "--rf", str(tmp_path / "nope"), "--method", "mv",
                    "--out", str(tmp_path / "img")])
         assert rc == 1
+
+
+# Each kind of file main reads: the file of a valid small compare run that is
+# edited, and the command that reads it (its --out is added)
+FILE_KINDS = {
+    "config": ("run-manifest.json", ["compare", "--config", "{dir}/run-manifest.json"]),
+    "rf": ("rf.json", ["beamform", "--rf", "{dir}/rf", "--method", "mv", "--K", "1",
+                       "--grid=-2e-3,2e-3,0.018,0.022,9,11"]),
+    "image": ("image_mv.json", ["metrics", "--image", "{dir}/image_mv",
+                                "--targets", "{dir}/targets.json"]),
+    "targets": ("targets.json", ["metrics", "--image", "{dir}/image_mv",
+                                 "--targets", "{dir}/targets.json"]),
+}
+ERROR_NAMES = {PabeamError.__name__} | {c.__name__ for c in PabeamError.__subclasses__()}
+
+
+@pytest.fixture(scope="module")
+def valid_run(tmp_path_factory):
+    """A compare run of SMALL_CONFIG (M=16, 9x11 px) and a targets file: one
+    valid file of each kind main reads."""
+    root = tmp_path_factory.mktemp("valid")
+    (root / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    assert main(["compare", "--config", str(root / "config.json"),
+                 "--out", str(root / "run")]) == 0
+    (root / "run" / "targets.json").write_text(
+        json.dumps({"targets": [{"x": 0.0, "z": 0.02}]})
+    )
+    return root / "run"
+
+
+def _fields(node, prefix=""):
+    """(path, value) of every field of a parsed JSON file, lists included;
+    of a list's items only the first, as ``key[0]``."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        yield path, value
+        if isinstance(value, dict):
+            yield from _fields(value, f"{path}.")
+        elif isinstance(value, list):
+            yield f"{path}[0]", value[0]
+            if isinstance(value[0], dict):
+                yield from _fields(value[0], f"{path}[0].")
+
+
+def _replace(raw, path, value):
+    """Sets the field at ``path`` (as ``_fields`` names it) to ``value``."""
+    *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"[^.[\]]+", path)]
+    for part in parents:
+        raw = raw[part]
+    raw[last] = value
+
+
+def _run_edited(run, workdir, kind, path, value):
+    """main on a copy of ``run`` whose ``kind`` file has ``value`` at
+    ``path``: its exit code, its stderr lines, and whether it wrote output."""
+    for name in ("run-manifest.json", "rf.json", "rf.bin", "image_mv.json",
+                 "image_mv.bin", "targets.json"):
+        shutil.copy(run / name, workdir / name)
+    name, argv = FILE_KINDS[kind]
+    _rewrite_json(workdir / name, lambda raw: _replace(raw, path, value))
+    out = workdir / ("out.json" if argv[0] == "metrics" else "out")
+    err = StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        rc = main([a.format(dir=workdir) for a in argv] + ["--out", str(out)])
+    return rc, err.getvalue().splitlines(), bool(list(workdir.glob("out*")))
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    *[("rf", key, HUGE) for key in (
+        "version", "n_elements", "n_samples", "sampling_rate", "sound_speed",
+        "center_frequency", "fractional_bandwidth", "channel_snr_db", "element_x[0]",
+    )],
+    ("rf", "n_elements", float("inf")), ("rf", "n_samples", float("inf")),
+    *[("rf", "channel_snr_db", v) for v in (
+        "high", [1], {}, True, float("nan"), float("inf"), -float("inf"),
+    )],
+    ("rf", "sound_speed", "128"), ("rf", "sound_speed", True),
+    ("rf", "center_frequency", "128"), ("rf", "center_frequency", True),
+    ("rf", "version", True), ("rf", "fractional_bandwidth", -1.0),
+    ("image", "fallback_pixel_count", float("inf")), ("image", "dynamic_range_db", HUGE),
+    ("image", "grid", {"x_min": "-0.002", "x_max": "0.002", "z_min": "0.018",
+                       "z_max": "0.022", "nx": 9, "nz": 11}),
+    ("targets", "targets[0].x", HUGE), ("targets", "targets[0].z", HUGE),
+    # read from a file, a bandwidth outside (0, 1] is a ConfigError too
+    ("config", "geometry.fractional_bandwidth", 2.0),
+], ids=_id)
+def test_malformed_field_refused(tmp_path, valid_run, kind, path, value):
+    # one JSON ConfigError line naming the file and exit code 1, with nothing
+    # written, not a traceback, another error or a run on a misread value
+    rc, err, wrote = _run_edited(valid_run, tmp_path, kind, path, value)
+    assert rc == 1 and len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "ConfigError"
+    assert str(tmp_path / FILE_KINDS[kind][0]) in err["message"]
+    assert not wrote
+
+
+# JSON values that are not a valid number wherever a number is read: no large
+# positive finite number, which is a valid request for real (and possibly
+# very large) work. A negative number stays small, because a far-off absorber
+# or target is valid and its distance sets the length of the RF frame.
+SMALL_JSON = st.one_of(st.none(), st.booleans(), st.integers(-4, 4), st.text(max_size=3))
+MALFORMED = st.one_of(
+    st.text(max_size=8), st.booleans(), st.none(),
+    st.lists(SMALL_JSON, max_size=3),
+    st.dictionaries(st.sampled_from(["x", "z", "a"]), SMALL_JSON, max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.integers(10**309, 10**400).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-4, -1), st.floats(-4.0, -1.0),
+)
+FRACTIONS = st.floats(-100.0, 100.0).filter(lambda v: not v.is_integer())
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_malformed_field_fails_cleanly(valid_run, kind, data):
+    # one field of a valid file holds a drawn value: the command succeeds, or
+    # exits 1 with one JSON line naming a pabeam error and writes nothing
+    raw = json.loads((valid_run / FILE_KINDS[kind][0]).read_text())
+    path, valid = data.draw(st.sampled_from(list(_fields(raw))), label="field")
+    integer = isinstance(valid, int) and not isinstance(valid, bool)
+    value = data.draw(st.one_of(MALFORMED, FRACTIONS) if integer else MALFORMED,
+                      label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err, wrote = _run_edited(valid_run, Path(tmp), kind, path, value)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] in ERROR_NAMES
+        assert not wrote
