@@ -356,15 +356,16 @@ def read_image(base) -> PaImage:
             *(_int(sidecar, f"grid.{k}", required=True) for k in ("nx", "nz")),
         )
         method = Method(_get(sidecar, "method", required=True))
+        n_px = grid.nx * grid.nz
         fallback = _int(sidecar, "fallback_pixel_count", required=True)
+        if not 0 <= fallback <= n_px:
+            raise ConfigError(f"fallback_pixel_count: {fallback} outside [0, {n_px}]")
         dynamic_range_db = dynamic_range(_num(sidecar, "dynamic_range_db", required=True))
         if _get(sidecar, "plane_encoding") != "f32le":
             raise ConfigError("plane_encoding must be f32le")
         data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
-        if data.size != grid.nx * grid.nz:
-            raise ConfigError(
-                f"{bin_path.name} holds {data.size} pixels, not {grid.nx * grid.nz}"
-            )
+        if data.size != n_px:
+            raise ConfigError(f"{bin_path.name} holds {data.size} pixels, not {n_px}")
     image = PaImage(
         grid=grid,
         beamformed=data.reshape(grid.nz, grid.nx),

@@ -1,6 +1,7 @@
 """Image formation: the tiled reconstruction kernel, envelope detection and
 log compression."""
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,20 +129,21 @@ def _beamform_tile(
     dl_factor: float,
     msmv: MsmvConfig,
     taps: np.ndarray,
-) -> tuple[dict[Method, np.ndarray], np.ndarray]:
-    """Beamformed values of the pixels (xs, z), by method, and the mask of
-    the pixels whose adaptive weights fell back to DAS.
+) -> np.ndarray:
+    """The block (len(methods) + 1, P) of the pixels (xs, z): a row per
+    method, in order, then 1 where the adaptive weights fell back to DAS.
 
     One gather feeds every method. DAS is the taper ``taps`` on the
-    centre-time samples; alone it gathers only those. MV and MSMV gather
-    every temporal offset, and each pixel's covariance is estimated, loaded
-    and Capon-solved once: MV outputs that weight and MSMV iterates from it.
+    centre-time samples, summed by ``einsum``, whose bits do not depend on
+    the tile size; alone it gathers only those. MV and MSMV gather every
+    temporal offset, and each pixel's covariance is estimated, loaded and
+    Capon-solved once: MV outputs that weight and MSMV iterates from it.
     """
     if all(m is Method.DAS for m in methods):
-        das = gather_delayed(frame, xs, z)[:, 0] @ taps
-        return {Method.DAS: das}, np.zeros(len(xs), bool)
+        das = np.einsum("pm,m->p", gather_delayed(frame, xs, z)[:, 0], taps)
+        return np.stack([das] * len(methods) + [np.zeros_like(das)])
     gathered = gather_delayed(frame, xs, z, np.arange(-K, K + 1))
-    das = gathered[:, K] @ taps
+    das = np.einsum("pm,m->p", gathered[:, K], taps)
     snaps = subarray_snapshots(gathered, L)
     xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
@@ -154,7 +156,7 @@ def _beamform_tile(
     if Method.MSMV in methods:
         w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w.copy(), ok), xt=xt)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
-    return values, ~ok
+    return np.stack([values[m] for m in methods] + [~ok])
 
 
 def _beamform_rows(
@@ -166,23 +168,19 @@ def _beamform_rows(
     methods: tuple[Method, ...],
     size: int,
     **tile_settings,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The planes (method, row, column) and fallback mask (row, column) of
-    the image rows ``rows``, beamformed tile by tile of ``size`` pixels; row
-    j holds image row rows[j]. ``tile_settings`` are the rest of
-    ``_beamform_tile``'s arguments.
+) -> np.ndarray:
+    """The block (len(methods) + 1, row, column) of the image rows ``rows``,
+    beamformed tile by tile of ``size`` pixels; row j holds image row
+    rows[j]. ``tile_settings`` are the rest of ``_beamform_tile``'s
+    arguments, whose block layout this keeps.
     """
-    planes = np.zeros((len(methods), len(rows), len(xs)))
-    fallback = np.zeros((len(rows), len(xs)), dtype=bool)
+    block = np.zeros((len(methods) + 1, len(rows), len(xs)))
     for j, iz in enumerate(rows):
         for i in range(0, len(xs), size):
-            cols = slice(i, i + size)
-            values, fallback[j, cols] = _beamform_tile(
-                frame, xs[cols], zs[iz], methods, **tile_settings
+            block[:, j, i:i + size] = _beamform_tile(
+                frame, xs[i:i + size], zs[iz], methods, **tile_settings
             )
-            for k, method in enumerate(methods):
-                planes[k, j, cols] = values[method]
-    return planes, fallback
+    return block
 
 
 # The keyword arguments of _beamform_rows in a worker process, filled in once
@@ -191,7 +189,7 @@ def _beamform_rows(
 _worker_kernel: dict = {}
 
 
-def _worker_rows(rows: range) -> tuple[np.ndarray, np.ndarray]:
+def _worker_rows(rows: range) -> np.ndarray:
     """``_beamform_rows`` in a worker process."""
     return _beamform_rows(rows, **_worker_kernel)
 
@@ -222,15 +220,15 @@ def reconstruct_methods(
     setting left None takes its default (see ``kernel_settings``).
 
     The tile partition depends only on the grid, the array, L, K and whether
-    an adaptive method is asked for, so the output is bit-identical for any
-    ``workers``. One worker runs in this process. More are forked worker
-    processes (the tiles' solves hold the interpreter lock, so threads do
-    not run them in parallel), which inherit the frame and settings through
-    the fork, so ``fork`` must be a start method of the platform (Linux) and
-    the calling process should run no other threads. Each takes one block of
-    whole rows and returns its block of the planes; all have exited when this
-    returns or raises. Each MV and MSMV plane is bit-identical to its
-    one-method run, and DAS agrees with its one-method run to roundoff.
+    an adaptive method is asked for, and DAS's taper sum not even on that, so
+    every plane is bit-identical for any ``workers`` and to its one-method
+    run. One worker runs in this process. More split the rows into
+    ``workers`` blocks for forked processes, at most one per CPU this process
+    may use (the tiles' solves hold the interpreter lock, so threads do not
+    run them in parallel). They inherit the frame and settings through the
+    fork, so ``fork`` must be a start method of the platform (Linux) and the
+    calling process should run no other threads. Each block returns its rows
+    of the kernel's block; all workers have exited when this returns or raises.
 
     Returns:
         One image per entry of ``methods``, in order.
@@ -256,7 +254,7 @@ def reconstruct_methods(
         L=L, K=K, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     if workers == 1:
-        planes, fallback = _beamform_rows(range(grid.nz), **kernel)
+        block = _beamform_rows(range(grid.nz), **kernel)
     else:
         # Imported here: loading the process pool costs 17-20 ms, which a
         # one-worker run need not pay.
@@ -268,15 +266,14 @@ def reconstruct_methods(
         step = -(-grid.nz // workers)
         blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
         with ProcessPoolExecutor(
-            max_workers=len(blocks),
+            max_workers=min(len(blocks), len(os.sched_getaffinity(0))),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_kernel.update,
             initargs=(kernel,),
         ) as pool:
-            parts = list(pool.map(_worker_rows, blocks))
-        planes = np.concatenate([block for block, _ in parts], axis=1)
-        fallback = np.concatenate([block for _, block in parts])
+            block = np.concatenate(list(pool.map(_worker_rows, blocks)), axis=1)
 
+    *planes, fallback = block
     n_fallback = int(fallback.sum())
     return tuple(
         PaImage(
@@ -327,10 +324,10 @@ def finalize(image: PaImage, dynamic_range_db: float | None = None) -> PaImage:
     dynamic_range_db = dynamic_range(dynamic_range_db)
     env = envelope_detect(image.beamformed)
     peak = env.max(initial=0.0)
-    env_norm = env / peak if peak > 0.0 else env
+    env = env / peak if peak > 0.0 else env
     return replace(
         image,
-        envelope=env_norm,
+        envelope=env,
         db=log_compress(env, dynamic_range_db),
         dynamic_range_db=dynamic_range_db,
     )

@@ -807,6 +807,7 @@ def _run_edited(run, workdir, kind, path, value):
     ("rf", "center_frequency", "128"), ("rf", "center_frequency", True),
     ("rf", "version", True), ("rf", "fractional_bandwidth", -1.0),
     ("image", "fallback_pixel_count", float("inf")), ("image", "dynamic_range_db", HUGE),
+    ("image", "fallback_pixel_count", -7), ("image", "fallback_pixel_count", 10**9),
     ("image", "grid", {"x_min": "-0.002", "x_max": "0.002", "z_min": "0.018",
                        "z_max": "0.022", "nx": 9, "nz": 11}),
     ("targets", "targets[0].x", HUGE), ("targets", "targets[0].z", HUGE),

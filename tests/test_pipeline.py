@@ -1,5 +1,6 @@
 import functools
 import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -375,9 +376,9 @@ def test_das_mv_match_independent_reference(method):
 
 @pytest.mark.parametrize("scene", ["noisy", "truncated"])
 def test_fused_pass_matches_single_methods(scene):
-    # one pass for several methods gives each method's one-method image: MV
-    # and MSMV bit for bit, DAS (a different tile size) to roundoff; the
-    # truncated record is test_mixed_tile_fallback's, with 5 fallback pixels.
+    # one pass for several methods gives each method's one-method image bit
+    # for bit, DAS (a different tile size) included; the truncated record is
+    # test_mixed_tile_fallback's, with 5 fallback pixels.
     # The one-method MSMV image is also held to the per-pixel definition.
     frame = noisy_frame()
     grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 13, 3)
@@ -397,12 +398,7 @@ def test_fused_pass_matches_single_methods(scene):
             for image in fused:
                 ref = single[image.method]
                 assert image.fallback_pixel_count == ref.fallback_pixel_count
-                if image.method is Method.DAS:
-                    scale = np.max(np.abs(ref.beamformed))
-                    diff = np.max(np.abs(image.beamformed - ref.beamformed))
-                    assert diff <= 1e-12 * scale
-                else:
-                    assert np.array_equal(image.beamformed, ref.beamformed)
+                assert np.array_equal(image.beamformed, ref.beamformed)
     if scene == "truncated":
         assert single[Method.MV].fallback_pixel_count == 5
 
@@ -423,6 +419,27 @@ def test_workers_bit_identical(method, nx, nz):
         again = reconstruct(noisy_frame(), grid, method, L=TILE_L, K=TILE_K,
                             workers=workers).beamformed
         assert np.array_equal(base, again)
+
+
+def test_worker_processes_capped_at_usable_cpus(monkeypatch, tmp_path):
+    # six blocks of one row on two usable CPUs: two processes run them all,
+    # and the image is the one-worker image
+    frame = point_frame()
+    grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 5, 6)
+    base = reconstruct(frame, grid, Method.MV, K=1)
+    tile, pids = pipeline._beamform_tile, tmp_path / "pids"
+
+    def recording_tile(*args, **kwargs):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return tile(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pipeline, "_beamform_tile", recording_tile)
+    again = reconstruct(frame, grid, Method.MV, K=1, workers=6)
+    assert np.array_equal(base.beamformed, again.beamformed)
+    used = set(pids.read_text().split())
+    assert str(os.getpid()) not in used and 1 <= len(used) <= 2
 
 
 class TileFailure(Exception):
@@ -483,9 +500,16 @@ def test_one_worker_loads_no_process_pool():
 @given(method=st.sampled_from((Method.DAS, Method.MV)),
        scale=st.floats(1e-3, 1e3), nx=st.integers(1, 8), nz=st.integers(1, 4))
 def test_das_mv_linear_in_amplitude(method, scale, nx, nz):
+    # any scale to roundoff; a power of two, which scales every float
+    # exactly, bit for bit
     frame = point_frame()
-    scaled = RfFrame(geometry=frame.geometry, samples=scale * frame.samples)
     grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, nx, nz)
-    a = reconstruct(frame, grid, method, K=1).beamformed
-    b = reconstruct(scaled, grid, method, K=1).beamformed
-    assert np.max(np.abs(b - scale * a)) <= 1e-9 * scale * np.max(np.abs(a))
+
+    def image(scale):
+        scaled = RfFrame(geometry=frame.geometry, samples=scale * frame.samples)
+        return reconstruct(scaled, grid, method, K=1).beamformed
+
+    a = image(1.0)
+    assert np.max(np.abs(image(scale) - scale * a)) <= 1e-9 * scale * np.max(np.abs(a))
+    for power in (2.0**-20, 2.0**-3, 2.0, 2.0**7, 2.0**30):
+        assert np.array_equal(image(power), power * a)
