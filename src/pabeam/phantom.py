@@ -10,9 +10,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import gausspulse
 
-from .errors import InvalidBandwidth, TargetOutOfRange, ZeroSignal
+from .errors import ConfigError, InvalidBandwidth, TargetOutOfRange, ZeroSignal
 
 # Envelope level (relative to peak) below which the synthetic pulse is truncated.
 PULSE_TRUNCATION = 1e-4
@@ -90,23 +89,29 @@ class RfFrame:
 def synth_pulse(f0: float, fractional_bandwidth: float, fs: float) -> np.ndarray:
     """Gaussian-modulated cosine pulse with a given -6 dB fractional bandwidth.
 
-    The pulse is symmetric with unit peak at its center sample and truncated
-    where the Gaussian envelope falls below 1e-4 of the peak.
+    The pulse is exp(-a t^2) cos(2 pi f0 t), a = -(pi f0 B)^2 / (4 ln 10^(-6/20)),
+    symmetric with unit peak at its center sample and truncated at
+    sqrt(-ln(tref) / a), where the envelope falls to tref = PULSE_TRUNCATION.
+    The operations are those of SciPy's signal-module ``gausspulse``
+    (bwr=-6), whose cutoff and samples this equals bit for bit.
 
     Raises:
         InvalidBandwidth: bandwidth outside (0, 1].
+        ConfigError: f0 or fs not finite and > 0.
     """
     if not 0.0 < fractional_bandwidth <= 1.0:
         raise InvalidBandwidth(
             f"fractional bandwidth must be in (0, 1], got {fractional_bandwidth}"
         )
+    for name, value in (("f0", f0), ("fs", fs)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     tpr_db = 20.0 * np.log10(PULSE_TRUNCATION)
-    t_cut = gausspulse(
-        "cutoff", fc=f0, bw=fractional_bandwidth, bwr=-6, tpr=tpr_db
-    )
+    a = -(np.pi * f0 * fractional_bandwidth) ** 2 / (4.0 * np.log(pow(10.0, -6 / 20.0)))
+    t_cut = np.sqrt(-np.log(pow(10.0, tpr_db / 20.0)) / a)
     half = int(np.ceil(t_cut * fs))
     t = np.arange(-half, half + 1) / fs
-    return gausspulse(t, fc=f0, bw=fractional_bandwidth, bwr=-6)
+    return np.exp(-a * t * t) * np.cos(2 * np.pi * f0 * t)
 
 
 def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFrame:

@@ -5,7 +5,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import hilbert
+from scipy import fft
 
 from .beamformers import (
     Method,
@@ -300,10 +300,16 @@ def reconstruct(frame: RfFrame, grid: ImageGrid, method: Method, **settings) -> 
 def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
     """Magnitude of the analytic signal along depth, column by column.
 
-    The analytic signal is formed in the frequency domain: negative
-    frequencies zeroed, positive doubled, DC and Nyquist kept singly.
+    The analytic signal is ifft(fft(x) * U) over the n depth samples, with
+    U = 2 on bins 1 .. (n+1)//2 - 1, 0 from bin n//2 + 1 on and 1 at DC and
+    (even n) Nyquist: the operations of SciPy's signal-module ``hilbert``,
+    which this equals bit for bit.
     """
-    return np.abs(hilbert(np.asarray(beamformed, dtype=np.float64), axis=0))
+    spectrum = fft.fft(np.asarray(beamformed, dtype=np.float64), axis=0)
+    n = spectrum.shape[0]
+    spectrum[1:(n + 1) // 2] *= 2.0
+    spectrum[n // 2 + 1:] = 0.0
+    return np.abs(fft.ifft(spectrum, axis=0))
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:

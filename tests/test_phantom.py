@@ -2,9 +2,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pabeam.errors import InvalidBandwidth, TargetOutOfRange, ZeroSignal
+from pabeam.errors import ConfigError, InvalidBandwidth, TargetOutOfRange, ZeroSignal
 from pabeam.phantom import (
+    PULSE_TRUNCATION,
     Absorber,
     ArrayGeometry,
     Phantom,
@@ -78,6 +81,33 @@ class TestSynthPulse:
             synth_pulse(5e6, 0.0, 20e6)
         with pytest.raises(InvalidBandwidth):
             synth_pulse(5e6, 1.5, 20e6)
+
+    @pytest.mark.parametrize("f0, fs, name", [
+        (-5e6, 20e6, "f0"), (0.0, 20e6, "f0"), (float("nan"), 20e6, "f0"),
+        (float("inf"), 20e6, "f0"), (5e6, 0.0, "fs"), (5e6, -20e6, "fs"),
+        (5e6, float("nan"), "fs"), (5e6, float("inf"), "fs"),
+    ])
+    def test_rejects_non_positive(self, f0, fs, name):
+        # f0 enters squared and inside a cosine, so a negative one would
+        # otherwise give a valid-looking pulse
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            synth_pulse(f0, 0.77, fs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f0=st.floats(1e3, 1e9), bandwidth=st.floats(1e-3, 1.0),
+           oversampling=st.floats(1.0, 50.0))
+    def test_equals_scipy_gausspulse(self, f0, bandwidth, oversampling):
+        # the same cutoff and samples as gausspulse, bit for bit; the pulse
+        # has about 3.2 fs / (f0 B) samples, so B stays above 1e-3
+        from scipy.signal import gausspulse
+
+        fs = 2.0 * f0 * oversampling
+        tpr_db = 20.0 * np.log10(PULSE_TRUNCATION)
+        t_cut = gausspulse("cutoff", fc=f0, bw=bandwidth, bwr=-6, tpr=tpr_db)
+        half = int(np.ceil(t_cut * fs))
+        t = np.arange(-half, half + 1) / fs
+        assert np.array_equal(synth_pulse(f0, bandwidth, fs),
+                              gausspulse(t, fc=f0, bw=bandwidth, bwr=-6))
 
 
 class TestSimulateRf:

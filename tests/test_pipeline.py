@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pabeam import io as pio
@@ -98,6 +98,19 @@ class TestEnvelope:
             np.testing.assert_allclose(
                 env[:, j], envelope_detect(plane[:, [j]])[:, 0], atol=1e-12
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(nz=st.integers(1, 300), nx=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-12, 1e12))
+    @example(nz=1, nx=1, seed=0, scale=1.0)
+    @example(nz=2, nx=3, seed=0, scale=1.0)
+    @example(nz=3, nx=16, seed=1, scale=1.0)
+    def test_equals_scipy_hilbert(self, nz, nx, seed, scale):
+        # the FFT mask is scipy.signal.hilbert's, for odd and even depths
+        from scipy.signal import hilbert
+
+        plane = scale * np.random.default_rng(seed).standard_normal((nz, nx))
+        assert np.array_equal(envelope_detect(plane), np.abs(hilbert(plane, axis=0)))
 
 
 class TestLogCompress:
@@ -475,25 +488,40 @@ def test_worker_processes_end_with_the_call(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_one_worker_loads_no_process_pool():
+@functools.cache
+def fresh_run_modules():
+    """Modules a fresh interpreter has loaded after importing the CLI and
+    running every method through reconstruct and finalize with one worker."""
     # a fresh interpreter, so that what other tests imported does not count
     code = (
         "import sys\n"
+        "import pabeam.cli\n"
         "from pabeam import Absorber, ArrayGeometry, ImageGrid, Method, Phantom\n"
-        "from pabeam import reconstruct, simulate_rf\n"
+        "from pabeam import finalize, reconstruct, simulate_rf\n"
         "geo = ArrayGeometry(n_elements=16, pitch=3e-4, sound_speed=1540.0,\n"
         "                    sampling_rate=40e6, center_frequency=5e6,\n"
         "                    fractional_bandwidth=0.77)\n"
         "frame = simulate_rf(geo, Phantom.from_points([Absorber(0.0, 0.02)]), 40e-6)\n"
         "grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 3, 2)\n"
         "for method in Method:\n"
-        "    reconstruct(frame, grid, method, K=1, workers=1)\n"
-        "print(sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('concurrent.futures.process', 'multiprocessing'))))\n"
+        "    finalize(reconstruct(frame, grid, method, K=1, workers=1))\n"
+        "print('\\n'.join(sys.modules))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.split()
+
+
+def test_one_worker_loads_no_process_pool():
+    assert [m for m in fresh_run_modules()
+            if m.startswith(("concurrent.futures.process", "multiprocessing"))] == []
+
+
+def test_run_loads_no_scipy_signal():
+    # envelope and pulse are computed in place; importing scipy.signal
+    # costs more than a whole small run
+    assert "scipy.linalg" in fresh_run_modules()
+    assert [m for m in fresh_run_modules() if m.startswith("scipy.signal")] == []
 
 
 @settings(max_examples=10, deadline=None)
