@@ -11,7 +11,7 @@ depth; a single point is a tile of one.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .phantom import ArrayGeometry, RfFrame
 
@@ -69,20 +69,27 @@ def gather_delayed(
     Each channel is read at its fractional index t by linear interpolation
     between flat ``take``s of samples floor(t) and floor(t) + 1 from a view of
     the record; reads outside [0, T-1] are 0 (clipped and masked only then).
+    Whether every read is inside is decided from the extreme delays plus the
+    extreme offsets: rounding is monotone, so no delay plus offset lies
+    outside those two sums.
     """
     n_t = frame.samples.shape[1]
     tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
+    first, last = tau.min(initial=np.inf), tau.max(initial=-np.inf)
     if offsets is not None:
-        tau = tau + np.asarray(offsets)[:, None]
+        # float64, as the sum would convert them anyway
+        offsets = np.asarray(offsets, dtype=np.float64)
+        first += offsets.min(initial=np.inf)
+        last += offsets.max(initial=-np.inf)
+        tau = tau + offsets[:, None]
     k = np.floor(tau)
     frac = np.subtract(tau, k, out=tau)
     k = k.astype(np.int64)
     flat, row = frame.samples.reshape(-1), np.arange(len(frame.samples)) * n_t
-    if k.size and k.min() >= 0 and k.max() <= n_t - 2:
+    if 0 <= first and last < n_t - 1:
         k += row
         lo = flat.take(k)
-        k += 1
-        hi = flat.take(k)
+        hi = flat[1:].take(k)
     else:
         lo = np.where((k >= 0) & (k < n_t), flat.take(np.clip(k, 0, n_t - 1) + row), 0.0)
         k += 1
@@ -99,8 +106,12 @@ def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:
     """Length-L subarray windows of gathered data (P, O, M), offset-major:
     shape (P, O(M-L+1), L), row n of pixel p being snapshot column n.
 
-    With a single offset this is a view; otherwise the windows are copied.
+    The windows are one read-only strided view of ``delayed``; with a single
+    offset the result is that view, otherwise a copy.
     """
-    p = delayed.shape[0]
-    return sliding_window_view(delayed, L, axis=-1).reshape(p, -1, L)
-
+    p, o, m = delayed.shape
+    step = delayed.strides[-1]
+    windows = as_strided(
+        delayed, (p, o, m - L + 1, L), (*delayed.strides, step), writeable=False
+    )
+    return windows.reshape(p, -1, L)

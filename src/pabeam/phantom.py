@@ -86,18 +86,14 @@ class RfFrame:
         return self.samples.shape[1]
 
 
-def synth_pulse(f0: float, fractional_bandwidth: float, fs: float) -> np.ndarray:
-    """Gaussian-modulated cosine pulse with a given -6 dB fractional bandwidth.
-
-    The pulse is exp(-a t^2) cos(2 pi f0 t), a = -(pi f0 B)^2 / (4 ln 10^(-6/20)),
-    symmetric with unit peak at its center sample and truncated at
-    sqrt(-ln(tref) / a), where the envelope falls to tref = PULSE_TRUNCATION.
-    The operations are those of SciPy's signal-module ``gausspulse``
-    (bwr=-6), whose cutoff and samples this equals bit for bit.
+def _pulse_shape(f0: float, fractional_bandwidth: float, fs: float) -> tuple[float, int]:
+    """``synth_pulse``'s envelope constant a and half-length in samples,
+    computed and checked before any pulse sample is allocated.
 
     Raises:
         InvalidBandwidth: bandwidth outside (0, 1].
-        ConfigError: f0 or fs not finite and > 0.
+        ConfigError: f0 or fs not finite and > 0, or a bandwidth so narrow
+            that the pulse cutoff is not finite.
     """
     if not 0.0 < fractional_bandwidth <= 1.0:
         raise InvalidBandwidth(
@@ -108,8 +104,30 @@ def synth_pulse(f0: float, fractional_bandwidth: float, fs: float) -> np.ndarray
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
     tpr_db = 20.0 * np.log10(PULSE_TRUNCATION)
     a = -(np.pi * f0 * fractional_bandwidth) ** 2 / (4.0 * np.log(pow(10.0, -6 / 20.0)))
-    t_cut = np.sqrt(-np.log(pow(10.0, tpr_db / 20.0)) / a)
-    half = int(np.ceil(t_cut * fs))
+    with np.errstate(divide="ignore", over="ignore"):
+        t_cut = np.sqrt(-np.log(pow(10.0, tpr_db / 20.0)) / a)
+        n_half = t_cut * fs
+    if not n_half < np.inf:
+        raise ConfigError(
+            f"geometry.fractional_bandwidth: {fractional_bandwidth} makes the "
+            "pulse cutoff infinite"
+        )
+    return a, int(np.ceil(n_half))
+
+
+def synth_pulse(f0: float, fractional_bandwidth: float, fs: float) -> np.ndarray:
+    """Gaussian-modulated cosine pulse with a given -6 dB fractional bandwidth.
+
+    The pulse is exp(-a t^2) cos(2 pi f0 t), a = -(pi f0 B)^2 / (4 ln 10^(-6/20)),
+    symmetric with unit peak at its center sample and truncated at
+    sqrt(-ln(tref) / a), where the envelope falls to tref = PULSE_TRUNCATION.
+    The operations are those of SciPy's signal-module ``gausspulse``
+    (bwr=-6), whose cutoff and samples this equals bit for bit.
+
+    Raises:
+        InvalidBandwidth, ConfigError: as ``_pulse_shape``.
+    """
+    a, half = _pulse_shape(f0, fractional_bandwidth, fs)
     t = np.arange(-half, half + 1) / fs
     return np.exp(-a * t * t) * np.cos(2 * np.pi * f0 * t)
 
@@ -123,14 +141,21 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
 
     Raises:
         TargetOutOfRange: an absorber lies beyond t_max * c of some element.
+        ConfigError: the pulse's half-length exceeds the record, or as
+            ``synth_pulse``; raised before anything is allocated.
     """
     fs = geometry.sampling_rate
     c = geometry.sound_speed
     n_t = int(np.ceil(t_max * fs))
+    B = geometry.fractional_bandwidth
+    _, half = _pulse_shape(geometry.center_frequency, B, fs)
+    if half > n_t:
+        raise ConfigError(
+            f"geometry.fractional_bandwidth: {B} makes a pulse of half-length "
+            f"{half} samples, longer than the {n_t}-sample record"
+        )
     samples = np.zeros((geometry.n_elements, n_t))
-    pulse = synth_pulse(
-        geometry.center_frequency, geometry.fractional_bandwidth, fs
-    )
+    pulse = synth_pulse(geometry.center_frequency, B, fs)
     center = (len(pulse) - 1) // 2
     idx = np.arange(len(pulse))
 

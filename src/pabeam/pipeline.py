@@ -113,16 +113,28 @@ def tile_pixels(method: Method, n_elements: int, L: int, K: int) -> int:
     snapshot columns x L float64 values): 9 px at M=64, L=32, K=2. DAS needs
     no snapshots, only the gathered centre-time samples (pixels x M float64
     values): 768 px at M=64, so a DAS row of that size or less is one tile.
+    Tiles are cut from spans (see ``span_pixels``), the runs of a row that
+    are gathered at once.
     """
     if method is Method.DAS:
         return max(1, TILE_BYTES // (n_elements * 8))
     return max(1, TILE_BYTES // ((2 * K + 1) * (n_elements - L + 1) * L * 8))
 
 
+def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
+    """Pixels per span, the run of an image row gathered at once: as many
+    whole tiles of ``tile`` pixels as keep the gathered block (pixels x
+    ``n_offsets`` x M float64 values) within TILE_BYTES, and at least one.
+
+    153 px (17 tiles) for MV and MSMV at M=64, L=32, K=2, and one 768-px tile
+    for DAS alone. One gather per span, not per tile, saves the gather's
+    per-call cost, while the working set stays independent of the grid.
+    """
+    return tile * max(1, TILE_BYTES // (n_offsets * n_elements * 8 * tile))
+
+
 def _beamform_tile(
-    frame: RfFrame,
-    xs: np.ndarray,
-    z: float,
+    gathered: np.ndarray,
     methods: tuple[Method, ...],
     L: int,
     K: int,
@@ -130,25 +142,26 @@ def _beamform_tile(
     msmv: MsmvConfig,
     taps: np.ndarray,
 ) -> np.ndarray:
-    """The block (len(methods) + 1, P) of the pixels (xs, z): a row per
-    method, in order, then 1 where the adaptive weights fell back to DAS.
+    """The block (len(methods) + 1, P) of the tile whose delayed channel data
+    is ``gathered`` (P, offsets, M): a row per method, in order, then 1 where
+    the adaptive weights fell back to DAS.
 
     One gather feeds every method. DAS is the taper ``taps`` on the
     centre-time samples, summed by ``einsum``, whose bits do not depend on
-    the tile size; alone it gathers only those. MV and MSMV gather every
-    temporal offset, and each pixel's covariance is estimated, loaded and
-    Capon-solved once: MV outputs that weight and MSMV iterates from it.
+    the tile size; alone it needs only those, gathered at offset 0. MV and
+    MSMV need every temporal offset -K..K, and each pixel's covariance is
+    estimated, loaded and Capon-solved once: MV outputs that weight and MSMV
+    iterates from it.
     """
     if all(m is Method.DAS for m in methods):
-        das = np.einsum("pm,m->p", gather_delayed(frame, xs, z)[:, 0], taps)
+        das = np.einsum("pm,m->p", gathered[:, 0], taps)
         return np.stack([das] * len(methods) + [np.zeros_like(das)])
-    gathered = gather_delayed(frame, xs, z, np.arange(-K, K + 1))
     das = np.einsum("pm,m->p", gathered[:, K], taps)
     snaps = subarray_snapshots(gathered, L)
     xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
     w, ok = capon_weights(r_loaded)
-    n_sub = frame.geometry.n_elements - L + 1
+    n_sub = gathered.shape[-1] - L + 1
     center = snaps[:, K * n_sub:(K + 1) * n_sub]
     values = {Method.DAS: das}
     if Method.MV in methods:
@@ -166,20 +179,34 @@ def _beamform_rows(
     xs: np.ndarray,
     zs: np.ndarray,
     methods: tuple[Method, ...],
-    size: int,
+    offsets: np.ndarray | None,
+    tile: int,
+    span: int,
     **tile_settings,
 ) -> np.ndarray:
-    """The block (len(methods) + 1, row, column) of the image rows ``rows``,
-    beamformed tile by tile of ``size`` pixels; row j holds image row
-    rows[j]. ``tile_settings`` are the rest of ``_beamform_tile``'s
-    arguments, whose block layout this keeps.
+    """The block (len(methods) + 1, row, column) of the image rows ``rows``;
+    row j holds image row rows[j]. Each row is gathered at ``offsets`` a span
+    of ``span`` pixels at a time and beamformed tile by tile of ``tile``
+    pixels sliced from it. ``tile_settings`` are the rest of
+    ``_beamform_tile``'s arguments, whose block layout this keeps.
+
+    A span whose gathered data is all zero, such as one whose every read
+    index is past the record, is not beamformed: each of its pixels would
+    have a zero covariance, so every method gives 0 and the adaptive ones
+    fall back. The block keeps its zeros there and marks the fallback.
     """
     block = np.zeros((len(methods) + 1, len(rows), len(xs)))
     for j, iz in enumerate(rows):
-        for i in range(0, len(xs), size):
-            block[:, j, i:i + size] = _beamform_tile(
-                frame, xs[i:i + size], zs[iz], methods, **tile_settings
-            )
+        for s in range(0, len(xs), span):
+            gathered = gather_delayed(frame, xs[s:s + span], zs[iz], offsets)
+            # DAS alone skips the test: a zero span gives it zeros anyway
+            if offsets is not None and not gathered.any():
+                block[-1, j, s:s + span] = 1.0
+                continue
+            for i in range(0, len(gathered), tile):
+                block[:, j, s + i:s + i + tile] = _beamform_tile(
+                    gathered[i:i + tile], methods, **tile_settings
+                )
     return block
 
 
@@ -207,23 +234,26 @@ def reconstruct_methods(
     """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
     Every pixel runs snapshots -> covariance -> diagonal loading -> weights ->
-    subarray-averaged output. Pixels are processed as tiles: runs of up to
-    ``tile_pixels`` pixels of one image row, each tile one batched pass
-    through every stage, whose single gather feeds every method: DAS is the
-    fixed taper ``das_taps`` on the centre-time samples, MV the Capon weight
-    and MSMV the reweighted iteration started from that same MV solve. A
-    DAS-only run gathers just the centre time, in tiles of whole rows; any
-    adaptive method makes every tile the MV/MSMV size. A pixel whose loaded
-    covariance still fails the positive-definiteness check (an identically
-    zero neighborhood) falls back to the DAS value and is counted in the MV
-    and MSMV images' fallback_pixel_count; the image is never aborted. A
+    subarray-averaged output. Each image row is gathered in spans of up to
+    ``span_pixels`` pixels and processed as tiles of up to ``tile_pixels``
+    pixels sliced from a span, each tile one batched pass through every
+    stage. One gather feeds every method: DAS is the fixed taper
+    ``das_taps`` on the centre-time samples, MV the Capon weight and MSMV the
+    reweighted iteration started from that same MV solve. A DAS-only run
+    gathers just the centre time, in tiles of whole rows; any adaptive method
+    makes every tile the MV/MSMV size. A pixel whose loaded covariance still
+    fails the positive-definiteness check (an identically zero neighborhood)
+    falls back to the DAS value and is counted in the MV and MSMV images'
+    fallback_pixel_count; the image is never aborted. A span that gathers
+    only zeros (past the record) skips the kernel, with the same result. A
     setting left None takes its default (see ``kernel_settings``).
 
-    The tile partition depends only on the grid, the array, L, K and whether
-    an adaptive method is asked for, and DAS's taper sum not even on that, so
-    every plane is bit-identical for any ``workers`` and to its one-method
-    run. One worker runs in this process. More split the rows into
-    ``workers`` blocks for forked processes, at most one per CPU this process
+    The span and tile partitions depend only on the grid, the array, L, K
+    and whether an adaptive method is asked for, each pixel's gathered
+    values not even on that, and DAS's taper sum on none of it, so every
+    plane is bit-identical for any ``workers`` and to its one-method run.
+    One worker runs in this process. More split the rows into ``workers``
+    blocks for forked processes, at most one per CPU this process
     may use (the tiles' solves hold the interpreter lock, so threads do not
     run them in parallel). They inherit the frame and settings through the
     fork, so ``fork`` must be a start method of the platform (Linux) and the
@@ -248,9 +278,14 @@ def reconstruct_methods(
     m = frame.geometry.n_elements
     L, K, dl_factor, workers = kernel_settings(m, L, K, dl_factor, workers)
 
+    tile = min(tile_pixels(method, m, L, K) for method in methods)
+    # DAS alone reads the centre time only
+    das_only = all(method is Method.DAS for method in methods)
+    offsets = None if das_only else np.arange(-K, K + 1)
     kernel = dict(
         frame=frame, xs=grid.x_coords, zs=grid.z_coords, methods=methods,
-        size=min(tile_pixels(method, m, L, K) for method in methods),
+        offsets=offsets, tile=tile,
+        span=span_pixels(tile, 1 if das_only else 2 * K + 1, m),
         L=L, K=K, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     if workers == 1:

@@ -505,6 +505,22 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-9])
+    def test_pulse_longer_than_record_refused(self, tmp_path, capsys, bandwidth):
+        # 1e-300 makes the pulse cutoff infinite, 1e-9 a pulse of ~2.6e10
+        # samples: both are refused before anything is allocated or written
+        config = tmp_path / "config.json"
+        geometry = {**SMALL_CONFIG["geometry"], "fractional_bandwidth": bandwidth}
+        config.write_text(json.dumps({**SMALL_CONFIG, "geometry": geometry}))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "rf")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("geometry.fractional_bandwidth: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_old_manifest_reruns_identically(self, tmp_path, small_config):
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(OLD_MANIFEST))

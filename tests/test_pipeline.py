@@ -20,7 +20,7 @@ from pabeam.beamformers import (
     msmv_weight,
     mv_weight,
 )
-from pabeam.covariance import loaded_covariance
+from pabeam.covariance import default_dl_factor, loaded_covariance
 from pabeam.delays import SnapshotMatrix, gather_delayed, subarray_snapshots
 from pabeam.errors import ConfigError, NotPositiveDefinite
 from pabeam.phantom import (
@@ -38,6 +38,7 @@ from pabeam.pipeline import (
     log_compress,
     reconstruct,
     reconstruct_methods,
+    span_pixels,
     tile_pixels,
 )
 
@@ -317,6 +318,11 @@ class TestTiles:
         assert tile_pixels(Method.MSMV, 64, 32, 2) == 9
         assert tile_pixels(Method.DAS, 64, 32, 2) == 768  # P x M x 8 B gathered
         assert tile_pixels(Method.MV, 4096, 2048, 8) == 1
+        # a span's gathered block stays within TILE_BYTES too, in whole tiles
+        assert span_pixels(9, 5, 64) == 153  # 17 tiles of 9 px x 5 x 64 x 8 B
+        assert span_pixels(768, 1, 64) == 768
+        assert span_pixels(7, 3, 16) == 1022
+        assert span_pixels(1, 17, 4096) == 1
 
     @pytest.mark.parametrize("method", tuple(Method))
     def test_mixed_tile_fallback(self, method):
@@ -416,6 +422,60 @@ def test_fused_pass_matches_single_methods(scene):
         assert single[Method.MV].fallback_pixel_count == 5
 
 
+def per_tile_block(frame, grid, methods, L, K, msmv):
+    """The kernel's block for ``methods`` with each tile gathered on its own
+    by ``gather_delayed`` and beamformed by ``_beamform_tile``: the row loop
+    without spans or skipped spans."""
+    m = frame.geometry.n_elements
+    tile = min(tile_pixels(method, m, L, K) for method in methods)
+    offsets = None if set(methods) == {Method.DAS} else np.arange(-K, K + 1)
+    kw = dict(L=L, K=K, dl_factor=default_dl_factor(L), msmv=msmv, taps=das_taps(m, L))
+    xs = grid.x_coords
+    return np.stack([
+        np.concatenate([
+            pipeline._beamform_tile(
+                gather_delayed(frame, xs[i:i + tile], z, offsets), methods, **kw)
+            for i in range(0, grid.nx, tile)
+        ], axis=1)
+        for z in grid.z_coords
+    ], axis=1)
+
+
+@functools.cache
+def truncated_frame():
+    # the record ends at 20 mm of travel
+    full = noisy_frame()
+    return RfFrame(geometry=full.geometry, samples=full.samples[:, :520])
+
+
+@settings(max_examples=8, deadline=None)
+@given(methods=st.sampled_from([tuple(Method), (Method.MV,), (Method.DAS,),
+                                (Method.MSMV, Method.DAS)]),
+       nx=st.integers(1, 400), x_min=st.floats(-10e-3, 0.0),
+       x_max=st.floats(1e-3, 40e-3), z_min=st.floats(4e-3, 24e-3),
+       nz=st.integers(1, 3), workers=st.sampled_from([1, 2]))
+# rows inside the record, straddling its end and wholly past it, with
+# ragged last spans (153-px spans of 9-px tiles)
+@example(methods=tuple(Method), nx=161, x_min=-4e-3, x_max=4e-3, z_min=5e-3,
+         nz=1, workers=1)
+@example(methods=tuple(Method), nx=400, x_min=0.0, x_max=36e-3, z_min=10e-3,
+         nz=2, workers=2)
+@example(methods=(Method.MV,), nx=307, x_min=-10e-3, x_max=36e-3, z_min=19e-3,
+         nz=3, workers=1)
+def test_spans_match_per_tile_gathers(methods, nx, x_min, x_max, z_min, nz, workers):
+    # gathering a span at once and skipping spans that gather only zeros
+    # change no bit of any plane or fallback count
+    frame, msmv = truncated_frame(), MsmvConfig(n_iter=2)
+    grid = ImageGrid(x_min, x_max, z_min, z_min + 2e-3, nx, nz)
+    images = reconstruct_methods(frame, grid, methods, L=TILE_L, K=TILE_K,
+                                 msmv=msmv, workers=workers)
+    *planes, fallback = per_tile_block(frame, grid, methods, TILE_L, TILE_K, msmv)
+    for image, plane in zip(images, planes):
+        assert np.array_equal(image.beamformed, plane)
+        expected = 0 if image.method is Method.DAS else int(fallback.sum())
+        assert image.fallback_pixel_count == expected
+
+
 def test_reconstruct_methods_validation():
     for methods in ((), (Method.DAS, "sc")):
         with pytest.raises(ConfigError):
@@ -473,16 +533,16 @@ def test_worker_processes_end_with_the_call(monkeypatch):
     assert np.array_equal(base.beamformed, again.beamformed)
     assert multiprocessing.active_children() == []
 
-    # a tile that raises in a worker: the fork inherits the patched kernel
-    tile = pipeline._beamform_tile
+    # a gather that raises in a worker: the fork inherits the patched kernel
+    gather = pipeline.gather_delayed
     last_row = grid.z_coords[-1]
 
-    def failing_tile(frame, xs, z, *args, **kwargs):
+    def failing_gather(frame, xs, z, *args, **kwargs):
         if z == last_row:
             raise TileFailure(f"tile at z={z}")
-        return tile(frame, xs, z, *args, **kwargs)
+        return gather(frame, xs, z, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_beamform_tile", failing_tile)
+    monkeypatch.setattr(pipeline, "gather_delayed", failing_gather)
     with pytest.raises(TileFailure, match="^tile at z="):
         reconstruct(frame, grid, Method.MV, K=1, workers=2)
     assert multiprocessing.active_children() == []
