@@ -5,7 +5,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft
 
 from .beamformers import (
     Method,
@@ -337,14 +336,15 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
 
     The analytic signal is ifft(fft(x) * U) over the n depth samples, with
     U = 2 on bins 1 .. (n+1)//2 - 1, 0 from bin n//2 + 1 on and 1 at DC and
-    (even n) Nyquist: the operations of SciPy's signal-module ``hilbert``,
-    which this equals bit for bit.
+    (even n) Nyquist: SciPy's signal-module ``hilbert``, which this equals bit
+    for bit, as U keeps only the bins where numpy's ``rfft`` has SciPy's bits.
     """
-    spectrum = fft.fft(np.asarray(beamformed, dtype=np.float64), axis=0)
-    n = spectrum.shape[0]
+    x = np.asarray(beamformed, dtype=np.float64)
+    n = x.shape[0]
+    spectrum = np.zeros(x.shape, dtype=np.complex128)
+    np.fft.rfft(x, axis=0, out=spectrum[:n // 2 + 1])
     spectrum[1:(n + 1) // 2] *= 2.0
-    spectrum[n // 2 + 1:] = 0.0
-    return np.abs(fft.ifft(spectrum, axis=0))
+    return np.abs(np.fft.ifft(spectrum, axis=0))
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:

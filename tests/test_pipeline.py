@@ -102,15 +102,25 @@ class TestEnvelope:
 
     @settings(max_examples=40, deadline=None)
     @given(nz=st.integers(1, 300), nx=st.integers(1, 16),
-           seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-12, 1e12))
-    @example(nz=1, nx=1, seed=0, scale=1.0)
-    @example(nz=2, nx=3, seed=0, scale=1.0)
-    @example(nz=3, nx=16, seed=1, scale=1.0)
-    def test_equals_scipy_hilbert(self, nz, nx, seed, scale):
-        # the FFT mask is scipy.signal.hilbert's, for odd and even depths
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-12, 1e12),
+           layout=st.sampled_from(("C", "F", "every other column")))
+    @example(nz=1, nx=1, seed=0, scale=1.0, layout="C")
+    @example(nz=2, nx=3, seed=0, scale=1.0, layout="F")
+    @example(nz=3, nx=16, seed=1, scale=1.0, layout="every other column")
+    # the benchmark's planes: compare-3target, mv-file-2w, das-fullgrid
+    @example(nz=121, nx=61, seed=2, scale=1.0, layout="C")
+    @example(nz=61, nx=240, seed=3, scale=1.0, layout="F")
+    @example(nz=260, nx=240, seed=4, scale=1.0, layout="every other column")
+    def test_equals_scipy_hilbert(self, nz, nx, seed, scale, layout):
+        # the FFT mask is scipy.signal.hilbert's, for odd and even depths,
+        # and numpy's rfft has scipy.fft's bits on the bins it keeps, in
+        # any memory layout
         from scipy.signal import hilbert
 
-        plane = scale * np.random.default_rng(seed).standard_normal((nz, nx))
+        wide = scale * np.random.default_rng(seed).standard_normal((nz, 2 * nx))
+        plane = {"C": np.ascontiguousarray(wide[:, :nx]),
+                 "F": np.asfortranarray(wide[:, :nx]),
+                 "every other column": wide[:, ::2]}[layout]
         assert np.array_equal(envelope_detect(plane), np.abs(hilbert(plane, axis=0)))
 
 
@@ -578,10 +588,12 @@ def test_one_worker_loads_no_process_pool():
 
 
 def test_run_loads_no_scipy_signal():
-    # envelope and pulse are computed in place; importing scipy.signal
-    # costs more than a whole small run
+    # envelope and pulse are computed in place, the envelope with numpy.fft;
+    # scipy is loaded for scipy.linalg's dposv alone, as importing
+    # scipy.signal, scipy.fft or scipy.special costs more than a small run
     assert "scipy.linalg" in fresh_run_modules()
-    assert [m for m in fresh_run_modules() if m.startswith("scipy.signal")] == []
+    assert [m for m in fresh_run_modules()
+            if m.startswith(("scipy.signal", "scipy.fft", "scipy.special"))] == []
 
 
 @settings(max_examples=10, deadline=None)
