@@ -156,12 +156,13 @@ def msmv_weights(
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    snapshot rows. From the MV weight, each of ``cfg.n_iter`` steps solves
-    each pixel's r_loaded + (x^T Lambda) x, one unsymmetrized matmul of a
-    contiguous x^T (the solver reads one triangle), Lambda = beta /
+    snapshot rows. The pixels whose MV solve succeeded are taken once (a view
+    when every pixel did) and each takes all ``cfg.n_iter`` steps: a step
+    solves the pixel's r_loaded + (x^T Lambda) x, one unsymmetrized matmul of
+    a contiguous x^T (the solver reads one triangle), Lambda = beta /
     max(|x w|, eps * peak) of the last iterate, or 0 if all outputs are 0. A
-    pixel drops out only when its step matrix is not positive definite, and
-    keeps its last iterate.
+    step whose matrix is not positive definite leaves its pixel at the last
+    iterate, so every later step rebuilds the same matrix and fails again.
 
     ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
     made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
@@ -173,27 +174,23 @@ def msmv_weights(
     """
     w, ok = capon_weights(r_loaded) if start is None else start
     iterations = np.zeros(len(w), dtype=np.int64)
-    if cfg.beta == 0.0 or cfg.n_iter == 0:
+    if cfg.beta == 0.0 or cfg.n_iter == 0 or not ok.any():
         return w, ok, iterations
-    active = ok.copy()
     if xt is None:
         xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    sel = slice(None) if ok.all() else ok
+    x, xt, r_loaded, w_ok = x[sel], xt[sel], r_loaded[sel], w[sel]
+    steps = iterations[sel]
     for k in range(1, cfg.n_iter + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        sub = slice(None) if idx.size == len(w) else idx
-        xs = x[sub]
-        lam = _reweight(xs, w[sub], cfg.beta)
-        a = np.matmul(xt[sub] * lam[:, None, :], xs)
-        a += r_loaded[sub]
+        lam = _reweight(x, w_ok, cfg.beta)
+        a = np.matmul(xt * lam[:, None, :], x)
+        a += r_loaded
         w_next, solved = capon_weights(a)
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
-        active[idx[~solved]] = False
-        idx = idx[solved]
-        w[idx] = w_next[solved]
-        iterations[idx] = k
+        w_ok[solved] = w_next[solved]
+        steps[solved] = k
+    w[sel], iterations[sel] = w_ok, steps
     return w, ok, iterations
 
 

@@ -311,6 +311,9 @@ def read_rf(base) -> RfFrame:
         data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
         if data.size != m * t:
             raise ConfigError(f"{bin_path.name} holds {data.size} samples, not {m * t}")
+        # the solver takes a NaN covariance as positive definite
+        if not np.isfinite(data).all():
+            raise ConfigError(f"{bin_path.name} holds a NaN or infinite sample")
     return RfFrame(
         geometry=geometry,
         samples=data.reshape(m, t),

@@ -189,14 +189,25 @@ def add_channel_noise(frame: RfFrame, snr_db: float, rng_seed: int) -> RfFrame:
 
     Raises:
         ZeroSignal: the frame carries no signal to reference the SNR against.
+        ConfigError: the SNR sets no positive, finite noise level, or the
+            noisy frame does not fit float32, the RF file's encoding.
     """
     support = frame.samples != 0.0
     if not np.any(support):
         raise ZeroSignal("cannot set an SNR on an all-zero frame")
     p_sig = np.mean(frame.samples[support] ** 2)
-    sigma = np.sqrt(p_sig / 10.0 ** (snr_db / 10.0))
     noisy = frame.samples.copy()
-    for m in range(frame.samples.shape[0]):
-        rng = np.random.default_rng([int(rng_seed), m])
-        noisy[m] += sigma * rng.standard_normal(frame.samples.shape[1])
+    # overflow is refused below, not warned about
+    with np.errstate(over="ignore", divide="ignore"):
+        try:
+            sigma = np.sqrt(p_sig / 10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            sigma = 0.0
+        if not 0.0 < sigma < np.inf:
+            raise ConfigError(f"noise.snr_db: {snr_db} dB sets no finite, positive noise level")
+        for m in range(frame.samples.shape[0]):
+            rng = np.random.default_rng([int(rng_seed), m])
+            noisy[m] += sigma * rng.standard_normal(frame.samples.shape[1])
+    if max(noisy.max(), -noisy.min()) > np.finfo(np.float32).max:
+        raise ConfigError(f"noise.snr_db: {snr_db} dB makes samples too large for float32")
     return replace(frame, samples=noisy, channel_snr_db=float(snr_db))

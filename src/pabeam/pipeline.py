@@ -166,7 +166,7 @@ def _beamform_tile(
     if Method.MV in methods:
         values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
     if Method.MSMV in methods:
-        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w.copy(), ok), xt=xt)
+        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w, ok), xt=xt)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
     return np.stack([values[m] for m in methods] + [~ok])
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pabeam import beamformers
 from pabeam.beamformers import (
     EPSILON_FLOOR_REL,
     MsmvConfig,
@@ -296,3 +297,42 @@ def test_msmv_tile_matches_one_pixel():
         else:
             with pytest.raises(NotPositiveDefinite):
                 msmv_weight(r[p], snaps[p], cfg)
+
+
+@pytest.mark.parametrize("j", [1, 4, 8])
+def test_msmv_step_failure_keeps_last_iterate(monkeypatch, j):
+    # the solver is stubbed so that one pixel's step matrix is not positive
+    # definite from step j on, as a real failure is at every later step; the
+    # pixel is marked by a value in its strict upper triangle, which the
+    # solver never reads. It must end at its step-(j-1) iterate after j-1
+    # steps, and the other pixels (an MV-failed one among them) must come out
+    # as in an unstubbed run, byte for byte.
+    L, n_iter, marked, mark = 6, 8, 2, 1e300
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((6, 15, L))
+    r = loaded_covariance(x, default_dl_factor(L))
+    r[4] = -np.eye(L)
+    r[marked, 0, -1] = mark
+    clean = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
+    before = msmv_weights(r, x, MsmvConfig(n_iter=j - 1))
+    real = beamformers.capon_weights
+    calls = []
+
+    def fails_from_step_j(a):  # call 0 is the MV solve, call k step k
+        w, ok = real(a)
+        if len(calls) >= j:
+            hit = a[:, 0, -1] == mark
+            w[hit], ok[hit] = np.nan, False
+        calls.append(len(a))
+        return w, ok
+
+    monkeypatch.setattr(beamformers, "capon_weights", fails_from_step_j)
+    w, ok, iterations = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
+    assert len(calls) == n_iter + 1
+    np.testing.assert_array_equal(ok, [True] * 4 + [False, True])
+    assert w[marked].tobytes() == before[0][marked].tobytes()
+    assert iterations[marked] == before[2][marked] == j - 1
+    others = np.arange(6) != marked
+    assert w[others].tobytes() == clean[0][others].tobytes()
+    np.testing.assert_array_equal(iterations[others], clean[2][others])
+    np.testing.assert_array_equal(clean[2], [n_iter] * 4 + [0, n_iter])

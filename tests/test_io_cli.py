@@ -411,6 +411,22 @@ def _rf_element_x_overflows(tmp_path):
     return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
 
 
+def _rf_with_sample(tmp_path, value):
+    header = _valid_rf(tmp_path)
+    samples = np.fromfile(tmp_path / "rf.bin", dtype="<f4")
+    samples[17] = value
+    samples.tofile(tmp_path / "rf.bin")
+    return ["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv"], header
+
+
+def _rf_nan_sample(tmp_path):  # the solver would take NaN covariances as definite
+    return _rf_with_sample(tmp_path, np.nan)
+
+
+def _rf_inf_sample(tmp_path):
+    return _rf_with_sample(tmp_path, -np.inf)
+
+
 def _config_not_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("geometry = 16")
@@ -521,6 +537,23 @@ class TestCli:
         assert err["message"].startswith("geometry.fractional_bandwidth: ")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("snr_db", [4000.0, -1000.0, -4000.0])
+    def test_extreme_snr_refused(self, tmp_path, capsys, command, snr_db):
+        # +4000 dB overflows the power ratio, -4000 dB underflows it to 0 and
+        # -1000 dB gives samples beyond float32, the RF file's encoding: each
+        # is refused before anything is written
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "noise": {"snr_db": snr_db, "seed": 5}}))
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("noise.snr_db: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_old_manifest_reruns_identically(self, tmp_path, small_config):
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(OLD_MANIFEST))
@@ -533,7 +566,7 @@ class TestCli:
         _rf_without_element_x, _rf_non_uniform_element_x, _rf_element_x_wrong_length,
         _rf_sample_encoding, _rf_header_not_json, _image_partial_grid,
         _image_without_dynamic_range, _image_plane_encoding, _targets_not_json,
-        _config_not_json, _rf_element_x_overflows,
+        _config_not_json, _rf_element_x_overflows, _rf_nan_sample, _rf_inf_sample,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback
