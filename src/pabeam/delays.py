@@ -59,41 +59,28 @@ def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
 
 
 def gather_delayed(
-    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray | None = None
+    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
 ) -> np.ndarray:
     """Delayed channel data for the focal points (xs[i], z), read at each
-    temporal offset in samples. Shape (P, len(offsets), M); with no
-    ``offsets``, (P, 1, M) read at the delays themselves, skipping the
-    offset pass.
+    temporal offset in samples: shape (P, len(offsets), M).
 
     Each channel is read at its fractional index t by linear interpolation
-    between flat ``take``s of samples floor(t) and floor(t) + 1 from a view of
-    the record; reads outside [0, T-1] are 0 (clipped and masked only then).
-    Whether every read is inside is decided from the extreme delays plus the
-    extreme offsets: rounding is monotone, so no delay plus offset lies
-    outside those two sums.
+    between flat ``take``s of samples floor(t) and floor(t) + 1 from the
+    frame's ``guarded`` record. The floor is clipped to [-2, T], so every
+    read outside [0, T-1] lands on a guard zero and reads as 0.
     """
-    n_t = frame.samples.shape[1]
+    n_t = frame.n_samples
     tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
-    first, last = tau.min(initial=np.inf), tau.max(initial=-np.inf)
-    if offsets is not None:
-        # float64, as the sum would convert them anyway
-        offsets = np.asarray(offsets, dtype=np.float64)
-        first += offsets.min(initial=np.inf)
-        last += offsets.max(initial=-np.inf)
-        tau = tau + offsets[:, None]
+    # offsets in float64 first: a broadcast sum with int offsets runs slower
+    tau = tau + np.asarray(offsets, dtype=np.float64)[:, None]
     k = np.floor(tau)
     frac = np.subtract(tau, k, out=tau)
+    np.clip(k, -2, n_t, out=k)
     k = k.astype(np.int64)
-    flat, row = frame.samples.reshape(-1), np.arange(len(frame.samples)) * n_t
-    if 0 <= first and last < n_t - 1:
-        k += row
-        lo = flat.take(k)
-        hi = flat[1:].take(k)
-    else:
-        lo = np.where((k >= 0) & (k < n_t), flat.take(np.clip(k, 0, n_t - 1) + row), 0.0)
-        k += 1
-        hi = np.where((k >= 0) & (k < n_t), flat.take(np.clip(k, 0, n_t - 1) + row), 0.0)
+    # sample t of row m sits at m (T + 4) + t + 2 of the guarded record
+    k += np.arange(len(frame.samples)) * (n_t + 4) + 2
+    lo = frame.guarded.take(k)
+    hi = frame.guarded[1:].take(k)
     # (1 - frac) * lo + frac * hi, in place and in that order of operations
     hi *= frac
     np.subtract(1.0, frac, out=frac)

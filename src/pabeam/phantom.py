@@ -85,6 +85,14 @@ class RfFrame:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
+    @cached_property
+    def guarded(self) -> np.ndarray:
+        """The samples with two zeros before and after each channel,
+        flattened (sample t of row m at m (T + 4) + t + 2), which
+        ``gather_delayed`` reads. Built on first use as one copy of the
+        frame, so the samples must not change after that."""
+        return np.pad(self.samples, ((0, 0), (2, 2))).reshape(-1)
+
 
 def _pulse_shape(f0: float, fractional_bandwidth: float, fs: float) -> tuple[float, int]:
     """``synth_pulse``'s envelope constant a and half-length in samples,
@@ -142,7 +150,8 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
     Raises:
         TargetOutOfRange: an absorber lies beyond t_max * c of some element.
         ConfigError: the pulse's half-length exceeds the record, or as
-            ``synth_pulse``; raised before anything is allocated.
+            ``synth_pulse`` (both raised before anything is allocated); or a
+            sample does not fit float32, the RF file's encoding.
     """
     fs = geometry.sampling_rate
     c = geometry.sound_speed
@@ -171,12 +180,16 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
             pos = tau[m] + idx - center
             k = np.floor(pos).astype(np.int64)
             frac = pos - k
-            contrib = (ab.amplitude / d[m]) * pulse
             lo_ok = (k >= 0) & (k < n_t)
             hi_ok = (k + 1 >= 0) & (k + 1 < n_t)
-            np.add.at(samples[m], k[lo_ok], (1.0 - frac[lo_ok]) * contrib[lo_ok])
-            np.add.at(samples[m], k[hi_ok] + 1, frac[hi_ok] * contrib[hi_ok])
-
+            # overflow (inf, and inf * 0 = NaN) is refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                contrib = (ab.amplitude / d[m]) * pulse
+                np.add.at(samples[m], k[lo_ok], (1.0 - frac[lo_ok]) * contrib[lo_ok])
+                np.add.at(samples[m], k[hi_ok] + 1, frac[hi_ok] * contrib[hi_ok])
+    # NaN fails the comparison too
+    if not np.all(np.abs(samples) <= np.finfo(np.float32).max):
+        raise ConfigError("phantom.absorbers: amplitudes make samples too large for float32")
     return RfFrame(geometry=geometry, samples=samples)
 
 

@@ -136,26 +136,25 @@ def _beamform_tile(
     gathered: np.ndarray,
     methods: tuple[Method, ...],
     L: int,
-    K: int,
     dl_factor: float,
     msmv: MsmvConfig,
     taps: np.ndarray,
 ) -> np.ndarray:
     """The block (len(methods) + 1, P) of the tile whose delayed channel data
-    is ``gathered`` (P, offsets, M): a row per method, in order, then 1 where
-    the adaptive weights fell back to DAS.
+    is ``gathered`` (P, 2K+1 offsets -K..K, M): a row per method, in order,
+    then 1 where the adaptive weights fell back to DAS.
 
     One gather feeds every method. DAS is the taper ``taps`` on the
-    centre-time samples, summed by ``einsum``, whose bits do not depend on
-    the tile size; alone it needs only those, gathered at offset 0. MV and
-    MSMV need every temporal offset -K..K, and each pixel's covariance is
+    centre-time samples (offset 0, index K), summed by ``einsum``, whose bits
+    do not depend on the tile size; alone it is gathered at that offset only
+    (K = 0). MV and MSMV use every offset, and each pixel's covariance is
     estimated, loaded and Capon-solved once: MV outputs that weight and MSMV
     iterates from it.
     """
-    if all(m is Method.DAS for m in methods):
-        das = np.einsum("pm,m->p", gathered[:, 0], taps)
-        return np.stack([das] * len(methods) + [np.zeros_like(das)])
+    K = gathered.shape[1] // 2
     das = np.einsum("pm,m->p", gathered[:, K], taps)
+    if all(m is Method.DAS for m in methods):
+        return np.stack([das] * len(methods) + [np.zeros_like(das)])
     snaps = subarray_snapshots(gathered, L)
     xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
@@ -178,7 +177,7 @@ def _beamform_rows(
     xs: np.ndarray,
     zs: np.ndarray,
     methods: tuple[Method, ...],
-    offsets: np.ndarray | None,
+    offsets: np.ndarray,
     tile: int,
     span: int,
     **tile_settings,
@@ -192,14 +191,14 @@ def _beamform_rows(
     A span whose gathered data is all zero, such as one whose every read
     index is past the record, is not beamformed: each of its pixels would
     have a zero covariance, so every method gives 0 and the adaptive ones
-    fall back. The block keeps its zeros there and marks the fallback.
+    fall back. The block keeps its zeros there and marks the fallback (not
+    counted in a DAS image).
     """
     block = np.zeros((len(methods) + 1, len(rows), len(xs)))
     for j, iz in enumerate(rows):
         for s in range(0, len(xs), span):
             gathered = gather_delayed(frame, xs[s:s + span], zs[iz], offsets)
-            # DAS alone skips the test: a zero span gives it zeros anyway
-            if offsets is not None and not gathered.any():
+            if not gathered.any():
                 block[-1, j, s:s + span] = 1.0
                 continue
             for i in range(0, len(gathered), tile):
@@ -239,12 +238,12 @@ def reconstruct_methods(
     stage. One gather feeds every method: DAS is the fixed taper
     ``das_taps`` on the centre-time samples, MV the Capon weight and MSMV the
     reweighted iteration started from that same MV solve. A DAS-only run
-    gathers just the centre time, in tiles of whole rows; any adaptive method
+    gathers the one offset 0, in tiles of whole rows; any adaptive method
     makes every tile the MV/MSMV size. A pixel whose loaded covariance still
     fails the positive-definiteness check (an identically zero neighborhood)
     falls back to the DAS value and is counted in the MV and MSMV images'
     fallback_pixel_count; the image is never aborted. A span that gathers
-    only zeros (past the record) skips the kernel, with the same result. A
+    only zeros (past the record) skips the kernel, DAS alone included. A
     setting left None takes its default (see ``kernel_settings``).
 
     The span and tile partitions depend only on the grid, the array, L, K
@@ -280,12 +279,11 @@ def reconstruct_methods(
     tile = min(tile_pixels(method, m, L, K) for method in methods)
     # DAS alone reads the centre time only
     das_only = all(method is Method.DAS for method in methods)
-    offsets = None if das_only else np.arange(-K, K + 1)
+    offsets = np.zeros(1) if das_only else np.arange(-K, K + 1)
     kernel = dict(
         frame=frame, xs=grid.x_coords, zs=grid.z_coords, methods=methods,
-        offsets=offsets, tile=tile,
-        span=span_pixels(tile, 1 if das_only else 2 * K + 1, m),
-        L=L, K=K, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
+        offsets=offsets, tile=tile, span=span_pixels(tile, len(offsets), m),
+        L=L, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     if workers == 1:
         block = _beamform_rows(range(grid.nz), **kernel)

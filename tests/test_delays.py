@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pabeam.covariance import loaded_covariance
 from pabeam.delays import _delays, gather_delayed, subarray_snapshots
-from pabeam.phantom import ArrayGeometry, RfFrame
+from pabeam.phantom import ArrayGeometry, RfFrame, add_channel_noise
 
 
 def geometry(m=4, pitch=3e-4):
@@ -73,17 +73,6 @@ def test_extract_impulse_frame():
     frame = RfFrame(geometry=geo, samples=samples)
     out = gather_delayed(frame, np.array([0.0]), 0.03, np.zeros(1))
     np.testing.assert_allclose(out, np.ones((1, 1, 4)), atol=1e-12)
-
-
-def test_no_offset_is_the_zero_offset():
-    # the DAS-only read skips the offset pass and must not move a bit, on
-    # reads inside, straddling and past the end of the record
-    rng = np.random.default_rng(8)
-    frame = frame_from(rng.standard_normal((4, 900)))
-    xs = np.linspace(-3e-3, 3e-3, 7)
-    for z in (0.01, 0.0692, 0.08):
-        assert np.array_equal(gather_delayed(frame, xs, z),
-                              gather_delayed(frame, xs, z, np.zeros(1)))
 
 
 def test_extract_beyond_record():
@@ -201,14 +190,30 @@ def test_gather_matches_reference_bitwise(seed, m, n_t, xs_mm, z_mm):
         return set(np.floor(tau).astype(np.int64).ravel())
 
     # offsets -K..K sweep every channel's reads across the whole record and
-    # past both ends: the masked path
+    # past both ends, where they land on the guard zeros
     big_k = max(k0.max() + 2, n_t - k0.min()) + 1
     reads = check(n_t, np.arange(-big_k, big_k + 1))
     assert {-1, 0, n_t - 2, n_t - 1} <= reads
     assert min(reads) <= -2 and max(reads) >= n_t
-    # reads spanning exactly [0, T-2] (the all-inside path), and one sample
-    # more at either end (the masked path)
+    # reads spanning exactly [0, T-2], whose interpolation partners are all
+    # in the record, and one sample more at either end, where the first or
+    # last read takes one partner from a guard
     n_long = int(k0.max() - k0.min()) + n_t
     for first, last in ((0, n_long - 2), (-1, n_long - 2), (0, n_long - 1)):
         reads = check(n_long, np.arange(first - k0.min(), last - k0.max() + 1))
         assert (min(reads), max(reads)) == (first, last)
+
+
+def test_guard_follows_its_frame():
+    # the guarded record is cached per frame: a frame made by ``replace``
+    # (as add_channel_noise makes one) reads its own samples, not the guard
+    # of the frame it came from
+    rng = np.random.default_rng(3)
+    frame = frame_from(rng.standard_normal((4, 900)))
+    xs, z, offsets = np.array([-1e-3, 0.0, 2e-3]), 0.03, np.arange(-2, 3)
+    tau = _delays(frame.geometry, xs[:, None, None], z) + offsets[:, None]
+    assert gather_delayed(frame, xs, z, offsets).tobytes() == (
+        interp_reference(frame.samples, tau).tobytes())
+    noisy = add_channel_noise(frame, 10.0, 4)
+    assert gather_delayed(noisy, xs, z, offsets).tobytes() == (
+        interp_reference(noisy.samples, tau).tobytes())

@@ -1,6 +1,9 @@
 import json
+import platform
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -554,6 +557,26 @@ class TestCli:
         assert err["message"].startswith("noise.snr_db: ")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("amplitude", [1e300, 1.7e308])
+    def test_huge_amplitude_refused(self, tmp_path, capsys, command, amplitude):
+        # with no noise, 1e300 gives finite float64 samples beyond float32,
+        # the RF file's encoding, and 1.7e308 infinite ones (and inf * 0 =
+        # NaN): each is refused before anything is written
+        config = tmp_path / "config.json"
+        raw = {**SMALL_CONFIG, "phantom": {"absorbers": [
+            {"x": 0.0, "z": 0.02, "amplitude": amplitude}]}}
+        del raw["noise"]
+        config.write_text(json.dumps(raw))
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("phantom.absorbers: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_old_manifest_reruns_identically(self, tmp_path, small_config):
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(OLD_MANIFEST))
@@ -776,6 +799,35 @@ class TestCli:
         rc = main(["beamform", "--rf", str(tmp_path / "nope"), "--method", "mv",
                    "--out", str(tmp_path / "img")])
         assert rc == 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_heap_pin_keeps_tile_pages(tmp_path):
+    # MSMV of a small frame on its default grid: its frees are too small to
+    # raise glibc's own heap thresholds, so without the pinned ones every
+    # tile faults its temporaries in afresh (about 21,000 minor faults on a
+    # 16-element frame against about 1,500). A fresh interpreter, so that
+    # what other tests freed does not count.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "geometry": {"n_elements": 16, "sampling_rate": 40e6},
+        "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
+    }))
+    rf = tmp_path / "rf"
+    assert main(["simulate", "--config", str(config), "--out", str(rf)]) == 0
+    code = (
+        "import resource, sys\n"
+        "from pabeam.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, "beamform", "--rf", str(rf), "--method", "msmv",
+         "--out", str(tmp_path / "img")],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(run.stdout.split()[-1]) < 5000
 
 
 # Each kind of file main reads: the file of a valid small compare run that is

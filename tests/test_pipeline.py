@@ -438,8 +438,8 @@ def per_tile_block(frame, grid, methods, L, K, msmv):
     without spans or skipped spans."""
     m = frame.geometry.n_elements
     tile = min(tile_pixels(method, m, L, K) for method in methods)
-    offsets = None if set(methods) == {Method.DAS} else np.arange(-K, K + 1)
-    kw = dict(L=L, K=K, dl_factor=default_dl_factor(L), msmv=msmv, taps=das_taps(m, L))
+    offsets = np.zeros(1) if set(methods) == {Method.DAS} else np.arange(-K, K + 1)
+    kw = dict(L=L, dl_factor=default_dl_factor(L), msmv=msmv, taps=das_taps(m, L))
     xs = grid.x_coords
     return np.stack([
         np.concatenate([
