@@ -1,6 +1,6 @@
 """Linear-array photoacoustic image formation.
 
-A numpy/scipy toolkit for synthesizing point-absorber RF data and
+A numpy toolkit for synthesizing point-absorber RF data and
 reconstructing it with delay-and-sum, minimum-variance (Capon) and
 sparse-regularized minimum-variance beamformers, plus the image metrics
 (SNR, FWHM, peak sidelobe) used to compare them.

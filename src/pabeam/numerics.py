@@ -6,17 +6,114 @@ so a failing Cholesky factorization is a meaningful signal, not a condition to
 recover from.
 
 The solver works on a stack of matrices (one per pixel of a tile; one matrix
-is a stack of one): one LAPACK ``posv`` per matrix both decides positive
+is a stack of one): one LAPACK ``dposv`` per matrix both decides positive
 definiteness and solves, from a single Cholesky factorization of the matrix's
 lower triangle.
+
+``dposv`` is called through ``ctypes`` from the LAPACK that numpy's own
+``linalg`` already loads (numpy's wheels bundle an ILP64 OpenBLAS that
+exports it as ``scipy_dposv_64_``), so no run imports SciPy. A numpy built
+against a LAPACK that exports none of the names looked up falls back to
+SciPy's wrapper of the same routine, installed with the ``scipy`` extra.
 """
 
+import ctypes
+
 import numpy as np
-from scipy.linalg.lapack import dposv
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch
 
 SYMMETRY_ATOL_REL = 1e-12
+
+# dposv's names, in lookup order, with the width of their integer arguments:
+# numpy's bundled OpenBLAS, another ILP64 LAPACK, a plain LP64 one
+DPOSV_SYMBOLS = (
+    ("scipy_dposv_64_", ctypes.c_int64),
+    ("dposv_64_", ctypes.c_int64),
+    ("dposv_", ctypes.c_int32),
+)
+
+
+def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
+    """A pointer to a writable C-contiguous array's first byte, made without
+    ``arr.ctypes``, which costs several times more."""
+    return ctypes.c_void_p(ctypes.addressof(ctypes.c_char.from_buffer(arr)))
+
+
+def _numpy_posv():
+    """A stack solver over the ``dposv`` of the LAPACK that numpy's linalg
+    links, or None when that library and its dependencies export none of
+    ``DPOSV_SYMBOLS``.
+
+    The solver overwrites a C-ordered (P, n, n) stack with its factors and a
+    C-ordered (P, n) block of right-hand sides with the solutions, and
+    returns {p: info} for the matrices whose ``info`` is not 0.
+    """
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name, c_int in DPOSV_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            break
+    else:
+        return None
+    # no argtypes, which would check or convert every argument on every call
+    # (1-2 us of a 6 us solve at n = 32): each argument is made once as the
+    # ctypes object dposv takes
+    fn.restype = None
+    uplo, nrhs, uplo_len = ctypes.c_char_p(b"U"), ctypes.byref(c_int(1)), ctypes.c_size_t(1)
+
+    def posv(a, x):
+        count, n = x.shape
+        if not x.size:  # nothing to solve, and from_buffer refuses 0 bytes
+            return {}
+        # n >= 1 here, so n is also lda = ldb = max(1, n)
+        n_ref, info = ctypes.byref(c_int(n)), c_int()
+        info_ref = ctypes.byref(info)
+        a_p, x_p = _pointer(a), _pointer(x)
+        a_step, x_step = n * n * a.itemsize, n * x.itemsize
+        failed = {}
+        # a C-ordered matrix read as Fortran is its transpose, so "U" reads
+        # the lower triangle; the pointers step through the stack in place,
+        # so no object is made per matrix
+        for p in range(count):
+            fn(uplo, n_ref, nrhs, a_p, n_ref, x_p, n_ref, info_ref, uplo_len)
+            if info.value:
+                failed[p] = info.value
+            a_p.value += a_step
+            x_p.value += x_step
+        return failed
+
+    return posv
+
+
+def _scipy_posv():
+    """The same stack solver over SciPy's wrapper of ``dposv``."""
+    try:
+        from scipy.linalg.lapack import dposv
+    except ImportError as exc:
+        raise ImportError(
+            "numpy's LAPACK exports no dposv; install SciPy's with "
+            "pip install 'pabeam[scipy]'"
+        ) from exc
+
+    def posv(a, x):
+        failed = {}
+        for p, mat in enumerate(a):
+            # mat.T is the Fortran-ordered view of mat, so its upper triangle
+            # is mat's lower one
+            _, x[p], info = dposv(mat.T, x[p], lower=0)
+            if info:
+                failed[p] = info
+        return failed
+
+    return posv
+
+
+_posv = _numpy_posv() or _scipy_posv()
 
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -49,14 +146,26 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         (x, ok): solutions of shape (P, n) and a (P,) mask of the matrices
         whose Cholesky factorization succeeded. Rows of x where ok is False
         are NaN.
-    """
-    x = np.full(a.shape[:-1], np.nan)
-    ok = np.zeros(len(a), dtype=bool)
-    for p, mat in enumerate(a):
-        # mat.T is the Fortran-ordered view of mat, so its upper triangle is
-        # mat's lower one; info > 0 is a non-positive pivot
-        _, x_p, info = dposv(mat.T, b, lower=0)
-        if info == 0:
-            x[p], ok[p] = x_p, True
-    return x, ok
 
+    Raises:
+        DimensionMismatch: ``a`` is not a stack of square matrices or ``b``
+            does not match them.
+        RuntimeError: ``dposv`` refused one of its arguments, a fault in
+            this module rather than a matrix that is not positive definite.
+    """
+    # dposv overwrites its matrix with the factor and b with the solution
+    a = np.array(a, dtype=np.float64, order="C")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or np.shape(b) != a.shape[2:]:
+        raise DimensionMismatch(
+            f"expected a (P, n, n) stack and an (n,) vector, got {a.shape} and {np.shape(b)}"
+        )
+    x = np.empty(a.shape[:-1])
+    x[...] = b
+    failed = _posv(a, x)
+    ok = np.ones(len(a), dtype=bool)
+    if failed:
+        if min(failed.values()) < 0:
+            raise RuntimeError(f"dposv refused its argument {-min(failed.values())}")
+        ok[list(failed)] = False
+        x[~ok] = np.nan
+    return x, ok

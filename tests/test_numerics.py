@@ -1,8 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pabeam import numerics
 from pabeam.errors import DimensionMismatch
 from pabeam.numerics import check_symmetric, spd_solve_stack
+
+# the two dposv paths: numpy's own LAPACK (None on a numpy whose LAPACK
+# exports none of the names looked up) and SciPy's wrapper
+NUMPY_POSV = numerics._numpy_posv()
+SCIPY_POSV = numerics._scipy_posv()
 
 
 def solve_one(a, b):
@@ -108,3 +119,112 @@ def test_solve_stack_mixed():
     x2, ok2 = spd_solve_stack(a, b)
     np.testing.assert_array_equal(ok2, ok)
     np.testing.assert_array_equal(x2, x)
+
+
+def solve_with(posv, a, b):
+    """spd_solve_stack through one dposv path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_posv", posv)
+        return spd_solve_stack(a, b)
+
+
+@st.composite
+def stacks(draw):
+    """A stack of symmetric matrices, some not positive definite, and a
+    right-hand side; the strict upper triangle may hold junk."""
+    n = draw(st.integers(1, 33))
+    # per matrix: the shift of g g^T / n (-0.5 is indefinite for most g),
+    # or an all-zero matrix
+    kinds = draw(st.lists(st.sampled_from((1.0, 1e-3, 0.0, -0.5, "zero")), max_size=6))
+    scale = draw(st.sampled_from((1e-150, 1.0, 1e150)))
+    junk = draw(st.sampled_from((None, 1e300, -7.0, np.nan)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((len(kinds), n, n))
+    a = np.matmul(g, np.swapaxes(g, 1, 2)) / n
+    for mat, kind in zip(a, kinds):
+        if kind == "zero":
+            mat[...] = 0.0
+        else:
+            mat += kind * np.eye(n)
+    a *= scale
+    if junk is not None:
+        upper = np.triu_indices(n, 1)
+        a[:, upper[0], upper[1]] = junk
+    return a, rng.standard_normal(n)
+
+
+@pytest.mark.skipif(NUMPY_POSV is None, reason="numpy's LAPACK exports no dposv")
+@settings(max_examples=150, deadline=None)
+@given(stack=stacks())
+def test_numpy_and_scipy_dposv_agree_bit_for_bit(stack):
+    a, b = stack
+    before = a.tobytes()
+    x_np, ok_np = solve_with(NUMPY_POSV, a, b)
+    assert a.tobytes() == before
+    x_sp, ok_sp = solve_with(SCIPY_POSV, a, b)
+    assert a.tobytes() == before
+    assert x_np.shape == x_sp.shape == a.shape[:-1]
+    assert x_np.tobytes() == x_sp.tobytes()
+    np.testing.assert_array_equal(ok_np, ok_sp)
+    assert np.isnan(x_np[~ok_np]).all()
+
+
+@pytest.mark.skipif(NUMPY_POSV is None, reason="numpy's LAPACK exports no dposv")
+def test_numpy_dposv_prints_nothing(capfd):
+    # OpenBLAS reports an illegal argument on stdout, which would corrupt the
+    # CLI's output; every argument the solver passes is legal, n = 1 and
+    # failing matrices included
+    for n in (1, 2, 9, 33):
+        a = np.stack([np.eye(n), -np.eye(n), np.zeros((n, n))])
+        x, ok = solve_with(NUMPY_POSV, a, np.ones(n))
+        np.testing.assert_array_equal(ok, [True, False, False])
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("posv", [SCIPY_POSV, NUMPY_POSV], ids=["scipy", "numpy"])
+def test_illegal_argument_raises(monkeypatch, posv):
+    # a negative info is a bug in the call, never a fallback pixel
+    if posv is None:
+        pytest.skip("numpy's LAPACK exports no dposv")
+
+    def illegal(a, x):
+        return {**posv(a, x), 1: -4}
+
+    monkeypatch.setattr(numerics, "_posv", illegal)
+    with pytest.raises(RuntimeError, match="argument 4"):
+        spd_solve_stack(np.stack([np.eye(2), np.eye(2), -np.eye(2)]), np.ones(2))
+
+
+def test_stack_shapes_checked():
+    # the solver walks raw memory, so every shape is checked first
+    for a, b in ((np.ones((2, 3, 4)), np.ones(4)), (np.ones((2, 3, 3)), np.ones(4)),
+                 (np.eye(3), np.ones(3)), (np.ones((2, 3, 3)), np.ones((1, 3)))):
+        with pytest.raises(DimensionMismatch):
+            spd_solve_stack(a, b)
+
+
+def test_empty_stack():
+    x, ok = spd_solve_stack(np.zeros((0, 4, 4)), np.ones(4))
+    assert x.shape == (0, 4) and ok.shape == (0,)
+
+
+def test_no_dposv_anywhere_names_the_extra():
+    # a fresh interpreter whose numpy LAPACK exports no dposv and that has
+    # no SciPy: importing pabeam says which extra to install
+    code = (
+        "import ctypes, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "class NoSymbols:\n"
+        "    def __init__(self, name):\n"
+        "        pass\n"
+        "    def __getattr__(self, name):\n"
+        "        raise AttributeError(name)\n"
+        "ctypes.CDLL = NoSymbols\n"
+        "try:\n"
+        "    import pabeam\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert "pabeam[scipy]" in run.stdout

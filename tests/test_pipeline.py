@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pabeam import io as pio
-from pabeam import pipeline
+from pabeam import numerics, pipeline
 from pabeam.beamformers import (
     Method,
     MsmvConfig,
@@ -558,6 +558,10 @@ def test_worker_processes_end_with_the_call(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# whether dposv comes from numpy's own LAPACK rather than SciPy's
+NUMPY_LAPACK = numerics._numpy_posv() is not None
+
+
 @functools.cache
 def fresh_run_modules():
     """Modules a fresh interpreter has loaded after importing the CLI and
@@ -587,13 +591,48 @@ def test_one_worker_loads_no_process_pool():
             if m.startswith(("concurrent.futures.process", "multiprocessing"))] == []
 
 
-def test_run_loads_no_scipy_signal():
-    # envelope and pulse are computed in place, the envelope with numpy.fft;
-    # scipy is loaded for scipy.linalg's dposv alone, as importing
-    # scipy.signal, scipy.fft or scipy.special costs more than a small run
-    assert "scipy.linalg" in fresh_run_modules()
-    assert [m for m in fresh_run_modules()
+def test_run_loads_no_scipy():
+    # envelope and pulse are computed in place, the envelope with numpy.fft,
+    # and dposv is called from numpy's own LAPACK, so no SciPy module is
+    # loaded; a numpy whose LAPACK exports no dposv loads scipy.linalg's,
+    # still not scipy.signal, scipy.fft or scipy.special, each of which costs
+    # more than a small run
+    loaded = [m for m in fresh_run_modules() if m.startswith("scipy")]
+    if NUMPY_LAPACK:
+        assert loaded == []
+    assert [m for m in loaded
             if m.startswith(("scipy.signal", "scipy.fft", "scipy.special"))] == []
+
+
+def test_run_without_scipy_forms_the_same_images(tmp_path):
+    # a fresh interpreter in which SciPy cannot be imported forms the DAS, MV
+    # and MSMV planes and fallback counts of a normal run
+    pio.write_rf(tmp_path / "rf", noisy_frame())
+    frame = pio.read_rf(tmp_path / "rf")
+    grid = (-3e-3, 3e-3, 9e-3, 11e-3, 7, 3)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from pabeam import ImageGrid, Method, reconstruct\n"
+        "from pabeam import io as pio\n"
+        f"frame = pio.read_rf({str(tmp_path / 'rf')!r})\n"
+        f"images = [reconstruct(frame, ImageGrid{grid}, m, L={TILE_L}, K={TILE_K})\n"
+        "          for m in Method]\n"
+        f"np.save({str(tmp_path / 'planes.npy')!r}, [i.beamformed for i in images])\n"
+        "print([i.fallback_pixel_count for i in images])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    if not NUMPY_LAPACK:
+        assert "pabeam[scipy]" in run.stderr
+        return
+    assert run.returncode == 0, run.stderr
+    images = [reconstruct(frame, ImageGrid(*grid), m, L=TILE_L, K=TILE_K)
+              for m in Method]
+    assert np.array_equal(np.load(tmp_path / "planes.npy"),
+                          [i.beamformed for i in images])
+    assert run.stdout.strip() == str([i.fallback_pixel_count for i in images])
 
 
 @settings(max_examples=10, deadline=None)
