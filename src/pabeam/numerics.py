@@ -12,9 +12,9 @@ lower triangle.
 
 ``dposv`` is called through ``ctypes`` from the LAPACK that numpy's own
 ``linalg`` already loads (numpy's wheels bundle an ILP64 OpenBLAS that
-exports it as ``scipy_dposv_64_``), so no run imports SciPy. A numpy built
-against a LAPACK that exports none of the names looked up falls back to
-SciPy's wrapper of the same routine, installed with the ``scipy`` extra.
+exports it as ``scipy_dposv_64_``), so no run imports SciPy. A numpy whose
+LAPACK does not export that name falls back to SciPy's wrapper of the same
+routine, imported only then.
 """
 
 import ctypes
@@ -26,13 +26,10 @@ from .errors import DimensionMismatch
 
 SYMMETRY_ATOL_REL = 1e-12
 
-# dposv's names, in lookup order, with the width of their integer arguments:
-# numpy's bundled OpenBLAS, another ILP64 LAPACK, a plain LP64 one
-DPOSV_SYMBOLS = (
-    ("scipy_dposv_64_", ctypes.c_int64),
-    ("dposv_64_", ctypes.c_int64),
-    ("dposv_", ctypes.c_int32),
-)
+# dposv in the OpenBLAS numpy's wheels bundle: numpy's prefix, and the 64_
+# suffix of its ILP64 interface, whose integer arguments are 64-bit. Other
+# names are not looked up, as a name alone does not tell their width
+DPOSV_SYMBOL = "scipy_dposv_64_"
 
 
 def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
@@ -43,8 +40,8 @@ def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
 
 def _numpy_posv():
     """A stack solver over the ``dposv`` of the LAPACK that numpy's linalg
-    links, or None when that library and its dependencies export none of
-    ``DPOSV_SYMBOLS``.
+    links, or None when that library and its dependencies do not export
+    ``DPOSV_SYMBOL``.
 
     The solver overwrites a C-ordered (P, n, n) stack with its factors and a
     C-ordered (P, n) block of right-hand sides with the solutions, and
@@ -54,12 +51,10 @@ def _numpy_posv():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for name, c_int in DPOSV_SYMBOLS:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            break
-    else:
+    fn = getattr(lib, DPOSV_SYMBOL, None)
+    if fn is None:
         return None
+    c_int = ctypes.c_int64
     # no argtypes, which would check or convert every argument on every call
     # (1-2 us of a 6 us solve at n = 32): each argument is made once as the
     # ctypes object dposv takes
@@ -92,13 +87,7 @@ def _numpy_posv():
 
 def _scipy_posv():
     """The same stack solver over SciPy's wrapper of ``dposv``."""
-    try:
-        from scipy.linalg.lapack import dposv
-    except ImportError as exc:
-        raise ImportError(
-            "numpy's LAPACK exports no dposv; install SciPy's with "
-            "pip install 'pabeam[scipy]'"
-        ) from exc
+    from scipy.linalg.lapack import dposv
 
     def posv(a, x):
         failed = {}

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +8,7 @@ from pabeam.errors import DimensionMismatch
 from pabeam.numerics import check_symmetric, spd_solve_stack
 
 # the two dposv paths: numpy's own LAPACK (None on a numpy whose LAPACK
-# exports none of the names looked up) and SciPy's wrapper
+# does not export numerics.DPOSV_SYMBOL) and SciPy's wrapper
 NUMPY_POSV = numerics._numpy_posv()
 SCIPY_POSV = numerics._scipy_posv()
 
@@ -206,25 +203,3 @@ def test_stack_shapes_checked():
 def test_empty_stack():
     x, ok = spd_solve_stack(np.zeros((0, 4, 4)), np.ones(4))
     assert x.shape == (0, 4) and ok.shape == (0,)
-
-
-def test_no_dposv_anywhere_names_the_extra():
-    # a fresh interpreter whose numpy LAPACK exports no dposv and that has
-    # no SciPy: importing pabeam says which extra to install
-    code = (
-        "import ctypes, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "class NoSymbols:\n"
-        "    def __init__(self, name):\n"
-        "        pass\n"
-        "    def __getattr__(self, name):\n"
-        "        raise AttributeError(name)\n"
-        "ctypes.CDLL = NoSymbols\n"
-        "try:\n"
-        "    import pabeam\n"
-        "except ImportError as exc:\n"
-        "    print(exc)\n"
-    )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert "pabeam[scipy]" in run.stdout
