@@ -379,9 +379,16 @@ def read_image(base) -> PaImage:
 
 
 def write_pgm(path, db: np.ndarray, dynamic_range_db: float) -> None:
-    """8-bit binary PGM of a db plane; -DR maps to 0 and 0 dB to 255."""
-    gray = np.rint((db + dynamic_range_db) / dynamic_range_db * 255.0)
-    gray = np.clip(gray, 0, 255).astype(np.uint8)
+    """8-bit binary PGM of a db plane; -DR maps to 0 and 0 dB to 255.
+
+    Shift, scale, round and clip run in one float64 array, so the call peaks
+    at that plane plus its 8-bit copy; ``db`` is left as it was.
+    """
+    gray = np.add(db, dynamic_range_db)
+    gray /= dynamic_range_db
+    gray *= 255.0
+    np.rint(gray, out=gray)
+    gray = np.clip(gray, 0, 255, out=gray).astype(np.uint8)
     nz, nx = gray.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{nx} {nz}\n255\n".encode("ascii"))

@@ -134,10 +134,19 @@ def synth_pulse(f0: float, fractional_bandwidth: float, fs: float) -> np.ndarray
 
     Raises:
         InvalidBandwidth, ConfigError: as ``_pulse_shape``.
+        ConfigError: a bandwidth so narrow that the pulse's samples cannot be
+            allocated.
     """
     a, half = _pulse_shape(f0, fractional_bandwidth, fs)
-    t = np.arange(-half, half + 1) / fs
-    return np.exp(-a * t * t) * np.cos(2 * np.pi * f0 * t)
+    try:
+        t = np.arange(-half, half + 1) / fs
+        return np.exp(-a * t * t) * np.cos(2 * np.pi * f0 * t)
+    except (MemoryError, ValueError) as exc:
+        # ValueError: more samples than an array can index
+        raise ConfigError(
+            f"fractional bandwidth {fractional_bandwidth} makes a pulse of "
+            f"{2 * half + 1:.3g} samples, which cannot be allocated"
+        ) from exc
 
 
 def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFrame:
@@ -167,6 +176,7 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
     pulse = synth_pulse(geometry.center_frequency, B, fs)
     center = (len(pulse) - 1) // 2
     idx = np.arange(len(pulse))
+    rows = np.indices((geometry.n_elements, len(pulse)))[0]
 
     for ab in phantom.absorbers:
         dx = geometry.element_x - ab.x
@@ -176,17 +186,18 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
                 f"absorber at ({ab.x}, {ab.z}) beyond t_max*c = {t_max * c:.4g} m"
             )
         tau = d / c * fs  # fractional sample index of arrival
-        for m in range(geometry.n_elements):
-            pos = tau[m] + idx - center
-            k = np.floor(pos).astype(np.int64)
-            frac = pos - k
-            lo_ok = (k >= 0) & (k < n_t)
-            hi_ok = (k + 1 >= 0) & (k + 1 < n_t)
-            # overflow (inf, and inf * 0 = NaN) is refused below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib = (ab.amplitude / d[m]) * pulse
-                np.add.at(samples[m], k[lo_ok], (1.0 - frac[lo_ok]) * contrib[lo_ok])
-                np.add.at(samples[m], k[hi_ok] + 1, frac[hi_ok] * contrib[hi_ok])
+        # (element, pulse sample); each channel's samples are added low
+        # neighbours first, then high, as a loop over the elements would
+        pos = tau[:, None] + idx - center
+        k = np.floor(pos).astype(np.int64)
+        frac = pos - k
+        lo_ok = (k >= 0) & (k < n_t)
+        hi_ok = (k + 1 >= 0) & (k + 1 < n_t)
+        # overflow (inf, and inf * 0 = NaN) is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = (ab.amplitude / d[:, None]) * pulse
+            np.add.at(samples, (rows[lo_ok], k[lo_ok]), (1.0 - frac[lo_ok]) * contrib[lo_ok])
+            np.add.at(samples, (rows[hi_ok], k[hi_ok] + 1), frac[hi_ok] * contrib[hi_ok])
     # NaN fails the comparison too
     if not np.all(np.abs(samples) <= np.finfo(np.float32).max):
         raise ConfigError("phantom.absorbers: amplitudes make samples too large for float32")

@@ -181,31 +181,34 @@ def _beamform_rows(
     tile: int,
     span: int,
     **tile_settings,
-) -> np.ndarray:
-    """The block (len(methods) + 1, row, column) of the image rows ``rows``;
-    row j holds image row rows[j]. Each row is gathered at ``offsets`` a span
-    of ``span`` pixels at a time and beamformed tile by tile of ``tile``
-    pixels sliced from it. ``tile_settings`` are the rest of
-    ``_beamform_tile``'s arguments, whose block layout this keeps.
+) -> list[np.ndarray]:
+    """The planes (row, column) of the image rows ``rows``, one per method in
+    order, then the boolean mask of the pixels whose adaptive weights fell
+    back to DAS; row j holds image row rows[j]. Each row is gathered at
+    ``offsets`` a span of ``span`` pixels at a time and beamformed tile by
+    tile of ``tile`` pixels sliced from it. ``tile_settings`` are the rest of
+    ``_beamform_tile``'s arguments; each row of its block fills one plane, so
+    an image can keep its own plane and nothing else.
 
     A span whose gathered data is all zero, such as one whose every read
     index is past the record, is not beamformed: each of its pixels would
     have a zero covariance, so every method gives 0 and the adaptive ones
-    fall back. The block keeps its zeros there and marks the fallback (not
-    counted in a DAS image).
+    fall back. The planes keep their zeros there and the mask marks the
+    fallback (not counted in a DAS image).
     """
-    block = np.zeros((len(methods) + 1, len(rows), len(xs)))
+    shape = (len(rows), len(xs))
+    planes = [np.zeros(shape) for _ in methods] + [np.zeros(shape, dtype=bool)]
     for j, iz in enumerate(rows):
         for s in range(0, len(xs), span):
             gathered = gather_delayed(frame, xs[s:s + span], zs[iz], offsets)
             if not gathered.any():
-                block[-1, j, s:s + span] = 1.0
+                planes[-1][j, s:s + span] = True
                 continue
             for i in range(0, len(gathered), tile):
-                block[:, j, s + i:s + i + tile] = _beamform_tile(
-                    gathered[i:i + tile], methods, **tile_settings
-                )
-    return block
+                block = _beamform_tile(gathered[i:i + tile], methods, **tile_settings)
+                for plane, values in zip(planes, block):
+                    plane[j, s + i:s + i + tile] = values
+    return planes
 
 
 # The keyword arguments of _beamform_rows in a worker process, filled in once
@@ -214,7 +217,7 @@ def _beamform_rows(
 _worker_kernel: dict = {}
 
 
-def _worker_rows(rows: range) -> np.ndarray:
+def _worker_rows(rows: range) -> list[np.ndarray]:
     """``_beamform_rows`` in a worker process."""
     return _beamform_rows(rows, **_worker_kernel)
 
@@ -256,7 +259,12 @@ def reconstruct_methods(
     run them in parallel). They inherit the frame and settings through the
     fork, so ``fork`` must be a start method of the platform (Linux) and the
     calling process should run no other threads. Each block returns its rows
-    of the kernel's block; all workers have exited when this returns or raises.
+    of every plane and of the fallback mask, joined plane by plane; all
+    workers have exited when this returns or raises.
+
+    Each image owns its plane, the kernel's own output for its method, so it
+    holds one plane and keeps neither the fallback mask nor another method's
+    plane alive.
 
     Returns:
         One image per entry of ``methods``, in order.
@@ -286,7 +294,7 @@ def reconstruct_methods(
         L=L, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     if workers == 1:
-        block = _beamform_rows(range(grid.nz), **kernel)
+        *planes, fallback = _beamform_rows(range(grid.nz), **kernel)
     else:
         # Imported here: loading the process pool costs 17-20 ms, which a
         # one-worker run need not pay.
@@ -303,9 +311,8 @@ def reconstruct_methods(
             initializer=_worker_kernel.update,
             initargs=(kernel,),
         ) as pool:
-            block = np.concatenate(list(pool.map(_worker_rows, blocks)), axis=1)
+            *planes, fallback = map(np.concatenate, zip(*pool.map(_worker_rows, blocks)))
 
-    *planes, fallback = block
     n_fallback = int(fallback.sum())
     return tuple(
         PaImage(
@@ -336,34 +343,49 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
     U = 2 on bins 1 .. (n+1)//2 - 1, 0 from bin n//2 + 1 on and 1 at DC and
     (even n) Nyquist: SciPy's signal-module ``hilbert``, which this equals bit
     for bit, as U keeps only the bins where numpy's ``rfft`` has SciPy's bits.
+    The inverse FFT overwrites the spectrum, so the call peaks at one complex
+    plane plus the returned magnitude (three float64 planes), and
+    ``beamformed`` is left as it was.
     """
     x = np.asarray(beamformed, dtype=np.float64)
     n = x.shape[0]
     spectrum = np.zeros(x.shape, dtype=np.complex128)
     np.fft.rfft(x, axis=0, out=spectrum[:n // 2 + 1])
     spectrum[1:(n + 1) // 2] *= 2.0
-    return np.abs(np.fft.ifft(spectrum, axis=0))
+    return np.abs(np.fft.ifft(spectrum, axis=0, out=spectrum))
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
-    """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0]."""
+    """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0].
+
+    Divide, log10, scale by 20 and clamp all run in the one returned array;
+    ``envelope`` is left as it was.
+    """
     dynamic_range_db = dynamic_range(dynamic_range_db)
     envelope = np.asarray(envelope, dtype=np.float64)
     peak = envelope.max(initial=0.0)
     if peak == 0.0:
         return np.full_like(envelope, -dynamic_range_db)
+    db = np.divide(envelope, peak)
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(envelope / peak)
-    return np.maximum(db, -dynamic_range_db)
+        np.log10(db, out=db)
+    db *= 20.0
+    return np.maximum(db, -dynamic_range_db, out=db)
 
 
 def finalize(image: PaImage, dynamic_range_db: float | None = None) -> PaImage:
     """Fills in the normalized envelope and log-compressed planes over
-    ``dynamic_range_db`` (see ``dynamic_range`` for its default)."""
+    ``dynamic_range_db`` (see ``dynamic_range`` for its default).
+
+    The envelope is normalized in place, so the call peaks at three float64
+    planes beyond ``image.beamformed`` (``envelope_detect``'s), and holds two
+    when it returns: the envelope and the dB plane. ``image`` is not changed.
+    """
     dynamic_range_db = dynamic_range(dynamic_range_db)
     env = envelope_detect(image.beamformed)
     peak = env.max(initial=0.0)
-    env = env / peak if peak > 0.0 else env
+    if peak > 0.0:
+        env /= peak
     return replace(
         image,
         envelope=env,

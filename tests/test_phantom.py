@@ -109,8 +109,53 @@ class TestSynthPulse:
         assert np.array_equal(synth_pulse(f0, bandwidth, fs),
                               gausspulse(t, fc=f0, bw=bandwidth, bwr=-6))
 
+    @pytest.mark.parametrize("bandwidth", [1e-12, 1e-150])
+    def test_unallocatable_pulse_is_config_error(self, bandwidth):
+        # ~2.6e13 samples (187 TiB) and more than an array can index: both
+        # are refused before any memory is touched
+        with pytest.raises(ConfigError, match=f"^fractional bandwidth {bandwidth} "):
+            synth_pulse(5e6, bandwidth, 40e6)
+
+
+def per_element_rf(geometry, phantom, t_max):
+    """``simulate_rf``'s samples from a loop over the elements: each
+    absorber's pulse is split between the two samples around its arrival,
+    channel by channel, low neighbours first."""
+    fs = geometry.sampling_rate
+    n_t = int(np.ceil(t_max * fs))
+    samples = np.zeros((geometry.n_elements, n_t))
+    pulse = synth_pulse(geometry.center_frequency, geometry.fractional_bandwidth, fs)
+    center = (len(pulse) - 1) // 2
+    idx = np.arange(len(pulse))
+    for ab in phantom.absorbers:
+        d = np.hypot(geometry.element_x - ab.x, ab.z)
+        tau = d / geometry.sound_speed * fs
+        for m in range(geometry.n_elements):
+            pos = tau[m] + idx - center
+            k = np.floor(pos).astype(np.int64)
+            frac = pos - k
+            lo_ok = (k >= 0) & (k < n_t)
+            hi_ok = (k + 1 >= 0) & (k + 1 < n_t)
+            contrib = (ab.amplitude / d[m]) * pulse
+            np.add.at(samples[m], k[lo_ok], (1.0 - frac[lo_ok]) * contrib[lo_ok])
+            np.add.at(samples[m], k[hi_ok] + 1, frac[hi_ok] * contrib[hi_ok])
+    return samples
+
 
 class TestSimulateRf:
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.02, 1.0)],
+        # overlapping echoes, off axis
+        [(1.2e-3, 0.018, 2.0), (-0.4e-3, 0.0181, 0.5), (0.0, 0.025, 40.0)],
+        # pulses cut by the start and by the end of the 400-sample record
+        [(0.0, 1e-4, 1.0), (0.3e-3, 0.0306, 3.0)],
+    ], ids=["one", "overlapping", "cut by the record"])
+    def test_equals_per_element_loop(self, points):
+        geo = small_geometry()
+        phantom = Phantom.from_points([Absorber(x, z, a) for x, z, a in points])
+        frame = simulate_rf(geo, phantom, 20e-6)
+        assert frame.samples.tobytes() == per_element_rf(geo, phantom, 20e-6).tobytes()
+
     def test_arrival_sample(self):
         # d/c*fs = 0.03/1540 * 2e7 = 389.61
         geo = ArrayGeometry(

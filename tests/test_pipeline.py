@@ -1,8 +1,10 @@
 import functools
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +251,67 @@ class TestReconstruct:
     def test_unknown_method_is_config_error(self):
         with pytest.raises(ConfigError, match="^method: 'bogus'.*das, mv, msmv"):
             reconstruct(point_frame(), SMALL_GRID, "bogus")
+
+
+def traced(call):
+    """``call()``, the bytes of numpy array data it leaves allocated, and its
+    peak of all allocations, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    return result, sum(trace.size for trace in arrays.traces), peak
+
+
+class TestPlaneBudgets:
+    """Everything after the kernel scales with the grid, so it is held to a
+    budget in planes: P bytes, one float64 plane of the grid."""
+
+    GRID = ImageGrid(-4e-3, 4e-3, 15e-3, 25e-3, 120, 130)
+    P = 130 * 120 * 8
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        frame = point_frame()
+        frame.guarded  # the frame's cached copy is not the image's
+        return frame
+
+    def test_each_image_owns_one_plane(self, frame):
+        # each call runs once untraced, so first-use caches are not counted
+        das = functools.partial(reconstruct, frame, self.GRID, Method.DAS, K=1)
+        das()
+        image, held, _ = traced(das)
+        assert image.beamformed.base is None
+        assert held <= 1.1 * self.P
+        every = functools.partial(reconstruct_methods, frame, self.GRID, tuple(Method),
+                                  K=1, msmv=MsmvConfig(n_iter=1))
+        every()
+        images, held, _ = traced(every)
+        assert all(image.beamformed.base is None for image in images)
+        assert held <= 3.1 * self.P
+
+    def test_finalize_peak(self, frame):
+        image = reconstruct(frame, self.GRID, Method.DAS, K=1)
+        before = image.beamformed.tobytes()
+        finalize(image)  # untraced first: numpy loads numpy.fft on first use
+        done, _, peak = traced(lambda: finalize(image))
+        assert peak <= 3.1 * self.P
+        assert image.beamformed.tobytes() == before
+        assert done.beamformed is image.beamformed
+
+    def test_log_compress_and_write_pgm_keep_their_input(self, frame, tmp_path):
+        done = finalize(reconstruct(frame, self.GRID, Method.DAS, K=1))
+        env, db = done.envelope.tobytes(), done.db.tobytes()
+        assert log_compress(done.envelope, 50.0).tobytes() == db
+        assert done.envelope.tobytes() == env
+        _, _, peak = traced(lambda: pio.write_pgm(tmp_path / "image.pgm", done.db, 50.0))
+        assert peak <= 1.2 * self.P
+        assert done.db.tobytes() == db
 
 
 # A 64-element array with L=32, K=2 gives tiles of a few dozen pixels, so
