@@ -212,7 +212,9 @@ def msmv_weight(
         raise DimensionMismatch(
             f"snapshot rows {x.shape[0]} != covariance dim {r_loaded.shape[0]}"
         )
-    w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], x.T[None], cfg)
+    # the kernel's C-contiguous snapshot rows: matmul bits depend on layout
+    rows = np.ascontiguousarray(x.T)[None]
+    w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], rows, cfg)
     if not ok[0]:
         raise NotPositiveDefinite("matrix is not positive definite")
     return WeightVector(values=w[0], iterations_run=int(iterations[0]))

@@ -30,8 +30,8 @@ def _simulate_frame(cfg: pio.RunConfig):
     if cfg.phantom is None:
         raise pio.ConfigError("missing required config field: phantom.absorbers")
     frame = simulate_rf(cfg.geometry, cfg.phantom, cfg.t_max)
-    if cfg.noise_snr_db is not None:
-        frame = add_channel_noise(frame, cfg.noise_snr_db, cfg.noise_seed)
+    if cfg.noise.snr_db is not None:
+        frame = add_channel_noise(frame, cfg.noise.snr_db, cfg.noise.seed)
     return frame
 
 
@@ -78,7 +78,7 @@ def cmd_beamform(args) -> int:
         depth_row(cfg.grid, depth)  # a depth outside the grid fails before any work
     image = reconstruct(
         frame, cfg.grid, Method(args.method), L=cfg.L, K=cfg.K,
-        dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
+        dl_factor=cfg.dl, msmv=cfg.msmv, workers=cfg.workers,
     )
     image = finalize(image, cfg.dynamic_range_db)
     pio.write_image(args.out, image)
@@ -124,7 +124,7 @@ def cmd_compare(args) -> int:
     reports = []
     images = reconstruct_methods(
         frame, cfg.grid, tuple(Method), L=cfg.L, K=cfg.K,
-        dl_factor=cfg.dl_factor, msmv=cfg.msmv, workers=cfg.workers,
+        dl_factor=cfg.dl, msmv=cfg.msmv, workers=cfg.workers,
     )
     for method, image in zip(Method, images):
         image = finalize(image, cfg.dynamic_range_db)

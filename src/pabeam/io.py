@@ -39,19 +39,28 @@ RETIRED_MSMV_KEYS = {
 
 
 @dataclass(frozen=True)
+class Noise:
+    """Channel noise added to a simulated frame; none when ``snr_db`` is None."""
+
+    snr_db: float | None
+    seed: int
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """A resolved config. Its fields are the run manifest's keys, in order."""
+
     geometry: ArrayGeometry
-    phantom: Phantom | None
     grid: ImageGrid
     L: int
     K: int
-    dl_factor: float
+    dl: float
     msmv: MsmvConfig
-    noise_snr_db: float | None
-    noise_seed: int
+    noise: Noise
     dynamic_range_db: float
-    t_max: float
+    t_max: float | None  # the simulated record's length; None without a phantom
     workers: int
+    phantom: Phantom | None
 
 
 def _get(raw: dict, path: str, default=None, required: bool = False):
@@ -96,7 +105,8 @@ def _points(raw: dict, path: str, point, **optional) -> tuple:
     ``path``: x and z are required numbers, each key of ``optional`` a number
     with that default. A refused item is named by its index."""
     items = _get(raw, path, required=True)
-    if not isinstance(items, list) or not items:
+    # a tuple is the list of a config_to_dict that was never written as JSON
+    if not isinstance(items, (list, tuple)) or not items:
         raise ConfigError(f"{path} must be a non-empty list")
     pts = []
     for i, item in enumerate(items):
@@ -115,9 +125,10 @@ def resolve_config(raw: dict) -> RunConfig:
     """Fills in defaults and validates a raw config dict.
 
     Defaults mirror the reference imaging setup: 128 elements at 0.3 mm pitch,
-    5 MHz center frequency, 77% bandwidth, 1540 m/s, fs = 20 MHz, L = M/2,
-    K = 2, diagonal loading 1/(100 L), beta = 1 with 10 iterations, 50 dB
-    dynamic range.
+    5 MHz center frequency, 77% bandwidth, 1540 m/s, fs = 20 MHz, L = M/2
+    (1 for one element), K = 2, diagonal loading 1/(100 L), beta = 1 with 10
+    iterations, 50 dB dynamic range. ``t_max`` defaults to the farthest
+    absorber's echo time plus 2 us, and stays None without a phantom.
 
     Raises:
         ConfigError: naming the JSON path of the offending field.
@@ -176,58 +187,43 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError(f"noise.seed: must be >= 0, got {seed}")
 
     t_max = _num(raw, "t_max")
-    if t_max is None:
-        if phantom is not None:
-            d_max = max(
-                float(np.max(np.hypot(geometry.element_x - ab.x, ab.z)))
-                for ab in phantom.absorbers
-            )
-        else:
-            d_max = grid.z_max + abs(grid.x_max)
+    if t_max is not None:
+        t_max = float(t_max)
+        if t_max <= 0:
+            raise ConfigError(f"t_max: must be > 0, got {t_max!r}")
+    elif phantom is not None:
+        d_max = max(
+            float(np.max(np.hypot(geometry.element_x - ab.x, ab.z)))
+            for ab in phantom.absorbers
+        )
         # pulse tail margin: 2 us covers the truncated emission pulse
         t_max = d_max / geometry.sound_speed + 2e-6
-    t_max = float(t_max)
-    if t_max <= 0:
-        raise ConfigError(f"t_max: must be > 0, got {t_max!r}")
 
     return RunConfig(
         geometry=geometry,
-        phantom=phantom,
         grid=grid,
         L=L,
         K=K,
-        dl_factor=dl,
+        dl=dl,
         msmv=msmv,
-        noise_snr_db=None if snr_db is None else float(snr_db),
-        noise_seed=seed,
+        noise=Noise(None if snr_db is None else float(snr_db), seed),
         dynamic_range_db=dynamic_range(_num(raw, "dynamic_range_db")),
         t_max=t_max,
         workers=workers,
+        phantom=phantom,
     )
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved config as a plain JSON-serializable dict.
+    """Fully resolved config as a plain JSON-serializable dict, ``phantom``
+    left out when there is none.
 
     Re-resolving this dict reproduces the run exactly, so it doubles as the
     run manifest.
     """
-    out = {
-        "geometry": asdict(cfg.geometry),
-        "grid": asdict(cfg.grid),
-        "L": cfg.L,
-        "K": cfg.K,
-        "dl": cfg.dl_factor,
-        "msmv": asdict(cfg.msmv),
-        "noise": {"snr_db": cfg.noise_snr_db, "seed": cfg.noise_seed},
-        "dynamic_range_db": cfg.dynamic_range_db,
-        "t_max": cfg.t_max,
-        "workers": cfg.workers,
-    }
-    if cfg.phantom is not None:
-        out["phantom"] = {
-            "absorbers": [asdict(ab) for ab in cfg.phantom.absorbers]
-        }
+    out = asdict(cfg)
+    if cfg.phantom is None:
+        del out["phantom"]
     return out
 
 

@@ -75,13 +75,14 @@ def kernel_settings(
     workers: int | None,
 ) -> tuple[int, int, float, int]:
     """``(L, K, dl_factor, workers)`` with each None filled in by its
-    default, M/2, 2, 1/(100 L) and 1, once all four pass their range checks.
+    default, M/2 (1 for one element), 2, 1/(100 L) and 1, once all four pass
+    their range checks.
 
     Raises:
         ConfigError: naming the config key of the first setting out of range.
     """
     if L is None:
-        L = n_elements // 2
+        L = max(1, n_elements // 2)
     if not 1 <= L <= n_elements:
         raise ConfigError(f"L: {L} outside [1, {n_elements}]")
     K = 2 if K is None else K

@@ -280,7 +280,7 @@ def test_msmv_tile_matches_one_pixel():
     r[9] = random_spd(rng, L)
     r[11] = -np.eye(L)
     snaps = [snaps_from(c, K=K) for c in cols]
-    x = np.stack([s.columns.T for s in snaps])
+    x = np.ascontiguousarray(np.swapaxes(cols, 1, 2))  # the kernel's layout
     w, ok, iterations = msmv_weights(r, x, cfg)
     np.testing.assert_array_equal(ok, [True] * 10 + [False] * 2)
     np.testing.assert_array_equal(iterations, [n_iter] * 10 + [0] * 2)
@@ -297,6 +297,22 @@ def test_msmv_tile_matches_one_pixel():
         else:
             with pytest.raises(NotPositiveDefinite):
                 msmv_weight(r[p], snaps[p], cfg)
+
+
+def test_msmv_weight_independent_of_layout():
+    # the same snapshot values held C- or Fortran-ordered give the same bits,
+    # those of the kernel's C-contiguous snapshot rows; the reweighting
+    # amplifies any roundoff a layout-dependent matmul would add
+    L, n_iter = 16, 12
+    cfg = MsmvConfig(n_iter=n_iter)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        cols = rng.standard_normal((L, 85))
+        r = loaded_covariance(np.ascontiguousarray(cols.T)[None], default_dl_factor(L))[0]
+        kernel, _, _ = msmv_weights(r[None], np.ascontiguousarray(cols.T)[None], cfg)
+        for layout in (np.ascontiguousarray(cols), np.asfortranarray(cols)):
+            w = msmv_weight(r, snaps_from(layout), cfg)
+            assert w.values.tobytes() == kernel[0].tobytes()
 
 
 @pytest.mark.parametrize("j", [1, 4, 8])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pabeam import io as pio
@@ -75,6 +75,43 @@ BAD_VALUES = [
 ]
 
 
+@st.composite
+def _raw_configs(draw):
+    """A valid config that sets any subset of the keys, the phantom, noise
+    and an explicit t_max each present or not."""
+    floats = st.floats
+    raw = draw(st.fixed_dictionaries({}, optional={
+        "geometry": st.fixed_dictionaries(
+            {"n_elements": st.integers(1, 64)},
+            optional={"pitch": floats(1e-5, 1e-3),
+                      "sampling_rate": st.sampled_from([20e6, 40e6, 100e6])},
+        ),
+        "grid": st.builds(
+            lambda x0, dx, z0, dz, nx, nz: {"x_min": x0, "x_max": x0 + dx, "z_min": z0,
+                                           "z_max": z0 + dz, "nx": nx, "nz": nz},
+            floats(-2e-2, 0.0), floats(1e-4, 2e-2), floats(1e-3, 5e-2),
+            floats(1e-4, 2e-2), st.integers(1, 300), st.integers(1, 300),
+        ),
+        "K": st.integers(0, 4),
+        "dl": floats(0.0, 1.0),
+        "msmv": st.fixed_dictionaries({}, optional={"beta": floats(0.0, 10.0),
+                                                    "n_iter": st.integers(0, 20)}),
+        "noise": st.fixed_dictionaries({}, optional={"snr_db": floats(-20.0, 80.0),
+                                                     "seed": st.integers(0, 2**32)}),
+        "dynamic_range_db": floats(1.0, 100.0),
+        "t_max": floats(1e-6, 1e-3),
+        "workers": st.integers(1, 8),
+        "phantom": st.fixed_dictionaries({"absorbers": st.lists(st.fixed_dictionaries(
+            {"x": floats(-1e-2, 1e-2), "z": floats(1e-3, 5e-2)},
+            optional={"amplitude": floats(0.1, 10.0)},
+        ), min_size=1, max_size=3)}),
+    }))
+    if draw(st.booleans()):
+        m = raw.get("geometry", {}).get("n_elements", 128)
+        raw["L"] = draw(st.integers(1, m))
+    return raw
+
+
 class TestResolveConfig:
     def test_defaults(self):
         cfg = pio.resolve_config({})
@@ -83,7 +120,7 @@ class TestResolveConfig:
         assert cfg.geometry.sampling_rate == pytest.approx(20e6)
         assert cfg.L == 64
         assert cfg.K == 2
-        assert cfg.dl_factor == pytest.approx(1.0 / 6400.0)
+        assert cfg.dl == pytest.approx(1.0 / 6400.0)
         assert cfg.msmv.beta == 1.0
         assert cfg.msmv.n_iter == 10
         assert cfg.dynamic_range_db == 50.0
@@ -178,18 +215,39 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="geometry.pitch"):
             pio.resolve_config({"geometry": {"pitch": "wide"}})
 
-    def test_roundtrip_through_dict(self):
-        raw = {
-            "geometry": {"n_elements": 16, "sampling_rate": 40e6},
-            "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
-            "grid": {"x_min": -2e-3, "x_max": 2e-3, "z_min": 0.018,
-                     "z_max": 0.022, "nx": 11, "nz": 13},
-            "noise": {"snr_db": 50.0, "seed": 42},
-        }
+    def test_one_element_default_L(self):
+        # M // 2 is 0 for one element; the default L is at least 1
+        assert pio.resolve_config({"geometry": {"n_elements": 1}}).L == 1
+
+    def test_t_max_only_with_phantom(self):
+        # t_max sizes the simulated frame: derived from the phantom, never
+        # from the grid, and an explicit one is kept without a phantom
+        assert pio.resolve_config({}).t_max is None
+        assert "phantom" not in pio.config_to_dict(pio.resolve_config({}))
+        assert pio.resolve_config({"t_max": 3e-5}).t_max == 3e-5
+        cfg = pio.resolve_config({"phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]}})
+        far = np.hypot(cfg.geometry.element_x[0], 0.02)
+        assert cfg.t_max == far / cfg.geometry.sound_speed + 2e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_raw_configs())
+    @example(raw={
+        "geometry": {"n_elements": 16, "sampling_rate": 40e6},
+        "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
+        "grid": {"x_min": -2e-3, "x_max": 2e-3, "z_min": 0.018,
+                 "z_max": 0.022, "nx": 11, "nz": 13},
+        "noise": {"snr_db": 50.0, "seed": 42},
+    })
+    def test_roundtrip_through_dict(self, raw):
+        # the manifest is the resolved config: read back, in process or as
+        # JSON, it resolves to the same config, and written again it is the
+        # same text
         cfg = pio.resolve_config(raw)
-        again = pio.resolve_config(pio.config_to_dict(cfg))
-        assert pio.config_to_dict(again) == pio.config_to_dict(cfg)
+        assert pio.resolve_config(pio.config_to_dict(cfg)) == cfg
+        text = json.dumps(pio.config_to_dict(cfg), indent=2)
+        again = pio.resolve_config(json.loads(text))
         assert again == cfg
+        assert json.dumps(pio.config_to_dict(again), indent=2) == text
 
 
 class TestRfRoundtrip:
@@ -692,7 +750,7 @@ class TestCli:
         assert (image.grid.nx, image.grid.nz) == (131, 715)
         assert image.dynamic_range_db == cfg.dynamic_range_db
         grid = "--grid=-2e-3,2e-3,0.018,0.022,9,11"
-        explicit = ["--L", str(cfg.L), "--K", str(cfg.K), "--dl", repr(cfg.dl_factor),
+        explicit = ["--L", str(cfg.L), "--K", str(cfg.K), "--dl", repr(cfg.dl),
                     "--beta", repr(cfg.msmv.beta), "--iters", str(cfg.msmv.n_iter),
                     "--dr", repr(cfg.dynamic_range_db), "--workers", str(cfg.workers)]
         for name, flags in (("unset", []), ("explicit", explicit)):
@@ -770,6 +828,27 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert all(part in err["message"] for part in path.split("."))
         assert not outdir.exists()
+
+    def test_compare_one_element(self, tmp_path, capsys):
+        # a one-element array runs with the default L (1); a single element
+        # has no lateral resolution, so each method's metrics fail and are
+        # reported, and every image is still written
+        raw = {
+            "geometry": {"n_elements": 1, "sampling_rate": 40e6},
+            "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
+            "grid": {"x_min": -2e-3, "x_max": 2e-3, "z_min": 0.018,
+                     "z_max": 0.022, "nx": 9, "nz": 11},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out", str(outdir)]) == 0
+        for m in ("das", "mv", "msmv"):
+            for ext in (".bin", ".json", ".pgm"):
+                assert (outdir / f"image_{m}{ext}").exists()
+        assert json.loads((outdir / "run-manifest.json").read_text())["L"] == 1
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["method"] for e in errors] == ["das", "mv", "msmv"]
 
     def test_compare_absorber_outside_grid(self, tmp_path, capsys):
         # an absorber deeper than the grid has no profile and fails its

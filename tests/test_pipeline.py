@@ -237,7 +237,7 @@ class TestReconstruct:
         grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 5, 7)
         cfg = pio.resolve_config({"geometry": {"n_elements": 16, "sampling_rate": 40e6}})
         explicit = reconstruct(frame, grid, method, L=cfg.L, K=cfg.K,
-                               dl_factor=cfg.dl_factor, workers=cfg.workers)
+                               dl_factor=cfg.dl, workers=cfg.workers)
         unset = reconstruct(frame, grid, method)
         assert np.array_equal(unset.beamformed, explicit.beamformed)
         assert unset.fallback_pixel_count == explicit.fallback_pixel_count
