@@ -66,7 +66,8 @@ def gather_delayed(
 
     Each channel is read at its fractional index t by linear interpolation
     between flat ``take``s of samples floor(t) and floor(t) + 1 from the
-    frame's ``guarded`` record. The floor is clipped to [-2, T], so every
+    frame's ``guarded`` record, the array its samples live in, so nothing is
+    copied or padded per call. The floor is clipped to [-2, T], so every
     read outside [0, T-1] lands on a guard zero and reads as 0.
     """
     n_t = frame.n_samples

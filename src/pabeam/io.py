@@ -19,7 +19,7 @@ from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
 from .delays import FocalPoint
 from .errors import ConfigError, PabeamError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
-from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
+from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame, guarded_samples
 from .pipeline import ImageGrid, PaImage, dynamic_range, finalize, kernel_settings
 
 RF_MAGIC = "PARF"
@@ -304,15 +304,19 @@ def read_rf(base) -> RfFrame:
         if not np.array_equal(element_x, geometry.element_x):
             raise ConfigError("element_x is not uniform and centred on x=0")
         snr = _num(header, "channel_snr_db")
-        data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
+        data = np.fromfile(bin_path, dtype="<f4")
         if data.size != m * t:
             raise ConfigError(f"{bin_path.name} holds {data.size} samples, not {m * t}")
+        # converted straight into the frame's record, with no float64 copy
+        samples = guarded_samples(m, t)
+        samples[...] = data.reshape(m, t)
+        del data  # the check's mask fits where the file's samples were
         # the solver takes a NaN covariance as positive definite
-        if not np.isfinite(data).all():
+        if not np.isfinite(samples).all():
             raise ConfigError(f"{bin_path.name} holds a NaN or infinite sample")
     return RfFrame(
         geometry=geometry,
-        samples=data.reshape(m, t),
+        samples=samples,
         channel_snr_db=None if snr is None else float(snr),
     )
 

@@ -6,7 +6,7 @@ spreading, sub-sample arrival times split linearly between adjacent samples,
 plus optional Gaussian channel noise.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -73,25 +73,64 @@ class Phantom:
         return cls(absorbers=tuple(points))
 
 
+def guarded_samples(n_elements: int, n_samples: int) -> np.ndarray:
+    """Zeroed (n_elements, n_samples) float64 samples that are the interior
+    of a fresh guarded record, which an ``RfFrame`` built on them adopts."""
+    return np.zeros((n_elements, n_samples + 4))[:, 2:-2]
+
+
+def _record_of(samples: np.ndarray) -> np.ndarray | None:
+    """The (M, T + 4) record whose interior ``[:, 2:-2]`` is exactly
+    ``samples`` (M, T), if its guard columns are all zero; else None."""
+    record = samples.base
+    if not (isinstance(record, np.ndarray) and record.dtype == samples.dtype == np.float64
+            and record.flags.c_contiguous
+            and record.shape == (len(samples), samples.shape[1] + 4)
+            and record.strides == samples.strides
+            and record.ctypes.data + 16 == samples.ctypes.data):
+        return None
+    return None if record[:, :2].any() or record[:, -2:].any() else record
+
+
 @dataclass(frozen=True)
 class RfFrame:
-    """Raw multi-channel time series, one row per element."""
+    """Raw multi-channel time series, one row per element.
+
+    The frame lives in one guarded record, a zeroed (M, T + 4) float64
+    array holding each channel between two zeros before and two after.
+    ``samples`` is its interior ``[:, 2:-2]`` and ``guarded`` the whole
+    record flattened (sample t of row m at m (T + 4) + t + 2), which
+    ``gather_delayed`` reads; both are views of the one array, so a change
+    to ``samples`` shows in the next gather. Samples that are already the
+    interior of a record with zero guards (those of another frame, or of
+    ``guarded_samples``) are adopted as they are; any others, of any dtype,
+    are copied once into a new record.
+    """
 
     geometry: ArrayGeometry
     samples: np.ndarray  # (M, T) float64
     channel_snr_db: float | None = None
+    guarded: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples)
+        if samples.ndim != 2:
+            raise ValueError(f"samples must be (M, T), got shape {samples.shape}")
+        record = _record_of(samples)
+        if record is None:
+            given, samples = samples, guarded_samples(*samples.shape)
+            samples[...] = given
+            record = samples.base
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "guarded", record.reshape(-1))
+
+    def __reduce__(self):
+        # a copy or unpickled frame gets its own record, not two arrays
+        return RfFrame, (self.geometry, self.samples, self.channel_snr_db)
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @cached_property
-    def guarded(self) -> np.ndarray:
-        """The samples with two zeros before and after each channel,
-        flattened (sample t of row m at m (T + 4) + t + 2), which
-        ``gather_delayed`` reads. Built on first use as one copy of the
-        frame, so the samples must not change after that."""
-        return np.pad(self.samples, ((0, 0), (2, 2))).reshape(-1)
 
 
 def _pulse_shape(f0: float, fractional_bandwidth: float, fs: float) -> tuple[float, int]:
@@ -172,7 +211,7 @@ def simulate_rf(geometry: ArrayGeometry, phantom: Phantom, t_max: float) -> RfFr
             f"geometry.fractional_bandwidth: {B} makes a pulse of half-length "
             f"{half} samples, longer than the {n_t}-sample record"
         )
-    samples = np.zeros((geometry.n_elements, n_t))
+    samples = guarded_samples(geometry.n_elements, n_t)
     pulse = synth_pulse(geometry.center_frequency, B, fs)
     center = (len(pulse) - 1) // 2
     idx = np.arange(len(pulse))
@@ -220,7 +259,8 @@ def add_channel_noise(frame: RfFrame, snr_db: float, rng_seed: int) -> RfFrame:
     if not np.any(support):
         raise ZeroSignal("cannot set an SNR on an all-zero frame")
     p_sig = np.mean(frame.samples[support] ** 2)
-    noisy = frame.samples.copy()
+    noisy = guarded_samples(*frame.samples.shape)
+    noisy[...] = frame.samples
     # overflow is refused below, not warned about
     with np.errstate(over="ignore", divide="ignore"):
         try:

@@ -258,8 +258,9 @@ def reconstruct_methods(
     blocks for forked processes, at most one per CPU this process
     may use (the tiles' solves hold the interpreter lock, so threads do not
     run them in parallel). They inherit the frame and settings through the
-    fork, so ``fork`` must be a start method of the platform (Linux) and the
-    calling process should run no other threads. Each block returns its rows
+    fork and gather from this process's record of the frame, so ``fork``
+    must be a start method of the platform (Linux) and the calling process
+    should run no other threads. Each block returns its rows
     of every plane and of the fallback mask, joined plane by plane; all
     workers have exited when this returns or raises.
 
@@ -344,16 +345,25 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
     U = 2 on bins 1 .. (n+1)//2 - 1, 0 from bin n//2 + 1 on and 1 at DC and
     (even n) Nyquist: SciPy's signal-module ``hilbert``, which this equals bit
     for bit, as U keeps only the bins where numpy's ``rfft`` has SciPy's bits.
-    The inverse FFT overwrites the spectrum, so the call peaks at one complex
-    plane plus the returned magnitude (three float64 planes), and
-    ``beamformed`` is left as it was.
+    The columns are transformed in blocks whose complex spectrum fits
+    TILE_BYTES, each block's magnitude written into the returned plane, so
+    the call holds that plane plus one block's spectrum. A column's bits do
+    not depend on its block. ``beamformed`` is left as it was.
     """
     x = np.asarray(beamformed, dtype=np.float64)
     n = x.shape[0]
-    spectrum = np.zeros(x.shape, dtype=np.complex128)
-    np.fft.rfft(x, axis=0, out=spectrum[:n // 2 + 1])
-    spectrum[1:(n + 1) // 2] *= 2.0
-    return np.abs(np.fft.ifft(spectrum, axis=0, out=spectrum))
+    env = np.empty(x.shape)
+    columns, out = x.reshape(n, -1), env.reshape(n, -1)
+    width = max(1, TILE_BYTES // (16 * n))
+    for j in range(0, columns.shape[1], width):
+        block = columns[:, j:j + width]
+        spectrum = np.zeros(block.shape, dtype=np.complex128)
+        np.fft.rfft(block, axis=0, out=spectrum[:n // 2 + 1])
+        spectrum[1:(n + 1) // 2] *= 2.0
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.abs(spectrum, out=out[:, j:j + width])
+        del spectrum  # before the next block's is allocated
+    return env
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
@@ -378,9 +388,10 @@ def finalize(image: PaImage, dynamic_range_db: float | None = None) -> PaImage:
     """Fills in the normalized envelope and log-compressed planes over
     ``dynamic_range_db`` (see ``dynamic_range`` for its default).
 
-    The envelope is normalized in place, so the call peaks at three float64
-    planes beyond ``image.beamformed`` (``envelope_detect``'s), and holds two
-    when it returns: the envelope and the dB plane. ``image`` is not changed.
+    Beyond ``image.beamformed``, the call holds the envelope plane plus one
+    block's complex spectrum while it detects (see ``envelope_detect``),
+    then the two planes it returns with: the envelope, normalized in place,
+    and the dB plane. ``image`` is not changed.
     """
     dynamic_range_db = dynamic_range(dynamic_range_db)
     env = envelope_detect(image.beamformed)

@@ -1,11 +1,24 @@
+import copy
+import pickle
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pabeam import io as pio
 from pabeam.covariance import loaded_covariance
 from pabeam.delays import _delays, gather_delayed, subarray_snapshots
-from pabeam.phantom import ArrayGeometry, RfFrame, add_channel_noise
+from pabeam.phantom import (
+    Absorber,
+    ArrayGeometry,
+    Phantom,
+    RfFrame,
+    add_channel_noise,
+    simulate_rf,
+)
 
 
 def geometry(m=4, pitch=3e-4):
@@ -205,9 +218,9 @@ def test_gather_matches_reference_bitwise(seed, m, n_t, xs_mm, z_mm):
 
 
 def test_guard_follows_its_frame():
-    # the guarded record is cached per frame: a frame made by ``replace``
-    # (as add_channel_noise makes one) reads its own samples, not the guard
-    # of the frame it came from
+    # each frame reads its own record: a frame made by ``replace`` (as
+    # add_channel_noise makes one) reads its own samples, not those of the
+    # frame it came from
     rng = np.random.default_rng(3)
     frame = frame_from(rng.standard_normal((4, 900)))
     xs, z, offsets = np.array([-1e-3, 0.0, 2e-3]), 0.03, np.arange(-2, 3)
@@ -217,3 +230,84 @@ def test_guard_follows_its_frame():
     noisy = add_channel_noise(frame, 10.0, 4)
     assert gather_delayed(noisy, xs, z, offsets).tobytes() == (
         interp_reference(noisy.samples, tau).tobytes())
+
+
+def gather_case(frame):
+    """Reads of ``frame`` at z = 30 mm (delays of about 390 samples) at
+    offsets that sweep its first 520 samples and 150 samples past either
+    end, with the reference ``interp_reference`` gives for them."""
+    xs, z, offsets = np.array([-1e-3, 0.0, 2e-3]), 0.03, np.arange(-545, 285)
+    tau = _delays(frame.geometry, xs[:, None, None], z) + offsets[:, None]
+    return gather_delayed(frame, xs, z, offsets), interp_reference(frame.samples, tau)
+
+
+def test_frames_live_in_their_record(tmp_path):
+    # every frame the package makes is the interior of its guarded record,
+    # which is stored, so reading it allocates nothing
+    sim = simulate_rf(geometry(m=8), Phantom.from_points([Absorber(0.0, 0.02)]), 30e-6)
+    noisy = add_channel_noise(sim, 20.0, 1)
+    pio.write_rf(tmp_path / "rf", noisy)
+    frames = {
+        "simulate_rf": sim,
+        "add_channel_noise": noisy,
+        "read_rf": pio.read_rf(tmp_path / "rf"),
+        "replace": replace(noisy, channel_snr_db=None),
+        "deepcopy": copy.deepcopy(noisy),
+        "pickle": pickle.loads(pickle.dumps(noisy)),
+    }
+    for name, frame in frames.items():
+        tracemalloc.start()
+        try:
+            record = frame.guarded
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated == 0, name
+        assert np.shares_memory(frame.samples, record), name
+        padded = np.pad(frame.samples, ((0, 0), (2, 2))).reshape(-1)
+        assert record.tobytes() == padded.tobytes(), name
+    # replace adopts the record it is given; a copy gets its own
+    assert np.shares_memory(frames["replace"].samples, noisy.samples)
+    assert not np.shares_memory(frames["deepcopy"].samples, noisy.samples)
+
+
+@pytest.mark.parametrize("layout", ["slice", "F"])
+def test_frame_of_a_slice_reads_zeros_past_its_end(layout):
+    # a frame of the first 520 samples of another frame's record, or of a
+    # Fortran-ordered array, gathers as the reference: zeros past its own
+    # end, not the samples that follow in the memory it was cut from
+    rng = np.random.default_rng(7)
+    full = frame_from(rng.standard_normal((4, 900)))
+    part = {"slice": full.samples[:, :520],
+            "F": np.asfortranarray(full.samples[:, :520])}[layout]
+    frame = RfFrame(geometry=full.geometry, samples=part)
+    assert frame.n_samples == 520
+    out, ref = gather_case(frame)
+    assert out.tobytes() == ref.tobytes()
+    assert not np.array_equal(out, gather_case(full)[0])
+
+
+def test_record_adopted_only_when_exact():
+    # the interior of a zero-guarded record is adopted as it is; a view of
+    # its shape at another offset or with other strides, or the interior of
+    # a record with a nonzero guard, is copied into a record of its own
+    record = np.zeros((4, 904))
+    record[:, 2:-2] = np.random.default_rng(8).standard_normal((4, 900))
+    adopted = RfFrame(geometry=geometry(), samples=record[:, 2:-2])
+    assert np.shares_memory(adopted.guarded, record)
+    guard_set = record.copy()
+    guard_set[1, -1] = 1.0
+    for samples in (record[:, :-4], record.reshape(-1)[2:3602].reshape(4, 900),
+                    guard_set[:, 2:-2]):
+        frame = RfFrame(geometry=geometry(), samples=samples)
+        assert not np.shares_memory(frame.samples, samples.base)
+        out, ref = gather_case(frame)
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_editing_samples_changes_the_next_gather():
+    frame = frame_from(np.random.default_rng(9).standard_normal((4, 900)))
+    before, _ = gather_case(frame)
+    frame.samples[:] *= 2.0
+    after, ref = gather_case(frame)
+    assert after.tobytes() == ref.tobytes() == (2.0 * before).tobytes()

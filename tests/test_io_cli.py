@@ -278,6 +278,19 @@ class TestRfRoundtrip:
         assert back.geometry == (geo if m > 1 else replace(geo, pitch=1.0))
         assert np.array_equal(back.geometry.element_x, geo.element_x)
 
+    @pytest.mark.parametrize("m, t", [(8, 0), (8, 1), (1, 0), (1, 1), (1, 7)])
+    def test_smallest_records(self, tmp_path, m, t):
+        # no samples, one sample per channel, one channel: each read into a
+        # record of its own, samples between two guard zeros per channel
+        samples = np.arange(m * t, dtype=np.float64).reshape(m, t) - 2.5
+        pio.write_rf(tmp_path / "rf", RfFrame(geometry=geometry(m), samples=samples))
+        back = pio.read_rf(tmp_path / "rf")
+        assert back.samples.shape == (m, t)
+        assert back.samples.tobytes() == samples.tobytes()
+        padded = np.pad(samples, ((0, 0), (2, 2))).reshape(-1)
+        assert back.guarded.tobytes() == padded.tobytes()
+        assert t == 0 or np.shares_memory(back.samples, back.guarded)
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "rf.json").write_text(json.dumps({"magic": "NOPE"}))
         (tmp_path / "rf.bin").write_bytes(b"")

@@ -35,6 +35,7 @@ from pabeam.phantom import (
 )
 from pabeam.pipeline import (
     ImageGrid,
+    PaImage,
     envelope_detect,
     finalize,
     log_compress,
@@ -103,7 +104,7 @@ class TestEnvelope:
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(nz=st.integers(1, 300), nx=st.integers(1, 16),
+    @given(nz=st.integers(1, 300), nx=st.integers(1, 240),
            seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-12, 1e12),
            layout=st.sampled_from(("C", "F", "every other column")))
     @example(nz=1, nx=1, seed=0, scale=1.0, layout="C")
@@ -113,10 +114,13 @@ class TestEnvelope:
     @example(nz=121, nx=61, seed=2, scale=1.0, layout="C")
     @example(nz=61, nx=240, seed=3, scale=1.0, layout="F")
     @example(nz=260, nx=240, seed=4, scale=1.0, layout="every other column")
+    # envelope blocks of 94 columns at this depth: two and a one-column rest
+    @example(nz=260, nx=189, seed=5, scale=1.0, layout="C")
+    @example(nz=260, nx=189, seed=6, scale=1.0, layout="F")
     def test_equals_scipy_hilbert(self, nz, nx, seed, scale, layout):
         # the FFT mask is scipy.signal.hilbert's, for odd and even depths,
         # and numpy's rfft has scipy.fft's bits on the bins it keeps, in
-        # any memory layout
+        # any memory layout and however the columns fall into blocks
         from scipy.signal import hilbert
 
         wide = scale * np.random.default_rng(seed).standard_normal((nz, 2 * nx))
@@ -172,6 +176,18 @@ class TestReconstruct:
         img = reconstruct(frame, grid, Method.MV, K=1)
         assert img.fallback_pixel_count == 12
         assert not np.any(img.beamformed)
+
+    def test_sample_dtype_irrelevant(self):
+        # int, float32 and float64 copies of the same integer-valued samples
+        # make one float64 frame, so their images are byte-identical
+        integers = np.rint(1e4 * point_frame().samples).astype(np.int64)
+        planes = [
+            [image.beamformed.tobytes() for image in reconstruct_methods(
+                RfFrame(geometry=geometry(), samples=integers.astype(dtype)),
+                SMALL_GRID, (Method.DAS, Method.MV), K=1)]
+            for dtype in (np.int64, np.float32, np.float64)
+        ]
+        assert planes[0] == planes[1] == planes[2]
 
     def test_worker_count_invariance(self):
         frame = point_frame()
@@ -277,9 +293,7 @@ class TestPlaneBudgets:
 
     @pytest.fixture(scope="class")
     def frame(self):
-        frame = point_frame()
-        frame.guarded  # the frame's cached copy is not the image's
-        return frame
+        return point_frame()
 
     def test_each_image_owns_one_plane(self, frame):
         # each call runs once untraced, so first-use caches are not counted
@@ -303,6 +317,19 @@ class TestPlaneBudgets:
         assert peak <= 3.1 * self.P
         assert image.beamformed.tobytes() == before
         assert done.beamformed is image.beamformed
+
+    def test_finalize_peak_over_envelope_blocks(self):
+        # das-fullgrid's 260 x 240 plane is three envelope blocks of 94, 94
+        # and 52 columns: finalize never holds a complex plane, so it peaks
+        # at the envelope and dB planes it returns
+        nz, nx = 260, 240
+        assert -(-nx // (pipeline.TILE_BYTES // (16 * nz))) == 3
+        grid = ImageGrid(-8e-3, 8e-3, 17e-3, 43e-3, nx, nz)
+        plane = np.random.default_rng(0).standard_normal((nz, nx))
+        image = PaImage(grid=grid, beamformed=plane, method=Method.DAS)
+        finalize(image)
+        _, _, peak = traced(lambda: finalize(image))
+        assert peak <= 2.1 * nz * nx * 8
 
     def test_log_compress_and_write_pgm_keep_their_input(self, frame, tmp_path):
         done = finalize(reconstruct(frame, self.GRID, Method.DAS, K=1))
