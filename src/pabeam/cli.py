@@ -39,8 +39,7 @@ def cmd_simulate(args) -> int:
     cfg = pio.load_config(args.config)
     frame = _simulate_frame(cfg)
     pio.write_rf(args.out, frame)
-    base = Path(args.out).with_suffix("")
-    manifest = base.parent / "run-manifest.json"
+    manifest = Path(args.out).parent / "run-manifest.json"
     manifest.write_text(json.dumps(pio.config_to_dict(cfg), indent=2))
     print(f"wrote {frame.geometry.n_elements}x{frame.n_samples} RF frame to {args.out}")
     return 0
@@ -82,7 +81,7 @@ def cmd_beamform(args) -> int:
     )
     image = finalize(image, cfg.dynamic_range_db)
     pio.write_image(args.out, image)
-    out = Path(args.out).with_suffix("")
+    out = pio.stem(args.out)
     for depth in args.profile_depth:
         prof = lateral_profile(image, depth)
         pio.write_profile_csv(f"{out}_profile_{depth * 1e3:.1f}mm.csv", prof)

@@ -22,6 +22,8 @@ class FocalPoint:
     z: float  # m, depth > 0
 
     def __post_init__(self):
+        if not (abs(self.x) < np.inf and abs(self.z) < np.inf):
+            raise ValueError(f"focal point x and z must be finite, got {self}")
         if self.z <= 0:
             raise ValueError("focal point depth must be positive")
 

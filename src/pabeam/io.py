@@ -19,7 +19,7 @@ from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
 from .delays import FocalPoint
 from .errors import ConfigError, PabeamError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
-from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame, guarded_samples
+from .phantom import Absorber, ArrayGeometry, Phantom, RfFrame
 from .pipeline import ImageGrid, PaImage, dynamic_range, finalize, kernel_settings
 
 RF_MAGIC = "PARF"
@@ -247,21 +247,40 @@ def load_config(path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# RF frame files
+# File pairs: RF frames and images, each a raw f32le <stem>.bin + <stem>.json
 
 
-def _pair(base) -> tuple[Path, Path]:
+def stem(base) -> Path:
+    """``base`` minus a trailing .bin or .json, to which each file of a pair
+    appends its suffix: ``scan_0.5mm`` and ``scan_0.5mm.bin`` name one pair."""
     base = Path(base)
-    if base.suffix in (".bin", ".json"):
-        base = base.with_suffix("")
-    return base.with_suffix(".bin"), base.with_suffix(".json")
+    return base.with_suffix("") if base.suffix in (".bin", ".json") else base
+
+
+def _write_pair(base, plane: np.ndarray, sidecar: dict) -> None:
+    base = stem(base)
+    plane.astype("<f4").tofile(f"{base}.bin")
+    Path(f"{base}.json").write_text(json.dumps(sidecar, indent=2))
+
+
+def _read_plane(base, sidecar: dict, encoding_key: str, count: int) -> np.ndarray:
+    """The ``count`` values of the pair's .bin, which ``sidecar[encoding_key]``
+    must declare f32le, as float32. Each must be finite: the solver takes a NaN
+    covariance as positive definite, and the metrics a NaN row as peakless."""
+    if _get(sidecar, encoding_key) != "f32le":
+        raise ConfigError(f"{encoding_key} must be f32le")
+    bin_path = Path(f"{stem(base)}.bin")
+    data = np.fromfile(bin_path, dtype="<f4")
+    if data.size != count:
+        raise ConfigError(f"{bin_path.name} holds {data.size} values, not {count}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{bin_path.name} holds a NaN or infinite value")
+    return data
 
 
 def write_rf(base, frame: RfFrame) -> None:
-    """Writes an RF frame as <base>.bin (f32le, element-major) + <base>.json."""
-    bin_path, json_path = _pair(base)
-    frame.samples.astype("<f4").tofile(bin_path)
-    header = {
+    """Writes an RF frame as <stem>.bin (f32le, element-major) + <stem>.json."""
+    _write_pair(base, frame.samples, {
         "magic": RF_MAGIC,
         "version": RF_VERSION,
         "n_elements": frame.geometry.n_elements,
@@ -273,17 +292,13 @@ def write_rf(base, frame: RfFrame) -> None:
         "element_x": list(frame.geometry.element_x),
         "sample_encoding": "f32le",
         "channel_snr_db": frame.channel_snr_db,
-    }
-    json_path.write_text(json.dumps(header, indent=2))
+    })
 
 
 def read_rf(base) -> RfFrame:
-    bin_path, json_path = _pair(base)
-    with _json_file(json_path) as header:
+    with _json_file(f"{stem(base)}.json") as header:
         if _get(header, "magic") != RF_MAGIC or _int(header, "version") != RF_VERSION:
             raise ConfigError(f"not a version-{RF_VERSION} {RF_MAGIC} header")
-        if _get(header, "sample_encoding") != "f32le":
-            raise ConfigError("sample_encoding must be f32le")
         m = _int(header, "n_elements", required=True)
         t = _int(header, "n_samples", required=True)
         element_x = np.asarray(header["element_x"], dtype=np.float64)
@@ -304,30 +319,14 @@ def read_rf(base) -> RfFrame:
         if not np.array_equal(element_x, geometry.element_x):
             raise ConfigError("element_x is not uniform and centred on x=0")
         snr = _num(header, "channel_snr_db")
-        data = np.fromfile(bin_path, dtype="<f4")
-        if data.size != m * t:
-            raise ConfigError(f"{bin_path.name} holds {data.size} samples, not {m * t}")
-        # converted straight into the frame's record, with no float64 copy
-        samples = guarded_samples(m, t)
-        samples[...] = data.reshape(m, t)
-        del data  # the check's mask fits where the file's samples were
-        # the solver takes a NaN covariance as positive definite
-        if not np.isfinite(samples).all():
-            raise ConfigError(f"{bin_path.name} holds a NaN or infinite sample")
-    return RfFrame(
-        geometry=geometry,
-        samples=samples,
-        channel_snr_db=None if snr is None else float(snr),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Image files
+        data = _read_plane(base, header, "sample_encoding", m * t)
+    # the frame converts the float32 values straight into its record
+    return RfFrame(geometry, data.reshape(m, t), None if snr is None else float(snr))
 
 
 def write_image(base, image: PaImage) -> None:
-    """Writes a finalized image as <base>.bin (raw beamformed plane, f32le,
-    row-major nz x nx), <base>.json sidecar and <base>.pgm (8-bit view of
+    """Writes a finalized image as <stem>.bin (raw beamformed plane, f32le,
+    row-major nz x nx), <stem>.json sidecar and <stem>.pgm (8-bit view of
     the db plane).
 
     Raises:
@@ -336,23 +335,19 @@ def write_image(base, image: PaImage) -> None:
     """
     if image.db is None or image.dynamic_range_db is None:
         raise ConfigError("image has no db plane; run pipeline.finalize first")
-    bin_path, json_path = _pair(base)
-    image.beamformed.astype("<f4").tofile(bin_path)
-    sidecar = {
+    _write_pair(base, image.beamformed, {
         "grid": asdict(image.grid),
         "method": image.method.value,
         "dynamic_range_db": image.dynamic_range_db,
         "fallback_pixel_count": image.fallback_pixel_count,
         "plane_encoding": "f32le",
-    }
-    json_path.write_text(json.dumps(sidecar, indent=2))
-    write_pgm(Path(base).with_suffix(".pgm"), image.db, image.dynamic_range_db)
+    })
+    write_pgm(f"{stem(base)}.pgm", image.db, image.dynamic_range_db)
 
 
 def read_image(base) -> PaImage:
     """Reads a raw image pair and recomputes the envelope and db views."""
-    bin_path, json_path = _pair(base)
-    with _json_file(json_path) as sidecar:
+    with _json_file(f"{stem(base)}.json") as sidecar:
         grid = ImageGrid(
             *(float(_num(sidecar, f"grid.{k}", required=True))
               for k in ("x_min", "x_max", "z_min", "z_max")),
@@ -364,14 +359,10 @@ def read_image(base) -> PaImage:
         if not 0 <= fallback <= n_px:
             raise ConfigError(f"fallback_pixel_count: {fallback} outside [0, {n_px}]")
         dynamic_range_db = dynamic_range(_num(sidecar, "dynamic_range_db", required=True))
-        if _get(sidecar, "plane_encoding") != "f32le":
-            raise ConfigError("plane_encoding must be f32le")
-        data = np.fromfile(bin_path, dtype="<f4").astype(np.float64)
-        if data.size != n_px:
-            raise ConfigError(f"{bin_path.name} holds {data.size} pixels, not {n_px}")
+        data = _read_plane(base, sidecar, "plane_encoding", n_px)
     image = PaImage(
         grid=grid,
-        beamformed=data.reshape(grid.nz, grid.nx),
+        beamformed=data.reshape(grid.nz, grid.nx).astype(np.float64),
         method=method,
         fallback_pixel_count=fallback,
     )
@@ -438,11 +429,10 @@ def write_metrics_json(path, reports: list[MetricsReport]) -> None:
 
 def read_metrics_json(path) -> list[MetricsReport]:
     with _json_file(path) as raw:
+        # the inverse of write_metrics_json's asdict
         return [
-            MetricsReport(
-                method=r["method"],
-                snr_db=r["snr_db"],
-                per_target=tuple(TargetMetrics(**t) for t in r["per_target"]),
-            )
+            MetricsReport(**{
+                **r, "per_target": tuple(TargetMetrics(**t) for t in r["per_target"]),
+            })
             for r in raw
         ]

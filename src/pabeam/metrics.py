@@ -35,17 +35,19 @@ def snr(image: PaImage) -> float:
     Raises:
         DegenerateImage: the envelope is constant (zero standard deviation).
     """
-    env = _require_envelope(image)
+    env = _plane(image, "envelope")
     std = float(np.std(env))
     if std == 0.0:
         raise DegenerateImage("constant envelope plane has no SNR")
     return float(20.0 * np.log10((env.max() - env.min()) / std))
 
 
-def _require_envelope(image: PaImage) -> np.ndarray:
-    if image.envelope is None:
-        raise ValueError("image has no envelope plane; run pipeline.finalize first")
-    return image.envelope
+def _plane(image: PaImage, name: str) -> np.ndarray:
+    """The image's ``name`` plane, one that ``pipeline.finalize`` adds."""
+    plane = getattr(image, name)
+    if plane is None:
+        raise ValueError(f"image has no {name} plane; run pipeline.finalize first")
+    return plane
 
 
 def depth_row(grid: ImageGrid, depth: float) -> int:
@@ -59,10 +61,8 @@ def depth_row(grid: ImageGrid, depth: float) -> int:
 def lateral_profile(image: PaImage, depth: float) -> np.ndarray:
     """dB-plane row nearest to ``depth``; returns an (nx, 2) array of
     (x, value_db) pairs."""
-    if image.db is None:
-        raise ValueError("image has no db plane; run pipeline.finalize first")
-    row = depth_row(image.grid, depth)
-    return np.column_stack([image.grid.x_coords, image.db[row]])
+    db = _plane(image, "db")
+    return np.column_stack([image.grid.x_coords, db[depth_row(image.grid, depth)]])
 
 
 def _find_peak(profile: np.ndarray, xs: np.ndarray, x0: float) -> int:
@@ -78,6 +78,15 @@ def _find_peak(profile: np.ndarray, xs: np.ndarray, x0: float) -> int:
     return int(cand[np.argmin(np.abs(xs[cand] - x0))])
 
 
+def _peak(image: PaImage, target: FocalPoint) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """(row, envelope profile, x coordinates, peak index) of the target's row:
+    the index is the local maximum nearest the target."""
+    env = _plane(image, "envelope")
+    row = depth_row(image.grid, target.z)
+    xs = image.grid.x_coords
+    return row, env[row], xs, _find_peak(env[row], xs, target.x)
+
+
 def fwhm(image: PaImage, target: FocalPoint) -> float:
     """Full width at half maximum of the lateral envelope profile through the
     target's depth row, with sub-pixel half crossings by linear interpolation.
@@ -86,11 +95,7 @@ def fwhm(image: PaImage, target: FocalPoint) -> float:
         NoPeakFound: no local maximum on the row.
         WidthUnbounded: the profile never falls below half max within the grid.
     """
-    env = _require_envelope(image)
-    row = depth_row(image.grid, target.z)
-    profile = env[row]
-    xs = image.grid.x_coords
-    ipk = _find_peak(profile, xs, target.x)
+    _, profile, xs, ipk = _peak(image, target)
     half = 0.5 * profile[ipk]
 
     def cross(direction: int) -> float:
@@ -117,19 +122,14 @@ def peak_sidelobe(
 
     ``mainlobe_exclusion`` defaults to 3x the measured FWHM of the target.
     """
-    if image.db is None:
-        raise ValueError("image has no db plane; run pipeline.finalize first")
-    env = _require_envelope(image)
-    row = depth_row(image.grid, target.z)
-    xs = image.grid.x_coords
-    ipk = _find_peak(env[row], xs, target.x)
+    db = _plane(image, "db")
+    row, _, xs, ipk = _peak(image, target)
     if mainlobe_exclusion is None:
         mainlobe_exclusion = 3.0 * fwhm(image, target)
     outside = np.abs(xs - xs[ipk]) > mainlobe_exclusion
     if not np.any(outside):
         raise NoPeakFound("mainlobe exclusion covers the whole row")
-    db_row = image.db[row]
-    return float(db_row[outside].max() - db_row[ipk])
+    return float(db[row][outside].max() - db[row][ipk])
 
 
 def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:

@@ -58,6 +58,8 @@ class Absorber:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if not all(abs(v) < np.inf for v in (self.x, self.z, self.amplitude)):
+            raise ValueError(f"absorber x, z and amplitude must be finite, got {self}")
         if self.z <= 0:
             raise ValueError("absorber must be in front of the array (z > 0)")
         if self.amplitude <= 0:

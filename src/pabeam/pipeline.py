@@ -38,6 +38,8 @@ class ImageGrid:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.z_min < self.z_max):
             raise ConfigError("grid bounds must satisfy x_min < x_max, z_min < z_max")
+        if not (self.x_max - self.x_min < np.inf and self.z_max - self.z_min < np.inf):
+            raise ConfigError("grid bounds and their spans must be finite")
         if self.nx < 1 or self.nz < 1:
             raise ConfigError("grid.nx and grid.nz must be >= 1")
 

@@ -250,6 +250,16 @@ class TestResolveConfig:
         assert json.dumps(pio.config_to_dict(again), indent=2) == text
 
 
+@pytest.mark.parametrize("base, stem", [
+    ("rf", "rf"), ("rf.bin", "rf"), ("rf.json", "rf"), ("out/rf.bin", "out/rf"),
+    ("scan_0.5mm", "scan_0.5mm"), ("scan_0.5mm.json", "scan_0.5mm"),
+    ("image.pgm", "image.pgm"), ("rf.bin.bin", "rf.bin"),
+])
+def test_stem(base, stem):
+    # only a trailing .bin or .json is dropped; any other dot stays
+    assert pio.stem(base) == Path(stem)
+
+
 class TestRfRoundtrip:
     def test_roundtrip(self, tmp_path):
         geo = geometry()
@@ -336,6 +346,13 @@ class TestImageRoundtrip:
             pio.write_image(tmp_path / "img", image)
         for suffix in (".bin", ".json", ".pgm"):
             assert not (tmp_path / "img").with_suffix(suffix).exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused(self, tmp_path, value):
+        # by the .bin's name, as a non-finite RF sample is
+        _image_with_pixel(tmp_path, value)
+        with pytest.raises(ConfigError, match="img.bin holds a NaN or infinite value"):
+            pio.read_image(tmp_path / "img")
 
     def test_pgm_mapping(self, tmp_path):
         path = tmp_path / "view.pgm"
@@ -501,6 +518,26 @@ def _rf_inf_sample(tmp_path):
     return _rf_with_sample(tmp_path, -np.inf)
 
 
+def _image_with_pixel(tmp_path, value):
+    sidecar, targets = _valid_image(tmp_path)
+    plane = np.fromfile(tmp_path / "img.bin", dtype="<f4")
+    plane[4] = value
+    plane.tofile(tmp_path / "img.bin")
+    return ["metrics", "--image", str(tmp_path / "img"), "--targets", str(targets)], sidecar
+
+
+def _image_nan_pixel(tmp_path):  # metrics would take its row for one without a peak
+    return _image_with_pixel(tmp_path, np.nan)
+
+
+def _image_inf_pixel(tmp_path):
+    return _image_with_pixel(tmp_path, np.inf)
+
+
+def _image_neg_inf_pixel(tmp_path):
+    return _image_with_pixel(tmp_path, -np.inf)
+
+
 def _config_not_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("geometry = 16")
@@ -569,6 +606,35 @@ class TestCli:
         reports = pio.read_metrics_json(out)
         assert reports[0].method == "mv"
         assert len(reports[0].per_target) == 1
+
+    def test_dotted_bases(self, tmp_path, small_config):
+        # only a trailing .bin or .json leaves a base, so the dot of a value
+        # in a name is kept, and two such names never share a file
+        rf = tmp_path / "rf_beta1.5"
+        assert main(["simulate", "--config", str(small_config), "--out", str(rf)]) == 0
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [{"x": 0.0, "z": 0.02}]}))
+        for base, method in (("scan_0.5mm", "mv"), ("scan_0.7mm", "msmv")):
+            assert main([
+                "beamform", "--rf", str(rf), "--method", method,
+                "--out", str(tmp_path / base), "--K", "1",
+                "--grid=-4e-3,4e-3,0.018,0.022,81,41", "--profile-depth", "0.02",
+            ]) == 0
+            out = tmp_path / f"metrics_{base}.json"
+            assert main(["metrics", "--image", str(tmp_path / base),
+                         "--targets", str(targets), "--out", str(out)]) == 0
+            assert pio.read_metrics_json(out)[0].method == method
+        names = {path.name for path in tmp_path.iterdir()}
+        assert names == {
+            "config.json", "run-manifest.json", "targets.json",
+            "rf_beta1.5.bin", "rf_beta1.5.json",
+            *(f"scan_0.{d}mm{suffix}" for d in (5, 7)
+              for suffix in (".bin", ".json", ".pgm", "_profile_20.0mm.csv")),
+            "metrics_scan_0.5mm.json", "metrics_scan_0.7mm.json",
+        }
+        for base in ("rf_beta1.5.bin", "rf_beta1.5.json"):
+            frame = pio.read_rf(tmp_path / base)
+            assert frame.samples.tobytes() == pio.read_rf(rf).samples.tobytes()
 
     def test_compare_command(self, tmp_path, small_config):
         outdir = tmp_path / "cmp"
@@ -661,6 +727,7 @@ class TestCli:
         _rf_sample_encoding, _rf_header_not_json, _image_partial_grid,
         _image_without_dynamic_range, _image_plane_encoding, _targets_not_json,
         _config_not_json, _rf_element_x_overflows, _rf_nan_sample, _rf_inf_sample,
+        _image_nan_pixel, _image_inf_pixel, _image_neg_inf_pixel,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback

@@ -23,7 +23,7 @@ from pabeam.beamformers import (
     mv_weight,
 )
 from pabeam.covariance import default_dl_factor, loaded_covariance
-from pabeam.delays import SnapshotMatrix, gather_delayed, subarray_snapshots
+from pabeam.delays import FocalPoint, SnapshotMatrix, gather_delayed, subarray_snapshots
 from pabeam.errors import ConfigError, NotPositiveDefinite
 from pabeam.phantom import (
     Absorber,
@@ -73,6 +73,24 @@ class TestImageGrid:
             ImageGrid(1e-3, -1e-3, 0.01, 0.02, 3, 5)
         with pytest.raises(ConfigError):
             ImageGrid(-1e-3, 1e-3, 0.01, 0.02, 0, 5)
+
+
+@pytest.mark.parametrize("cls, args, error", [
+    (Absorber, (0.0, np.nan), ValueError),
+    (Absorber, (0.0, 0.02, np.nan), ValueError),
+    (Absorber, (-np.inf, 0.02), ValueError),
+    (Absorber, (0.0, 0.02, np.inf), ValueError),
+    (FocalPoint, (np.nan, 0.02), ValueError),
+    (FocalPoint, (0.0, np.inf), ValueError),
+    (ImageGrid, (-np.inf, 0.0, 0.01, 0.02, 3, 5), ConfigError),
+    (ImageGrid, (-1e-3, 1e-3, 0.01, np.inf, 3, 5), ConfigError),
+    # finite bounds whose span overflows give non-finite coordinates too
+    (ImageGrid, (-1e308, 1e308, 0.01, 0.02, 3, 5), ConfigError),
+])
+def test_non_finite_refused(cls, args, error):
+    # a config file's numbers are finite already; these are direct calls
+    with pytest.raises(error, match="finite"):
+        cls(*args)
 
 
 class TestEnvelope:
