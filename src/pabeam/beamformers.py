@@ -21,7 +21,7 @@ import numpy as np
 
 from .delays import SnapshotMatrix
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
-from .numerics import check_symmetric, spd_solve_stack
+from .numerics import _spd_solve_in_place, check_symmetric, spd_solve_stack
 
 
 class Method(str, Enum):
@@ -84,6 +84,13 @@ def capon_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w = A^-1 1 / (1^T A^-1 1) for a stack of matrices (P, L, L), without
     forming an explicit inverse. Returns (w, ok) as ``spd_solve_stack``."""
     x, ok = spd_solve_stack(a, np.ones(a.shape[-1]))
+    return x / x.sum(axis=-1, keepdims=True), ok
+
+
+def _capon_weights_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``capon_weights`` of a C-ordered float64 stack that nothing reads
+    afterwards: the solve factors ``a`` in place instead of a copy."""
+    x, ok = _spd_solve_in_place(a, np.ones(a.shape[-1]))
     return x / x.sum(axis=-1, keepdims=True), ok
 
 
@@ -159,7 +166,8 @@ def msmv_weights(
     snapshot rows. The pixels whose MV solve succeeded are taken once (a view
     when every pixel did) and each takes all ``cfg.n_iter`` steps: a step
     solves the pixel's r_loaded + (x^T Lambda) x, one unsymmetrized matmul of
-    a contiguous x^T (the solver reads one triangle), Lambda = beta /
+    a contiguous x^T (the solver reads one triangle and factors the step's
+    matrix in place, as nothing reads it afterwards), Lambda = beta /
     max(|x w|, eps * peak) of the last iterate, or 0 if all outputs are 0. A
     step whose matrix is not positive definite leaves its pixel at the last
     iterate, so every later step rebuilds the same matrix and fails again.
@@ -185,7 +193,7 @@ def msmv_weights(
         lam = _reweight(x, w_ok, cfg.beta)
         a = np.matmul(xt * lam[:, None, :], x)
         a += r_loaded
-        w_next, solved = capon_weights(a)
+        w_next, solved = _capon_weights_in_place(a)
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
         w_ok[solved] = w_next[solved]

@@ -39,7 +39,8 @@ def cmd_simulate(args) -> int:
     cfg = pio.load_config(args.config)
     frame = _simulate_frame(cfg)
     pio.write_rf(args.out, frame)
-    manifest = Path(args.out).parent / "run-manifest.json"
+    # named after the pair, so each pair in a directory keeps its own
+    manifest = Path(f"{pio.stem(args.out)}.manifest.json")
     manifest.write_text(json.dumps(pio.config_to_dict(cfg), indent=2))
     print(f"wrote {frame.geometry.n_elements}x{frame.n_samples} RF frame to {args.out}")
     return 0
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="run DAS/MV/MSMV side by side from one config")
     p.add_argument("--config", required=True,
-                   help="config JSON (a run-manifest.json also works)")
+                   help="config JSON (a manifest simulate or compare wrote also works)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
 

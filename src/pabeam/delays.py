@@ -5,7 +5,13 @@ sample indices; reads at fractional indices use linear interpolation and
 out-of-record reads return 0 so edge pixels still reconstruct.
 
 The gather and the snapshot build work on a tile of focal points sharing one
-depth; a single point is a tile of one.
+depth; a single point is a tile of one. What does not depend on depth is
+built once per image, in a ``GatherPlan``: the lateral term (element_x - x)^2
+of every column and element, each channel's index in the guarded record, the
+record and its one-sample shift, and the offsets in float64. Each row then
+does only its own depth's work (``gather_span``): the delay from the lateral
+term, the offsets, and the interpolated read. ``gather_delayed`` is the
+one-row case of the same code.
 """
 
 from dataclasses import dataclass
@@ -45,7 +51,8 @@ class SnapshotMatrix:
 
 def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
     """One-way delay of each element to (x, z), in fractional samples; ``x``
-    broadcasts against the element axis, which is last.
+    broadcasts against the element axis, which is last. The definition that
+    ``gather_span`` forms from a plan's lateral term, bit for bit.
 
     The distance is sqrt(dx^2 + z^2) formed in place: ``np.hypot`` costs
     several times as much per element, and the two delays agree to 4.5e-16
@@ -60,36 +67,83 @@ def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
     return tau
 
 
-def gather_delayed(
-    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
-) -> np.ndarray:
-    """Delayed channel data for the focal points (xs[i], z), read at each
-    temporal offset in samples: shape (P, len(offsets), M).
+class GatherPlan:
+    """The depth-free part of the gather for the columns ``xs`` of an image
+    row read at the temporal ``offsets`` (samples), built once per image so
+    that each row does only its own depth's work (see ``gather_span``).
 
-    Each channel is read at its fractional index t by linear interpolation
-    between flat ``take``s of samples floor(t) and floor(t) + 1 from the
-    frame's ``guarded`` record, the array its samples live in, so nothing is
-    copied or padded per call. The floor is clipped to [-2, T], so every
-    read outside [0, T-1] lands on a guard zero and reads as 0.
+    It holds the lateral term (element_x - x)^2 of every column and element,
+    (len(xs), M) float64 values, the record index m (T + 4) + 2 of each
+    channel's sample 0, the frame's guarded record and its view shifted by
+    one sample, and the offsets as float64. The record is the frame's own
+    (a view), so the plan copies no samples.
     """
-    n_t = frame.n_samples
-    tau = _delays(frame.geometry, np.asarray(xs)[:, None, None], z)
-    # offsets in float64 first: a broadcast sum with int offsets runs slower
-    tau = tau + np.asarray(offsets, dtype=np.float64)[:, None]
+
+    def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray):
+        geometry = frame.geometry
+        lateral = geometry.element_x - np.asarray(xs, dtype=np.float64)[:, None]
+        lateral *= lateral
+        self.lateral = lateral
+        self.n_samples = frame.n_samples
+        # sample t of row m sits at m (T + 4) + t + 2 of the guarded record
+        self.base = np.arange(geometry.n_elements) * (self.n_samples + 4) + 2
+        self.record, self.shifted = frame.guarded, frame.guarded[1:]
+        # float64, as a sum with int offsets runs slower
+        self.offsets = np.asarray(offsets, dtype=np.float64)
+        self.sound_speed = geometry.sound_speed
+        self.sampling_rate = geometry.sampling_rate
+
+
+def gather_span(plan: GatherPlan, start: int, stop: int, z: float) -> np.ndarray:
+    """Delayed channel data for the plan's columns start..stop-1 at depth
+    ``z``: shape (P, len(plan.offsets), M).
+
+    The delay is ``_delays``' sqrt(lateral + z^2) / c * fs, the same
+    operations in the same order, formed in place, and each offset is
+    added into its own (P, M) slab (skipped for a lone offset 0). Each
+    channel is then read at its fractional index t by linear
+    interpolation between flat ``take``s of samples floor(t) and
+    floor(t) + 1 from the guarded record, so nothing is copied or padded
+    per call. The floor is clipped to [-2, T], so every read outside
+    [0, T-1] lands on a guard zero and reads as 0.
+    """
+    delay = plan.lateral[start:stop] + z * z
+    np.sqrt(delay, out=delay)
+    delay /= plan.sound_speed
+    delay *= plan.sampling_rate
+    offsets = plan.offsets
+    if len(offsets) == 1 and offsets[0] == 0.0:
+        tau = delay[:, None, :]
+    else:
+        # contiguous slabs: a strided delay would take the slow ufunc loops
+        tau = np.empty((len(delay), len(offsets), delay.shape[1]))
+        for i, offset in enumerate(offsets):
+            np.add(delay, offset, out=tau[:, i])
+    del delay  # a separate array is freed before the reads allocate theirs
     k = np.floor(tau)
     frac = np.subtract(tau, k, out=tau)
-    np.clip(k, -2, n_t, out=k)
+    np.clip(k, -2, plan.n_samples, out=k)
     k = k.astype(np.int64)
-    # sample t of row m sits at m (T + 4) + t + 2 of the guarded record
-    k += np.arange(len(frame.samples)) * (n_t + 4) + 2
-    lo = frame.guarded.take(k)
-    hi = frame.guarded[1:].take(k)
+    k += plan.base
+    lo = plan.record.take(k)
+    hi = plan.shifted.take(k)
     # (1 - frac) * lo + frac * hi, in place and in that order of operations
     hi *= frac
     np.subtract(1.0, frac, out=frac)
     lo *= frac
     lo += hi
     return lo
+
+
+def gather_delayed(
+    frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
+) -> np.ndarray:
+    """Delayed channel data for the focal points (xs[i], z), read at each
+    temporal offset in samples: shape (P, len(offsets), M). The one-row case
+    of ``gather_span``, which documents the read.
+    """
+    xs = np.asarray(xs)
+    return gather_span(GatherPlan(frame, xs, offsets), 0, len(xs), z)
 
 
 def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:

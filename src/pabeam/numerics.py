@@ -143,7 +143,15 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
             this module rather than a matrix that is not positive definite.
     """
     # dposv overwrites its matrix with the factor and b with the solution
-    a = np.array(a, dtype=np.float64, order="C")
+    return _spd_solve_in_place(np.array(a, dtype=np.float64, order="C"), b)
+
+
+def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spd_solve_stack`` for a C-ordered float64 stack ``a`` that nothing
+    reads afterwards: ``dposv`` overwrites it with its factors, so no copy
+    is made."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("dposv takes a C-ordered float64 stack")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or np.shape(b) != a.shape[2:]:
         raise DimensionMismatch(
             f"expected a (P, n, n) stack and an (n,) vector, got {a.shape} and {np.shape(b)}"

@@ -15,7 +15,7 @@ from .beamformers import (
     msmv_weights,
 )
 from .covariance import default_dl_factor, loaded_covariance
-from .delays import gather_delayed, subarray_snapshots
+from .delays import GatherPlan, gather_span, subarray_snapshots
 from .errors import ConfigError
 from .phantom import RfFrame
 
@@ -149,15 +149,13 @@ def _beamform_tile(
 
     One gather feeds every method. DAS is the taper ``taps`` on the
     centre-time samples (offset 0, index K), summed by ``einsum``, whose bits
-    do not depend on the tile size; alone it is gathered at that offset only
-    (K = 0). MV and MSMV use every offset, and each pixel's covariance is
-    estimated, loaded and Capon-solved once: MV outputs that weight and MSMV
-    iterates from it.
+    do not depend on the tile size (DAS alone takes no tiles; see
+    ``_beamform_rows``). MV and MSMV use every offset, and each pixel's
+    covariance is estimated, loaded and Capon-solved once: MV outputs that
+    weight and MSMV iterates from it.
     """
     K = gathered.shape[1] // 2
     das = np.einsum("pm,m->p", gathered[:, K], taps)
-    if all(m is Method.DAS for m in methods):
-        return np.stack([das] * len(methods) + [np.zeros_like(das)])
     snaps = subarray_snapshots(gathered, L)
     xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
@@ -176,39 +174,47 @@ def _beamform_tile(
 def _beamform_rows(
     rows: range,
     *,
-    frame: RfFrame,
-    xs: np.ndarray,
+    plan: GatherPlan,
     zs: np.ndarray,
     methods: tuple[Method, ...],
-    offsets: np.ndarray,
     tile: int,
     span: int,
+    taps: np.ndarray,
     **tile_settings,
 ) -> list[np.ndarray]:
     """The planes (row, column) of the image rows ``rows``, one per method in
     order, then the boolean mask of the pixels whose adaptive weights fell
-    back to DAS; row j holds image row rows[j]. Each row is gathered at
-    ``offsets`` a span of ``span`` pixels at a time and beamformed tile by
-    tile of ``tile`` pixels sliced from it. ``tile_settings`` are the rest of
-    ``_beamform_tile``'s arguments; each row of its block fills one plane, so
-    an image can keep its own plane and nothing else.
+    back to DAS; row j holds image row rows[j]. Each row is gathered through
+    ``plan``, which holds the image's columns and offsets, a span of ``span``
+    pixels at a time, and beamformed tile by tile of ``tile`` pixels sliced
+    from it. ``tile_settings`` are the rest of ``_beamform_tile``'s
+    arguments; each row of its block fills one plane, so an image can keep
+    its own plane and nothing else. DAS alone needs no tiles: a span's taper
+    sum is written straight into each plane's row.
 
-    A span whose gathered data is all zero, such as one whose every read
-    index is past the record, is not beamformed: each of its pixels would
-    have a zero covariance, so every method gives 0 and the adaptive ones
-    fall back. The planes keep their zeros there and the mask marks the
-    fallback (not counted in a DAS image).
+    With an adaptive method, a span whose gathered data is all zero, such as
+    one whose every read index is past the record, is not beamformed: each
+    of its pixels would have a zero covariance, so every method gives 0 and
+    the adaptive ones fall back. The planes keep their zeros there and the
+    mask marks the fallback (not counted in a DAS image).
     """
-    shape = (len(rows), len(xs))
+    nx = len(plan.lateral)
+    shape = (len(rows), nx)
     planes = [np.zeros(shape) for _ in methods] + [np.zeros(shape, dtype=bool)]
+    das_only = all(m is Method.DAS for m in methods)
     for j, iz in enumerate(rows):
-        for s in range(0, len(xs), span):
-            gathered = gather_delayed(frame, xs[s:s + span], zs[iz], offsets)
+        for s in range(0, nx, span):
+            gathered = gather_span(plan, s, s + span, zs[iz])
+            if das_only:
+                for plane in planes[:-1]:
+                    np.einsum("pm,m->p", gathered[:, 0], taps, out=plane[j, s:s + span])
+                continue
             if not gathered.any():
                 planes[-1][j, s:s + span] = True
                 continue
             for i in range(0, len(gathered), tile):
-                block = _beamform_tile(gathered[i:i + tile], methods, **tile_settings)
+                block = _beamform_tile(
+                    gathered[i:i + tile], methods, taps=taps, **tile_settings)
                 for plane, values in zip(planes, block):
                     plane[j, s + i:s + i + tile] = values
     return planes
@@ -244,13 +250,16 @@ def reconstruct_methods(
     stage. One gather feeds every method: DAS is the fixed taper
     ``das_taps`` on the centre-time samples, MV the Capon weight and MSMV the
     reweighted iteration started from that same MV solve. A DAS-only run
-    gathers the one offset 0, in tiles of whole rows; any adaptive method
+    gathers the one offset 0, in spans of whole rows (up to 768 px at M=64),
+    and writes their taper sums straight into its plane; any adaptive method
     makes every tile the MV/MSMV size. A pixel whose loaded covariance still
     fails the positive-definiteness check (an identically zero neighborhood)
     falls back to the DAS value and is counted in the MV and MSMV images'
-    fallback_pixel_count; the image is never aborted. A span that gathers
-    only zeros (past the record) skips the kernel, DAS alone included. A
-    setting left None takes its default (see ``kernel_settings``).
+    fallback_pixel_count; the image is never aborted. With an adaptive
+    method, a span that gathers only zeros (past the record) skips the
+    kernel. The depth-free part of the gather (``GatherPlan``) is built once
+    per call, before any worker forks. A setting left None takes its default
+    (see ``kernel_settings``).
 
     The span and tile partitions depend only on the grid, the array, L, K
     and whether an adaptive method is asked for, each pixel's gathered
@@ -259,8 +268,8 @@ def reconstruct_methods(
     One worker runs in this process. More split the rows into ``workers``
     blocks for forked processes, at most one per CPU this process
     may use (the tiles' solves hold the interpreter lock, so threads do not
-    run them in parallel). They inherit the frame and settings through the
-    fork and gather from this process's record of the frame, so ``fork``
+    run them in parallel). They inherit the gather plan and settings through
+    the fork and gather from this process's record of the frame, so ``fork``
     must be a start method of the platform (Linux) and the calling process
     should run no other threads. Each block returns its rows
     of every plane and of the fallback mask, joined plane by plane; all
@@ -293,8 +302,8 @@ def reconstruct_methods(
     das_only = all(method is Method.DAS for method in methods)
     offsets = np.zeros(1) if das_only else np.arange(-K, K + 1)
     kernel = dict(
-        frame=frame, xs=grid.x_coords, zs=grid.z_coords, methods=methods,
-        offsets=offsets, tile=tile, span=span_pixels(tile, len(offsets), m),
+        plan=GatherPlan(frame, grid.x_coords, offsets), zs=grid.z_coords,
+        methods=methods, tile=tile, span=span_pixels(tile, len(offsets), m),
         L=L, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     if workers == 1:

@@ -566,7 +566,7 @@ class TestCli:
         rf = tmp_path / "frame"
         assert main(["simulate", "--config", str(small_config), "--out", str(rf)]) == 0
         assert (tmp_path / "frame.bin").exists()
-        assert (tmp_path / "run-manifest.json").exists()
+        assert (tmp_path / "frame.manifest.json").exists()
 
         img = tmp_path / "img"
         rc = main([
@@ -578,6 +578,27 @@ class TestCli:
         assert (tmp_path / "img.bin").exists()
         assert (tmp_path / "img.pgm").exists()
         assert (tmp_path / "img_profile_20.0mm.csv").exists()
+
+    def test_simulate_manifest_per_pair(self, tmp_path, small_config):
+        # two pairs simulated into one directory from different configs keep
+        # a manifest each, named after the pair, and a rerun from either
+        # writes its own pair and manifest again byte for byte
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**SMALL_CONFIG, "noise": {"snr_db": 20.0, "seed": 3}}))
+        runs = {"rf": small_config, "rf2.bin": other}
+        for out, config in runs.items():
+            assert main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path / out)]) == 0
+        assert not (tmp_path / "run-manifest.json").exists()
+        names = ("rf.bin", "rf.json", "rf.manifest.json",
+                 "rf2.bin", "rf2.json", "rf2.manifest.json")
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert first["rf.manifest.json"] != first["rf2.manifest.json"]
+        for out in runs:
+            manifest = f"{pio.stem(tmp_path / out)}.manifest.json"
+            assert main(["simulate", "--config", manifest,
+                         "--out", str(tmp_path / out)]) == 0
+            assert {name: (tmp_path / name).read_bytes() for name in names} == first
 
     def test_msmv_beta_zero_matches_mv(self, tmp_path, small_config):
         rf = tmp_path / "frame"
@@ -626,8 +647,8 @@ class TestCli:
             assert pio.read_metrics_json(out)[0].method == method
         names = {path.name for path in tmp_path.iterdir()}
         assert names == {
-            "config.json", "run-manifest.json", "targets.json",
-            "rf_beta1.5.bin", "rf_beta1.5.json",
+            "config.json", "targets.json",
+            "rf_beta1.5.bin", "rf_beta1.5.json", "rf_beta1.5.manifest.json",
             *(f"scan_0.{d}mm{suffix}" for d in (5, 7)
               for suffix in (".bin", ".json", ".pgm", "_profile_20.0mm.csv")),
             "metrics_scan_0.5mm.json", "metrics_scan_0.7mm.json",

@@ -166,6 +166,21 @@ def test_numpy_and_scipy_dposv_agree_bit_for_bit(stack):
     assert np.isnan(x_np[~ok_np]).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(stack=stacks())
+def test_in_place_solve_matches_copying_solve(stack):
+    # MSMV's step solve factors its own matrix in place; it must give the
+    # bits of the copying spd_solve_stack, and write only lower triangles
+    a, b = stack
+    x, ok = spd_solve_stack(a, b)
+    scratch = a.copy()
+    x_in, ok_in = numerics._spd_solve_in_place(scratch, b)
+    assert x_in.tobytes() == x.tobytes()
+    np.testing.assert_array_equal(ok_in, ok)
+    upper = np.triu_indices(a.shape[-1], 1)
+    assert scratch[:, upper[0], upper[1]].tobytes() == a[:, upper[0], upper[1]].tobytes()
+
+
 @pytest.mark.skipif(NUMPY_POSV is None, reason="numpy's LAPACK exports no dposv")
 def test_numpy_dposv_prints_nothing(capfd):
     # OpenBLAS reports an illegal argument on stdout, which would corrupt the
@@ -198,6 +213,10 @@ def test_stack_shapes_checked():
                  (np.eye(3), np.ones(3)), (np.ones((2, 3, 3)), np.ones((1, 3)))):
         with pytest.raises(DimensionMismatch):
             spd_solve_stack(a, b)
+    # and the in-place solve passes its stack's own memory, so its layout
+    for a in (np.eye(2, dtype=np.float32)[None], np.eye(4)[None, ::2, ::2]):
+        with pytest.raises(ValueError):
+            numerics._spd_solve_in_place(a, np.ones(2))
 
 
 def test_empty_stack():

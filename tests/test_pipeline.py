@@ -23,7 +23,13 @@ from pabeam.beamformers import (
     mv_weight,
 )
 from pabeam.covariance import default_dl_factor, loaded_covariance
-from pabeam.delays import FocalPoint, SnapshotMatrix, gather_delayed, subarray_snapshots
+from pabeam.delays import (
+    FocalPoint,
+    SnapshotMatrix,
+    _delays,
+    gather_delayed,
+    subarray_snapshots,
+)
 from pabeam.errors import ConfigError, NotPositiveDefinite
 from pabeam.phantom import (
     Absorber,
@@ -44,6 +50,7 @@ from pabeam.pipeline import (
     span_pixels,
     tile_pixels,
 )
+from test_delays import interp_reference
 
 
 def geometry(m=16, fs=40e6):
@@ -327,6 +334,24 @@ class TestPlaneBudgets:
         assert all(image.beamformed.base is None for image in images)
         assert held <= 3.1 * self.P
 
+    def test_das_peak_with_gather_plan(self, frame):
+        # a DAS reconstruct of the 240 x 260 grid peaks at 1.51P plus its
+        # gather plan's lateral term (nx x M float64), and the plan does not
+        # grow with nz: doubling the rows adds only the grid's own arrays,
+        # the plane, the fallback mask and the row depths (9 B a pixel, 8 a
+        # row)
+        nx, m = 240, frame.geometry.n_elements
+        extra = []
+        for nz in (260, 520):
+            grid = ImageGrid(-8e-3, 8e-3, 17e-3, 43e-3, nx, nz)
+            das = functools.partial(reconstruct, frame, grid, Method.DAS)
+            das()
+            _, _, peak = traced(das)
+            extra.append(peak - nz * (9 * nx + 8))
+            if nz == 260:
+                assert peak <= 1.51 * nz * nx * 8 + nx * m * 8
+        assert extra[1] <= extra[0] + 1024
+
     def test_finalize_peak(self, frame):
         image = reconstruct(frame, self.GRID, Method.DAS, K=1)
         before = image.beamformed.tobytes()
@@ -540,10 +565,11 @@ def test_fused_pass_matches_single_methods(scene):
         assert single[Method.MV].fallback_pixel_count == 5
 
 
-def per_tile_block(frame, grid, methods, L, K, msmv):
+def per_tile_block(frame, grid, methods, L, K, msmv, gather=gather_delayed):
     """The kernel's block for ``methods`` with each tile gathered on its own
-    by ``gather_delayed`` and beamformed by ``_beamform_tile``: the row loop
-    without spans or skipped spans."""
+    by ``gather`` (``gather_delayed``'s arguments) and beamformed by
+    ``_beamform_tile``: the row loop without spans, gather plans or skipped
+    spans."""
     m = frame.geometry.n_elements
     tile = min(tile_pixels(method, m, L, K) for method in methods)
     offsets = np.zeros(1) if set(methods) == {Method.DAS} else np.arange(-K, K + 1)
@@ -552,7 +578,7 @@ def per_tile_block(frame, grid, methods, L, K, msmv):
     return np.stack([
         np.concatenate([
             pipeline._beamform_tile(
-                gather_delayed(frame, xs[i:i + tile], z, offsets), methods, **kw)
+                gather(frame, xs[i:i + tile], z, offsets), methods, **kw)
             for i in range(0, grid.nx, tile)
         ], axis=1)
         for z in grid.z_coords
@@ -590,6 +616,38 @@ def test_spans_match_per_tile_gathers(methods, nx, x_min, x_max, z_min, nz, work
     *planes, fallback = per_tile_block(frame, grid, methods, TILE_L, TILE_K, msmv)
     for image, plane in zip(images, planes):
         assert np.array_equal(image.beamformed, plane)
+        expected = 0 if image.method is Method.DAS else int(fallback.sum())
+        assert image.fallback_pixel_count == expected
+
+
+def reference_gather(frame, xs, z, offsets):
+    """The gather's definition: ``interp_reference`` of the frame's samples
+    at ``_delays`` plus each offset."""
+    tau = _delays(frame.geometry, xs[:, None, None], z) + offsets[:, None]
+    return interp_reference(frame.samples, tau)
+
+
+@settings(max_examples=12, deadline=None)
+@given(methods=st.sampled_from([(Method.DAS,), (Method.MV,), (Method.DAS, Method.MV)]),
+       nx=st.integers(1, 800), x_min=st.floats(-12e-3, 0.0),
+       x_max=st.floats(1e-3, 30e-3), z_min=st.floats(4e-3, 24e-3),
+       nz=st.integers(1, 2), K=st.integers(0, 2), workers=st.sampled_from([1, 2]))
+# two 768-px DAS spans per row, the second ragged; rows past the record
+@example(methods=(Method.DAS,), nx=800, x_min=-8e-3, x_max=8e-3, z_min=17e-3,
+         nz=2, K=2, workers=2)
+@example(methods=(Method.DAS, Method.MV), nx=161, x_min=-4e-3, x_max=12e-3,
+         z_min=19e-3, nz=2, K=0, workers=1)
+def test_planes_match_reference_gather(methods, nx, x_min, x_max, z_min, nz, K, workers):
+    # the gather plan, the DAS rows' taper sums written into their planes
+    # and the worker split give every DAS and MV plane the bits of a row
+    # by row reference gathered without a plan
+    frame = truncated_frame()
+    grid = ImageGrid(x_min, x_max, z_min, z_min + 2e-3, nx, nz)
+    images = reconstruct_methods(frame, grid, methods, L=TILE_L, K=K, workers=workers)
+    *planes, fallback = per_tile_block(frame, grid, methods, TILE_L, K, MsmvConfig(),
+                                       gather=reference_gather)
+    for image, plane in zip(images, planes):
+        assert image.beamformed.tobytes() == plane.tobytes()
         expected = 0 if image.method is Method.DAS else int(fallback.sum())
         assert image.fallback_pixel_count == expected
 
@@ -652,15 +710,15 @@ def test_worker_processes_end_with_the_call(monkeypatch):
     assert multiprocessing.active_children() == []
 
     # a gather that raises in a worker: the fork inherits the patched kernel
-    gather = pipeline.gather_delayed
+    gather = pipeline.gather_span
     last_row = grid.z_coords[-1]
 
-    def failing_gather(frame, xs, z, *args, **kwargs):
+    def failing_gather(plan, start, stop, z):
         if z == last_row:
             raise TileFailure(f"tile at z={z}")
-        return gather(frame, xs, z, *args, **kwargs)
+        return gather(plan, start, stop, z)
 
-    monkeypatch.setattr(pipeline, "gather_delayed", failing_gather)
+    monkeypatch.setattr(pipeline, "gather_span", failing_gather)
     with pytest.raises(TileFailure, match="^tile at z="):
         reconstruct(frame, grid, Method.MV, K=1, workers=2)
     assert multiprocessing.active_children() == []
