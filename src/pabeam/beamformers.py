@@ -87,13 +87,6 @@ def capon_weights(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / x.sum(axis=-1, keepdims=True), ok
 
 
-def _capon_weights_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``capon_weights`` of a C-ordered float64 stack that nothing reads
-    afterwards: the solve factors ``a`` in place instead of a copy."""
-    x, ok = _spd_solve_in_place(a, np.ones(a.shape[-1]))
-    return x / x.sum(axis=-1, keepdims=True), ok
-
-
 def _capon_solve(a_mat: np.ndarray) -> np.ndarray:
     """One-matrix case of ``capon_weights``; raises NotPositiveDefinite."""
     w, ok = capon_weights(check_symmetric(a_mat)[None])
@@ -193,10 +186,11 @@ def msmv_weights(
         lam = _reweight(x, w_ok, cfg.beta)
         a = np.matmul(xt * lam[:, None, :], x)
         a += r_loaded
-        w_next, solved = _capon_weights_in_place(a)
+        # the Capon solve of capon_weights, factoring a in place
+        x_next, solved = _spd_solve_in_place(a, np.ones(a.shape[-1]))
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
-        w_ok[solved] = w_next[solved]
+        w_ok[solved] = (x_next / x_next.sum(axis=-1, keepdims=True))[solved]
         steps[solved] = k
     w[sel], iterations[sel] = w_ok, steps
     return w, ok, iterations

@@ -418,7 +418,7 @@ def write_metrics_csv(path, reports: list[MetricsReport]) -> None:
                         repr(rep.snr_db),
                         repr(t.depth),
                         repr(t.fwhm),
-                        repr(t.peak_sidelobe_db),
+                        "" if t.peak_sidelobe_db is None else repr(t.peak_sidelobe_db),
                     ]
                 )
 

@@ -18,7 +18,7 @@ class TargetSpec:
 class TargetMetrics:
     depth: float
     fwhm: float
-    peak_sidelobe_db: float
+    peak_sidelobe_db: float | None  # None: 3x the FWHM covers the whole row
 
 
 @dataclass(frozen=True)
@@ -115,25 +115,42 @@ def fwhm(image: PaImage, target: FocalPoint) -> float:
     return float(cross(+1) - cross(-1))
 
 
+def _sidelobe(
+    image: PaImage, target: FocalPoint, mainlobe_exclusion: float
+) -> float | None:
+    """``peak_sidelobe`` with an explicit exclusion, or None where it covers
+    the whole row."""
+    db = _plane(image, "db")
+    row, _, xs, ipk = _peak(image, target)
+    outside = np.abs(xs - xs[ipk]) > mainlobe_exclusion
+    if not np.any(outside):
+        return None
+    return float(db[row][outside].max() - db[row][ipk])
+
+
 def peak_sidelobe(
     image: PaImage, target: FocalPoint, mainlobe_exclusion: float | None = None
 ) -> float:
     """Highest dB-profile value outside the mainlobe, relative to the peak.
 
     ``mainlobe_exclusion`` defaults to 3x the measured FWHM of the target.
+
+    Raises:
+        NoPeakFound: no local maximum on the row, or the exclusion covers
+            the whole row.
     """
-    db = _plane(image, "db")
-    row, _, xs, ipk = _peak(image, target)
     if mainlobe_exclusion is None:
         mainlobe_exclusion = 3.0 * fwhm(image, target)
-    outside = np.abs(xs - xs[ipk]) > mainlobe_exclusion
-    if not np.any(outside):
+    psl = _sidelobe(image, target, mainlobe_exclusion)
+    if psl is None:
         raise NoPeakFound("mainlobe exclusion covers the whole row")
-    return float(db[row][outside].max() - db[row][ipk])
+    return psl
 
 
 def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:
-    """SNR plus per-target FWHM and peak sidelobe for every target."""
+    """SNR plus per-target FWHM and peak sidelobe for every target. A
+    target's sidelobe is None where its exclusion, 3x its FWHM, covers the
+    whole row: its SNR and FWHM are still reported."""
     per_target = []
     for t in spec.targets:
         width = fwhm(image, t)
@@ -141,7 +158,7 @@ def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:
             TargetMetrics(
                 depth=t.z,
                 fwhm=width,
-                peak_sidelobe_db=peak_sidelobe(image, t, 3.0 * width),
+                peak_sidelobe_db=_sidelobe(image, t, 3.0 * width),
             )
         )
     return MetricsReport(

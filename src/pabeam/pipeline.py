@@ -108,18 +108,12 @@ def dynamic_range(dynamic_range_db: float | None = None) -> float:
     return float(dr)
 
 
-def tile_pixels(method: Method, n_elements: int, L: int, K: int) -> int:
-    """Pixels per tile: as many as keep the tile's data within TILE_BYTES.
-
-    For MV and MSMV that is the snapshot tensor (pixels x (2K+1)(M-L+1)
-    snapshot columns x L float64 values): 9 px at M=64, L=32, K=2. DAS needs
-    no snapshots, only the gathered centre-time samples (pixels x M float64
-    values): 768 px at M=64, so a DAS row of that size or less is one tile.
-    Tiles are cut from spans (see ``span_pixels``), the runs of a row that
-    are gathered at once.
+def tile_pixels(n_elements: int, L: int, K: int) -> int:
+    """Pixels per MV and MSMV tile: as many as keep the tile's snapshot
+    tensor (pixels x (2K+1)(M-L+1) snapshot columns x L float64 values)
+    within TILE_BYTES, and at least one. 9 px at M=64, L=32, K=2. Tiles are
+    cut from spans (see ``span_pixels``); DAS takes none.
     """
-    if method is Method.DAS:
-        return max(1, TILE_BYTES // (n_elements * 8))
     return max(1, TILE_BYTES // ((2 * K + 1) * (n_elements - L + 1) * L * 8))
 
 
@@ -128,47 +122,44 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
     whole tiles of ``tile`` pixels as keep the gathered block (pixels x
     ``n_offsets`` x M float64 values) within TILE_BYTES, and at least one.
 
-    153 px (17 tiles) for MV and MSMV at M=64, L=32, K=2, and one 768-px tile
-    for DAS alone. One gather per span, not per tile, saves the gather's
-    per-call cost, while the working set stays independent of the grid.
+    153 px (17 tiles) for MV and MSMV at M=64, L=32, K=2; a DAS-only run,
+    which cuts no tiles (``tile`` 1) and gathers one offset, spans 768 px.
+    One gather per span, not per tile, saves the gather's per-call cost,
+    while the working set stays independent of the grid.
     """
     return tile * max(1, TILE_BYTES // (n_offsets * n_elements * 8 * tile))
 
 
 def _beamform_tile(
     gathered: np.ndarray,
+    das: np.ndarray,
     methods: tuple[Method, ...],
     L: int,
     dl_factor: float,
     msmv: MsmvConfig,
-    taps: np.ndarray,
-) -> np.ndarray:
-    """The block (len(methods) + 1, P) of the tile whose delayed channel data
-    is ``gathered`` (P, 2K+1 offsets -K..K, M): a row per method, in order,
-    then 1 where the adaptive weights fell back to DAS.
+) -> tuple[dict, np.ndarray]:
+    """The MV and MSMV values of the tile whose delayed channel data is
+    ``gathered`` (P, 2K+1 offsets -K..K, M), keyed by those of ``methods``
+    that are adaptive, and ``ok``, the mask of the pixels whose MV solve
+    succeeded. A pixel where it failed takes its DAS value from ``das`` (P).
 
-    One gather feeds every method. DAS is the taper ``taps`` on the
-    centre-time samples (offset 0, index K), summed by ``einsum``, whose bits
-    do not depend on the tile size (DAS alone takes no tiles; see
-    ``_beamform_rows``). MV and MSMV use every offset, and each pixel's
-    covariance is estimated, loaded and Capon-solved once: MV outputs that
-    weight and MSMV iterates from it.
+    Each pixel's covariance is estimated, loaded and Capon-solved once: MV
+    outputs that weight and MSMV iterates from it.
     """
     K = gathered.shape[1] // 2
-    das = np.einsum("pm,m->p", gathered[:, K], taps)
     snaps = subarray_snapshots(gathered, L)
     xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
     w, ok = capon_weights(r_loaded)
     n_sub = gathered.shape[-1] - L + 1
     center = snaps[:, K * n_sub:(K + 1) * n_sub]
-    values = {Method.DAS: das}
+    values = {}
     if Method.MV in methods:
         values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
     if Method.MSMV in methods:
         w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w, ok), xt=xt)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
-    return np.stack([values[m] for m in methods] + [~ok])
+    return values, ok
 
 
 def _beamform_rows(
@@ -186,38 +177,45 @@ def _beamform_rows(
     order, then the boolean mask of the pixels whose adaptive weights fell
     back to DAS; row j holds image row rows[j]. Each row is gathered through
     ``plan``, which holds the image's columns and offsets, a span of ``span``
-    pixels at a time, and beamformed tile by tile of ``tile`` pixels sliced
-    from it. ``tile_settings`` are the rest of ``_beamform_tile``'s
-    arguments; each row of its block fills one plane, so an image can keep
-    its own plane and nothing else. DAS alone needs no tiles: a span's taper
-    sum is written straight into each plane's row.
+    pixels at a time. Every span's DAS, the taper ``taps`` on its centre
+    offset summed by ``einsum``, whose bits depend on neither the span's
+    length nor its stride, is written into the first DAS plane's row, or
+    into a scratch row when DAS is not asked for. With an adaptive method,
+    the span is then beamformed tile by tile of ``tile`` pixels by
+    ``_beamform_tile``, given the rest of its arguments as
+    ``tile_settings`` and the tile's slice of that row as its fallback.
 
-    With an adaptive method, a span whose gathered data is all zero, such as
-    one whose every read index is past the record, is not beamformed: each
-    of its pixels would have a zero covariance, so every method gives 0 and
-    the adaptive ones fall back. The planes keep their zeros there and the
-    mask marks the fallback (not counted in a DAS image).
+    The mask starts all True, so it marks every pixel that no tile reached:
+    all of a DAS-only run's, whose mask is not read, and those of a span
+    whose gathered data is all zero, such as one whose every read index is
+    past the record. Such a span is not beamformed: each of its pixels would
+    have a zero covariance, so every method gives 0 and the adaptive ones
+    fall back, and the adaptive planes keep their zeros there.
     """
-    nx = len(plan.lateral)
+    nx, centre = len(plan.lateral), len(plan.offsets) // 2
     shape = (len(rows), nx)
-    planes = [np.zeros(shape) for _ in methods] + [np.zeros(shape, dtype=bool)]
-    das_only = all(m is Method.DAS for m in methods)
+    planes = [np.zeros(shape) for _ in methods]
+    fallback = np.ones(shape, dtype=bool)
+    das_planes = [p for m, p in zip(methods, planes) if m is Method.DAS]
+    adaptive = [(m, p) for m, p in zip(methods, planes) if m is not Method.DAS]
+    scratch = np.empty(nx)
     for j, iz in enumerate(rows):
+        das = das_planes[0][j] if das_planes else scratch
         for s in range(0, nx, span):
             gathered = gather_span(plan, s, s + span, zs[iz])
-            if das_only:
-                for plane in planes[:-1]:
-                    np.einsum("pm,m->p", gathered[:, 0], taps, out=plane[j, s:s + span])
-                continue
-            if not gathered.any():
-                planes[-1][j, s:s + span] = True
+            np.einsum("pm,m->p", gathered[:, centre], taps, out=das[s:s + span])
+            if not (adaptive and gathered.any()):
                 continue
             for i in range(0, len(gathered), tile):
-                block = _beamform_tile(
-                    gathered[i:i + tile], methods, taps=taps, **tile_settings)
-                for plane, values in zip(planes, block):
-                    plane[j, s + i:s + i + tile] = values
-    return planes
+                cols = slice(s + i, s + i + tile)
+                values, ok = _beamform_tile(
+                    gathered[i:i + tile], das[cols], methods, **tile_settings)
+                fallback[j, cols] = ~ok
+                for method, plane in adaptive:
+                    plane[j, cols] = values[method]
+    for plane in das_planes[1:]:
+        plane[:] = das_planes[0]
+    return planes + [fallback]
 
 
 # The keyword arguments of _beamform_rows in a worker process, filled in once
@@ -243,23 +241,22 @@ def reconstruct_methods(
 ) -> tuple[PaImage, ...]:
     """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
-    Every pixel runs snapshots -> covariance -> diagonal loading -> weights ->
-    subarray-averaged output. Each image row is gathered in spans of up to
-    ``span_pixels`` pixels and processed as tiles of up to ``tile_pixels``
-    pixels sliced from a span, each tile one batched pass through every
-    stage. One gather feeds every method: DAS is the fixed taper
-    ``das_taps`` on the centre-time samples, MV the Capon weight and MSMV the
-    reweighted iteration started from that same MV solve. A DAS-only run
-    gathers the one offset 0, in spans of whole rows (up to 768 px at M=64),
-    and writes their taper sums straight into its plane; any adaptive method
-    makes every tile the MV/MSMV size. A pixel whose loaded covariance still
-    fails the positive-definiteness check (an identically zero neighborhood)
-    falls back to the DAS value and is counted in the MV and MSMV images'
-    fallback_pixel_count; the image is never aborted. With an adaptive
-    method, a span that gathers only zeros (past the record) skips the
-    kernel. The depth-free part of the gather (``GatherPlan``) is built once
-    per call, before any worker forks. A setting left None takes its default
-    (see ``kernel_settings``).
+    Each image row is gathered in spans of up to ``span_pixels`` pixels, and
+    one gather feeds every method. Every span first sums DAS, the fixed
+    taper ``das_taps`` on its centre-time samples, once, whichever methods
+    are asked for: it is the DAS image and the value an adaptive pixel falls
+    back to. With MV or MSMV, the span is then cut into tiles of up to
+    ``tile_pixels`` pixels, each one batched pass of snapshots ->
+    covariance -> diagonal loading -> Capon weights -> subarray-averaged
+    output; MSMV iterates from that same MV solve. A DAS-only run gathers
+    the one offset 0 and cuts no tiles, so its spans are whole rows of up
+    to 768 px at M=64. A pixel whose loaded covariance still fails the
+    positive-definiteness check (an identically zero neighborhood) takes its
+    DAS value and is counted in the MV and MSMV images'
+    fallback_pixel_count; the image is never aborted. A span that gathers
+    only zeros (past the record) skips the tiles. The depth-free part of the
+    gather (``GatherPlan``) is built once per call, before any worker forks.
+    A setting left None takes its default (see ``kernel_settings``).
 
     The span and tile partitions depend only on the grid, the array, L, K
     and whether an adaptive method is asked for, each pixel's gathered
@@ -275,9 +272,9 @@ def reconstruct_methods(
     of every plane and of the fallback mask, joined plane by plane; all
     workers have exited when this returns or raises.
 
-    Each image owns its plane, the kernel's own output for its method, so it
-    holds one plane and keeps neither the fallback mask nor another method's
-    plane alive.
+    Each image owns its plane, one the kernel made for that entry of
+    ``methods`` (a method asked for twice gets two), so it holds one plane
+    and keeps neither the fallback mask nor another image's plane alive.
 
     Returns:
         One image per entry of ``methods``, in order.
@@ -297,10 +294,10 @@ def reconstruct_methods(
     m = frame.geometry.n_elements
     L, K, dl_factor, workers = kernel_settings(m, L, K, dl_factor, workers)
 
-    tile = min(tile_pixels(method, m, L, K) for method in methods)
-    # DAS alone reads the centre time only
-    das_only = all(method is Method.DAS for method in methods)
-    offsets = np.zeros(1) if das_only else np.arange(-K, K + 1)
+    if all(method is Method.DAS for method in methods):
+        offsets, tile = np.zeros(1), 1  # the centre time only, and no tiles
+    else:
+        offsets, tile = np.arange(-K, K + 1), tile_pixels(m, L, K)
     kernel = dict(
         plan=GatherPlan(frame, grid.x_coords, offsets), zs=grid.z_coords,
         methods=methods, tile=tile, span=span_pixels(tile, len(offsets), m),

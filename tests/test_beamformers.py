@@ -331,18 +331,18 @@ def test_msmv_step_failure_keeps_last_iterate(monkeypatch, j):
     r[marked, 0, -1] = mark
     clean = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
     before = msmv_weights(r, x, MsmvConfig(n_iter=j - 1))
-    real = beamformers._capon_weights_in_place
+    real = beamformers._spd_solve_in_place
     calls = []
 
-    def fails_from_step_j(a):  # the step solve; call k-1 is step k
-        w, ok = real(a)
+    def fails_from_step_j(a, b):  # the step solve; call k-1 is step k
+        x, ok = real(a, b)
         if len(calls) >= j - 1:
             hit = a[:, 0, -1] == mark
-            w[hit], ok[hit] = np.nan, False
+            x[hit], ok[hit] = np.nan, False
         calls.append(len(a))
-        return w, ok
+        return x, ok
 
-    monkeypatch.setattr(beamformers, "_capon_weights_in_place", fails_from_step_j)
+    monkeypatch.setattr(beamformers, "_spd_solve_in_place", fails_from_step_j)
     w, ok, iterations = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
     assert len(calls) == n_iter
     np.testing.assert_array_equal(ok, [True] * 4 + [False, True])

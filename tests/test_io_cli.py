@@ -932,8 +932,9 @@ class TestCli:
 
     def test_compare_one_element(self, tmp_path, capsys):
         # a one-element array runs with the default L (1); a single element
-        # has no lateral resolution, so each method's metrics fail and are
-        # reported, and every image is still written
+        # has little lateral resolution, so 3x each method's FWHM covers the
+        # row: every report has no sidelobe reading, and every image is
+        # still written
         raw = {
             "geometry": {"n_elements": 1, "sampling_rate": 40e6},
             "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
@@ -948,8 +949,33 @@ class TestCli:
             for ext in (".bin", ".json", ".pgm"):
                 assert (outdir / f"image_{m}{ext}").exists()
         assert json.loads((outdir / "run-manifest.json").read_text())["L"] == 1
-        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert [e["method"] for e in errors] == ["das", "mv", "msmv"]
+        assert capsys.readouterr().err == ""
+        reports = pio.read_metrics_json(outdir / "metrics.json")
+        assert [r.method for r in reports] == ["das", "mv", "msmv"]
+        assert all(r.per_target[0].peak_sidelobe_db is None for r in reports)
+
+    def test_compare_reports_unmeasured_sidelobe(self, tmp_path, capsys):
+        # test_12's scene: 3x DAS's FWHM covers the +-3 mm row, so DAS has no
+        # sidelobe reading, and its report keeps its SNR and FWHM
+        raw = {
+            "geometry": {"n_elements": 24, "sampling_rate": 40e6, "pitch": 0.38e-3},
+            "phantom": {"absorbers": [{"x": 0.0, "z": 0.02, "amplitude": 10.0}]},
+            "grid": {"x_min": -3e-3, "x_max": 3e-3, "z_min": 18e-3, "z_max": 22e-3,
+                     "nx": 31, "nz": 25},
+            "noise": {"snr_db": 50.0, "seed": 5},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config), "--out", str(outdir)]) == 0
+        assert capsys.readouterr().err == ""
+        reports = pio.read_metrics_json(outdir / "metrics.json")
+        assert [r.method for r in reports] == ["das", "mv", "msmv"]
+        das = reports[0].per_target[0]
+        assert das.peak_sidelobe_db is None and das.fwhm > 0.0
+        assert all(r.per_target[0].peak_sidelobe_db is not None for r in reports[1:])
+        lines = (outdir / "metrics.csv").read_text().splitlines()
+        assert lines[1].startswith("das,") and lines[1].endswith(",")
 
     def test_compare_absorber_outside_grid(self, tmp_path, capsys):
         # an absorber deeper than the grid has no profile and fails its

@@ -1,5 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
+
+from pabeam import io as pio
 
 from pabeam.beamformers import Method
 from pabeam.delays import FocalPoint
@@ -172,3 +177,29 @@ class TestEvaluate:
         assert report.per_target[0].fwhm == pytest.approx(
             2.3548200450309493 * 0.3e-3, rel=0.02
         )
+
+    def test_sidelobe_unmeasurable_keeps_report(self, tmp_path):
+        # 3x the FWHM (0.71 mm) covers the whole +-1 mm row: the sidelobe is
+        # None, while the SNR and FWHM are reported as for any image
+        grid = ImageGrid(-1e-3, 1e-3, 0.015, 0.025, 41, 11)
+        row = np.exp(-(grid.x_coords**2) / (2 * (0.3e-3) ** 2))
+        env = np.tile(row * 1e-6, (11, 1))
+        env[5] = row
+        img = image_from_envelope(env, grid)
+        target = FocalPoint(0.0, 0.02)
+        report = evaluate(img, TargetSpec(targets=(target,)))
+        assert report.snr_db == snr(img)
+        (t,) = report.per_target
+        assert t.fwhm == fwhm(img, target)
+        assert t.peak_sidelobe_db is None
+        with pytest.raises(NoPeakFound):
+            peak_sidelobe(img, target)
+        pio.write_metrics_json(tmp_path / "m.json", [report])
+        raw = json.loads((tmp_path / "m.json").read_text())
+        assert raw[0]["per_target"][0]["peak_sidelobe_db"] is None
+        assert pio.read_metrics_json(tmp_path / "m.json") == [report]
+        pio.write_metrics_csv(tmp_path / "m.csv", [report])
+        with open(tmp_path / "m.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows[0]["peak_sidelobe_db"] == ""
+        assert float(rows[0]["fwhm_m"]) == t.fwhm

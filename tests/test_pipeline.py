@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -449,7 +450,7 @@ class TestTiles:
     @pytest.mark.parametrize("method", tuple(Method))
     @pytest.mark.parametrize("shape", ["nx=1", "nz=1", "tile+1", "ragged"])
     def test_matches_per_pixel_definition(self, method, shape):
-        tile = tile_pixels(method, 64, TILE_L, TILE_K)
+        tile = tile_pixels(64, TILE_L, TILE_K)
         nx, nz = {"nx=1": (1, 3), "nz=1": (5, 1), "tile+1": (tile + 1, 2),
                   "ragged": (2 * tile + 5, 1)}[shape]
         grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, nx, nz)
@@ -457,13 +458,11 @@ class TestTiles:
 
     def test_tile_size(self):
         # the snapshot tensor of one tile stays within TILE_BYTES (384 KiB)
-        assert tile_pixels(Method.MV, 64, 32, 2) == 9
-        assert tile_pixels(Method.MSMV, 64, 32, 2) == 9
-        assert tile_pixels(Method.DAS, 64, 32, 2) == 768  # P x M x 8 B gathered
-        assert tile_pixels(Method.MV, 4096, 2048, 8) == 1
+        assert tile_pixels(64, 32, 2) == 9
+        assert tile_pixels(4096, 2048, 8) == 1
         # a span's gathered block stays within TILE_BYTES too, in whole tiles
         assert span_pixels(9, 5, 64) == 153  # 17 tiles of 9 px x 5 x 64 x 8 B
-        assert span_pixels(768, 1, 64) == 768
+        assert span_pixels(1, 1, 64) == 768  # DAS alone: no tiles, P x M x 8 B
         assert span_pixels(7, 3, 16) == 1022
         assert span_pixels(1, 17, 4096) == 1
 
@@ -539,8 +538,8 @@ def test_das_mv_match_independent_reference(method):
 @pytest.mark.parametrize("scene", ["noisy", "truncated"])
 def test_fused_pass_matches_single_methods(scene):
     # one pass for several methods gives each method's one-method image bit
-    # for bit, DAS (a different tile size) included; the truncated record is
-    # test_mixed_tile_fallback's, with 5 fallback pixels.
+    # for bit, DAS (one offset in longer spans alone) included; the truncated
+    # record is test_mixed_tile_fallback's, with 5 fallback pixels.
     # The one-method MSMV image is also held to the per-pixel definition.
     frame = noisy_frame()
     grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 13, 3)
@@ -553,10 +552,14 @@ def test_fused_pass_matches_single_methods(scene):
     assert single[Method.MSMV].fallback_pixel_count == fallbacks
     diff = np.max(np.abs(single[Method.MSMV].beamformed - plane))
     assert diff <= MSMV_RTOL * np.max(np.abs(plane))
-    for methods in (tuple(Method), (Method.MSMV, Method.DAS)):
+    for methods in (tuple(Method), (Method.MSMV, Method.DAS),
+                    (Method.MV, Method.DAS, Method.MV), (Method.DAS, Method.DAS)):
         for workers in (1, 2):
             fused = reconstruct_methods(frame, grid, methods, workers=workers, **kw)
             assert [image.method for image in fused] == list(methods)
+            # each image owns its plane, a method asked for twice included
+            assert not any(np.shares_memory(a.beamformed, b.beamformed)
+                           for a, b in itertools.combinations(fused, 2))
             for image in fused:
                 ref = single[image.method]
                 assert image.fallback_pixel_count == ref.fallback_pixel_count
@@ -566,21 +569,30 @@ def test_fused_pass_matches_single_methods(scene):
 
 
 def per_tile_block(frame, grid, methods, L, K, msmv, gather=gather_delayed):
-    """The kernel's block for ``methods`` with each tile gathered on its own
-    by ``gather`` (``gather_delayed``'s arguments) and beamformed by
+    """The kernel's planes for ``methods`` and its fallback mask, as one block
+    (method, row, column), with each MV/MSMV-sized tile gathered on its own
+    by ``gather`` (``gather_delayed``'s arguments), its DAS taper summed on
+    its own and, with an adaptive method, its MV and MSMV values from
     ``_beamform_tile``: the row loop without spans, gather plans or skipped
     spans."""
     m = frame.geometry.n_elements
-    tile = min(tile_pixels(method, m, L, K) for method in methods)
-    offsets = np.zeros(1) if set(methods) == {Method.DAS} else np.arange(-K, K + 1)
-    kw = dict(L=L, dl_factor=default_dl_factor(L), msmv=msmv, taps=das_taps(m, L))
+    tile, taps = tile_pixels(m, L, K), das_taps(m, L)
+    adaptive = set(methods) != {Method.DAS}
+    offsets = np.arange(-K, K + 1) if adaptive else np.zeros(1)
+    kw = dict(L=L, dl_factor=default_dl_factor(L), msmv=msmv)
     xs = grid.x_coords
+
+    def block(z, i):
+        gathered = gather(frame, xs[i:i + tile], z, offsets)
+        das = np.einsum("pm,m->p", gathered[:, len(offsets) // 2], taps)
+        values, ok = {}, np.zeros(len(das), dtype=bool)
+        if adaptive:
+            values, ok = pipeline._beamform_tile(gathered, das, methods, **kw)
+        values[Method.DAS] = das
+        return np.stack([values[method] for method in methods] + [~ok])
+
     return np.stack([
-        np.concatenate([
-            pipeline._beamform_tile(
-                gather(frame, xs[i:i + tile], z, offsets), methods, **kw)
-            for i in range(0, grid.nx, tile)
-        ], axis=1)
+        np.concatenate([block(z, i) for i in range(0, grid.nx, tile)], axis=1)
         for z in grid.z_coords
     ], axis=1)
 
