@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pabeam import io as pio
-
 from pabeam.beamformers import Method
 from pabeam.delays import FocalPoint
 from pabeam.errors import (

@@ -538,8 +538,9 @@ def test_das_mv_match_independent_reference(method):
 @pytest.mark.parametrize("scene", ["noisy", "truncated"])
 def test_fused_pass_matches_single_methods(scene):
     # one pass for several methods gives each method's one-method image bit
-    # for bit, DAS (one offset in longer spans alone) included; the truncated
-    # record is test_mixed_tile_fallback's, with 5 fallback pixels.
+    # for bit, DAS (gathered alone at one offset, in longer spans) included;
+    # the truncated record is test_mixed_tile_fallback's, with 5 fallback
+    # pixels.
     # The one-method MSMV image is also held to the per-pixel definition.
     frame = noisy_frame()
     grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 13, 3)
