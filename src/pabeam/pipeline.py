@@ -262,14 +262,17 @@ def reconstruct_methods(
     and whether an adaptive method is asked for, each pixel's gathered
     values not even on that, and DAS's taper sum on none of it, so every
     plane is bit-identical for any ``workers`` and to its one-method run.
-    One worker runs in this process. More split the rows into ``workers``
-    blocks for forked processes, at most one per CPU this process
-    may use (the tiles' solves hold the interpreter lock, so threads do not
-    run them in parallel). They inherit the gather plan and settings through
-    the fork and gather from this process's record of the frame, so ``fork``
-    must be a start method of the platform (Linux) and the calling process
-    should run no other threads. Each block returns its rows
-    of every plane and of the fallback mask, joined plane by plane; all
+    One process means this process: the rows run here, with no pool, when
+    ``workers`` is 1, when the grid has one row, or when this process may
+    use only one CPU, tested in that order (so a one-worker run never asks
+    for the CPU set, which some platforms cannot give). Otherwise the rows
+    split into ``workers`` blocks for forked processes, at most one per CPU
+    this process may use (the tiles' solves hold the interpreter lock, so
+    threads do not run them in parallel). They inherit the gather plan and
+    settings through the fork and gather from this process's record of the
+    frame, so ``fork`` must be a start method of the platform (Linux) and
+    the calling process should run no other threads. Each block returns its
+    rows of every plane and of the fallback mask, joined plane by plane; all
     workers have exited when this returns or raises.
 
     Each image owns its plane, one the kernel made for that entry of
@@ -303,20 +306,21 @@ def reconstruct_methods(
         methods=methods, tile=tile, span=span_pixels(tile, len(offsets), m),
         L=L, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
-    if workers == 1:
+    # one block of rows per worker: blocks of 8 rows or of one row ran no
+    # faster; there is one block when workers is 1 or the grid has one row
+    step = -(-grid.nz // workers)
+    blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
+    processes = 1 if len(blocks) == 1 else min(len(blocks), len(os.sched_getaffinity(0)))
+    if processes == 1:
         *planes, fallback = _beamform_rows(range(grid.nz), **kernel)
     else:
         # Imported here: loading the process pool costs 17-20 ms, which a
-        # one-worker run need not pay.
+        # run in this process need not pay.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # one block of rows per worker: blocks of 8 rows or of one row ran
-        # no faster
-        step = -(-grid.nz // workers)
-        blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
         with ProcessPoolExecutor(
-            max_workers=min(len(blocks), len(os.sched_getaffinity(0))),
+            max_workers=processes,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_kernel.update,
             initargs=(kernel,),

@@ -102,6 +102,8 @@ class TestSparseCapon:
         np.testing.assert_allclose(
             sc_weight(r, 0.0, 10).values, mv_weight(r).values, atol=1e-14
         )
+        with pytest.raises(ValueError, match="alpha"):
+            sc_weight(r, -1.0, 10)
 
 
 class TestReweightDiagonal:

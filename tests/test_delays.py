@@ -303,6 +303,8 @@ def test_record_adopted_only_when_exact():
         assert not np.shares_memory(frame.samples, samples.base)
         out, ref = gather_case(frame)
         assert out.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="samples must be"):
+        RfFrame(geometry=geometry(), samples=record.reshape(-1))
 
 
 def test_editing_samples_changes_the_next_gather():

@@ -62,6 +62,7 @@ BAD_VALUES = [
     ("geometry.sampling_rate", float("nan")), ("noise.snr_db", float("nan")),
     ("t_max", -1e-6), ("t_max", 0.0), ("t_max", float("nan")),
     ("phantom.absorbers[0].z", float("nan")), ("phantom.absorbers[0].x", float("inf")),
+    ("phantom.absorbers[0].z", 0.0),
     ("noise.seed", -1), ("K", HUGE),
     *[(path, HUGE) for path in (
         "geometry.pitch", "geometry.sound_speed", "geometry.sampling_rate",
@@ -300,6 +301,12 @@ class TestRfRoundtrip:
         padded = np.pad(samples, ((0, 0), (2, 2))).reshape(-1)
         assert back.guarded.tobytes() == padded.tobytes()
         assert t == 0 or np.shares_memory(back.samples, back.guarded)
+        # and each beamforms with every method
+        for method in ("das", "mv", "msmv"):
+            img = tmp_path / f"img_{method}"
+            assert main(["beamform", "--rf", str(tmp_path / "rf"), "--method", method,
+                         "--grid=-1e-3,1e-3,0.001,0.003,5,7", "--out", str(img)]) == 0
+            assert pio.read_image(img).beamformed.shape == (7, 5)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "rf.json").write_text(json.dumps({"magic": "NOPE"}))
@@ -544,6 +551,12 @@ def _config_not_json(tmp_path):
     return ["compare", "--config", str(config)], config
 
 
+def _config_not_object(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[16]")
+    return ["compare", "--config", str(config)], config
+
+
 SMALL_CONFIG = {
     "geometry": {"n_elements": 16, "sampling_rate": 40e6},
     "phantom": {"absorbers": [{"x": 0.0, "z": 0.02}]},
@@ -627,6 +640,12 @@ class TestCli:
         reports = pio.read_metrics_json(out)
         assert reports[0].method == "mv"
         assert len(reports[0].per_target) == 1
+        # any other suffix writes CSV
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "--image", str(tmp_path / "img"),
+                     "--targets", str(targets), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == ",".join(pio.METRICS_CSV_COLUMNS) and row.startswith("mv,")
 
     def test_dotted_bases(self, tmp_path, small_config):
         # only a trailing .bin or .json leaves a base, so the dot of a value
@@ -666,13 +685,18 @@ class TestCli:
         for m in ("das", "mv", "msmv"):
             assert (outdir / f"image_{m}.bin").exists()
             assert (outdir / f"profile_{m}_20.0mm.csv").exists()
-        # the manifest itself is a valid config for a rerun
-        rc = main(["compare", "--config", str(outdir / "run-manifest.json"),
-                   "--out", str(tmp_path / "cmp2")])
-        assert rc == 0
-        a = (outdir / "image_mv.bin").read_bytes()
-        b = (tmp_path / "cmp2" / "image_mv.bin").read_bytes()
-        assert a == b
+        # two workers write every file but the manifest, which records them,
+        # byte for byte; the manifest is a valid config for a rerun, which
+        # writes every file again, the manifest included
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({**SMALL_CONFIG, "workers": 2}))
+        for config, out in ((two, "two"), (outdir / "run-manifest.json", "rerun")):
+            assert main(["compare", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        files = {d: {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                 for d in ("cmp", "two", "rerun")}
+        assert files["rerun"] == files["cmp"]
+        assert files["two"].pop("run-manifest.json") != files["cmp"].pop("run-manifest.json")
+        assert files["two"] == files["cmp"]
 
     def test_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -748,7 +772,7 @@ class TestCli:
         _rf_sample_encoding, _rf_header_not_json, _image_partial_grid,
         _image_without_dynamic_range, _image_plane_encoding, _targets_not_json,
         _config_not_json, _rf_element_x_overflows, _rf_nan_sample, _rf_inf_sample,
-        _image_nan_pixel, _image_inf_pixel, _image_neg_inf_pixel,
+        _image_nan_pixel, _image_inf_pixel, _image_neg_inf_pixel, _config_not_object,
     ])
     def test_malformed_input_file(self, tmp_path, capsys, make_input):
         # one line of JSON naming the file and exit code 1, not a traceback
@@ -791,6 +815,7 @@ class TestCli:
         ["--beta", "-1"], ["--iters", "-2"], ["--dl", "-1"], ["--dr", "0"],
         ["--beta", "nan"], ["--dl", "inf"], ["--dr", "nan"],
         ["--grid=a,b,c,d,1,1"], ["--grid=0,1,2,3,x,1"], ["--grid=-1e308,1e308,0,1,3,2"],
+        ["--grid=1,2,3"],
     ], ids=lambda flags: "".join(flags))
     def test_beamform_bad_flag_value(self, tmp_path, capsys, flags):
         # one line of JSON and exit code 1, not a traceback (or, for nan and
@@ -1012,7 +1037,7 @@ def test_heap_pin_keeps_tile_pages(tmp_path):
     # MSMV of a small frame on its default grid: its frees are too small to
     # raise glibc's own heap thresholds, so without the pinned ones every
     # tile faults its temporaries in afresh (about 21,000 minor faults on a
-    # 16-element frame against about 1,500). A fresh interpreter, so that
+    # 16-element frame against about 800). A fresh interpreter, so that
     # what other tests freed does not count.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

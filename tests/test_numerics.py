@@ -43,8 +43,9 @@ def test_indefinite_fails():
 
 def test_asymmetric_rejected():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(DimensionMismatch):
-        check_symmetric(a)
+    for bad in (a, np.ones((2, 3))):  # asymmetric, not square
+        with pytest.raises(DimensionMismatch):
+            check_symmetric(bad)
 
 
 def test_random_spd_residuals():

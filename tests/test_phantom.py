@@ -54,7 +54,7 @@ class TestArrayGeometry:
     @pytest.mark.parametrize("name, value", [
         ("pitch", 0.0), ("pitch", -3e-4), ("pitch", float("nan")), ("pitch", float("inf")),
         ("sound_speed", 0.0), ("sound_speed", -1540.0), ("center_frequency", -5e6),
-        ("center_frequency", 0.0), ("sampling_rate", float("nan")),
+        ("center_frequency", 0.0), ("sampling_rate", float("nan")), ("n_elements", 0),
     ])
     def test_rejects_non_positive(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -650,6 +650,8 @@ def reference_gather(frame, xs, z, offsets):
          nz=2, K=2, workers=2)
 @example(methods=(Method.DAS, Method.MV), nx=161, x_min=-4e-3, x_max=12e-3,
          z_min=19e-3, nz=2, K=0, workers=1)
+@example(methods=(Method.DAS, Method.MV), nx=1, x_min=-1e-3, x_max=1e-3,
+         z_min=18e-3, nz=2, K=2, workers=2)
 def test_planes_match_reference_gather(methods, nx, x_min, x_max, z_min, nz, K, workers):
     # the gather plan, the DAS rows' taper sums written into their planes
     # and the worker split give every DAS and MV plane the bits of a row
@@ -741,6 +743,18 @@ def test_worker_processes_end_with_the_call(monkeypatch):
 NUMPY_LAPACK = numerics._numpy_posv() is not None
 
 
+# a fresh interpreter's frame of one point target, M=16
+FRESH_FRAME = (
+    "from pabeam import Absorber, ArrayGeometry, ImageGrid, Method, Phantom\n"
+    "from pabeam import finalize, reconstruct, reconstruct_methods, simulate_rf\n"
+    "geo = ArrayGeometry(n_elements=16, pitch=3e-4, sound_speed=1540.0,\n"
+    "                    sampling_rate=40e6, center_frequency=5e6,\n"
+    "                    fractional_bandwidth=0.77)\n"
+    "frame = simulate_rf(geo, Phantom.from_points([Absorber(0.0, 0.02)]), 40e-6)\n"
+)
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
 @functools.cache
 def fresh_run_modules():
     """Modules a fresh interpreter has loaded after importing the CLI and
@@ -752,13 +766,8 @@ def fresh_run_modules():
         "import sys\n"
         + ("sys.modules['scipy'] = None\n" if NUMPY_LAPACK else "")
         + "import pabeam.cli\n"
-        "from pabeam import Absorber, ArrayGeometry, ImageGrid, Method, Phantom\n"
-        "from pabeam import finalize, reconstruct, simulate_rf\n"
-        "geo = ArrayGeometry(n_elements=16, pitch=3e-4, sound_speed=1540.0,\n"
-        "                    sampling_rate=40e6, center_frequency=5e6,\n"
-        "                    fractional_bandwidth=0.77)\n"
-        "frame = simulate_rf(geo, Phantom.from_points([Absorber(0.0, 0.02)]), 40e-6)\n"
-        "grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 3, 2)\n"
+        + FRESH_FRAME
+        + "grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 3, 2)\n"
         "for method in Method:\n"
         "    finalize(reconstruct(frame, grid, method, K=1, workers=1))\n"
         # the blocked scipy entry is None: list only the modules loaded
@@ -770,8 +779,28 @@ def fresh_run_modules():
 
 
 def test_one_worker_loads_no_process_pool():
-    assert [m for m in fresh_run_modules()
-            if m.startswith(("concurrent.futures.process", "multiprocessing"))] == []
+    assert [m for m in fresh_run_modules() if m.startswith(POOL_MODULES)] == []
+
+
+@pytest.mark.parametrize("pin, workers, nz", [(True, 3, 4), (False, 2, 1)],
+                         ids=["pinned", "one-row"])
+def test_one_process_runs_in_the_caller(pin, workers, nz):
+    # pinned to one CPU, or with one row to run, a call for more workers
+    # starts no pool and gives the one-worker planes bit for bit
+    cpu = min(os.sched_getaffinity(0))
+    code = (
+        f"import os, sys\nif {pin}: os.sched_setaffinity(0, {{{cpu}}})\n" + FRESH_FRAME
+        + f"grid = ImageGrid(-1e-3, 1e-3, 19e-3, 21e-3, 5, {nz})\n"
+        "runs = [reconstruct_methods(frame, grid, tuple(Method), K=1, workers=w)\n"
+        f"        for w in ({workers}, 1)]\n"
+        "print(all(a.beamformed.tobytes() == b.beamformed.tobytes()\n"
+        "          for a, b in zip(*runs)))\n"
+        f"print(*(m for m in sys.modules if m.startswith({POOL_MODULES})))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    same, pool_modules, _ = run.stdout.split("\n")
+    assert same == "True" and pool_modules == ""
 
 
 def test_run_loads_no_scipy():
