@@ -6,7 +6,7 @@ pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
 transposes. The sparse-regularized method iterates a reweighted closed-form
 update: at each step the l1 penalty on the snapshot outputs is converted to a
 quadratic via a diagonal of reciprocal output magnitudes, which augments the
-covariance before the Capon solve.
+covariance before the Capon solve. Each step descends w^T R w + 2 beta ||X^T w||_1.
 
 ``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work on a tile
 of pixels (a leading pixel axis) and are what images are formed from.
@@ -44,10 +44,10 @@ EPSILON_FLOOR_REL = 1e-12
 @dataclass(frozen=True)
 class MsmvConfig:
     """The two settings of the sparse-regularized MV iteration: the penalty
-    weight ``beta`` and the number of reweighted steps ``n_iter``. The
-    iteration always runs ``n_iter`` steps (it has no convergence test), and
-    every step penalizes all snapshot columns, the set the covariance
-    averages over."""
+    weight ``beta`` and the number of reweighted steps ``n_iter``. Each step
+    descends w^T R w + 2 beta ||X^T w||_1 (``msmv_objective`` at 2 beta); the
+    iteration runs all ``n_iter`` (it has no convergence test), and every
+    step penalizes all snapshot columns, the set the covariance averages over."""
 
     beta: float = 1.0
     n_iter: int = 10
@@ -152,22 +152,24 @@ def msmv_weights(
     *,
     start: tuple[np.ndarray, np.ndarray] | None = None,
     xt: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    snapshot rows. The pixels whose MV solve succeeded are taken once (a view
-    when every pixel did) and each takes all ``cfg.n_iter`` steps: a step
-    solves the pixel's r_loaded + (x^T Lambda) x, one unsymmetrized matmul of
-    a contiguous x^T (the solver reads one triangle and factors the step's
-    matrix in place, as nothing reads it afterwards), Lambda = beta /
-    max(|x w|, eps * peak) of the last iterate, or 0 if all outputs are 0. A
-    step whose matrix is not positive definite leaves its pixel at the last
-    iterate, so every later step rebuilds the same matrix and fails again.
+    snapshot rows. The whole tile takes all ``cfg.n_iter`` steps, descending
+    w^T R w + 2 beta ||x w||_1: a step solves each pixel's r_loaded +
+    (x^T Lambda) x, one unsymmetrized matmul of a contiguous x^T (the solver
+    reads one triangle and factors the step's matrix in place, as nothing
+    reads it afterwards), Lambda = beta / max(|x w|, eps * peak) of the last
+    iterate, or 0 if all outputs are 0. A pixel keeps its last iterate where
+    the step's matrix is not positive definite, so every later step rebuilds
+    the same matrix and fails again, and its NaN weights where MV failed.
 
     ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
     made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
     when the caller holds it, e.g. the one its covariance was formed from.
+    ``out`` holds each step's reweighted x^T in its leading pixels if given.
 
     Returns:
         (w, ok, iterations): weights (P, L), the mask of pixels whose MV
@@ -179,20 +181,18 @@ def msmv_weights(
         return w, ok, iterations
     if xt is None:
         xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    sel = slice(None) if ok.all() else ok
-    x, xt, r_loaded, w_ok = x[sel], xt[sel], r_loaded[sel], w[sel]
-    steps = iterations[sel]
+    scaled = np.empty(xt.shape) if out is None else out[:len(xt)]
     for k in range(1, cfg.n_iter + 1):
-        lam = _reweight(x, w_ok, cfg.beta)
-        a = np.matmul(xt * lam[:, None, :], x)
+        lam = _reweight(x, w, cfg.beta)
+        a = np.matmul(np.multiply(xt, lam[:, None, :], out=scaled), x)
         a += r_loaded
         # the Capon solve of capon_weights, factoring a in place
         x_next, solved = _spd_solve_in_place(a, np.ones(a.shape[-1]))
         # reweighting saturated the conditioning (deep nulls): keep the last
         # valid iterate rather than discarding the pixel
-        w_ok[solved] = (x_next / x_next.sum(axis=-1, keepdims=True))[solved]
-        steps[solved] = k
-    w[sel], iterations[sel] = w_ok, steps
+        solved &= ok
+        w[solved] = (x_next / x_next.sum(axis=-1, keepdims=True))[solved]
+        iterations[solved] = k
     return w, ok, iterations
 
 
@@ -225,7 +225,7 @@ def msmv_weight(
 def msmv_objective(
     r: np.ndarray, snapshots: SnapshotMatrix, w: np.ndarray, beta: float
 ) -> float:
-    """w^T R w + beta * ||X^T w||_1, the quantity the reweighted update descends."""
+    """w^T R w + beta * ||X^T w||_1, which the update run at penalty beta / 2 descends."""
     x = snapshots.columns
     return float(w @ r @ w + beta * np.sum(np.abs(x.T @ w)))
 

@@ -1,7 +1,6 @@
 """Command-line surface: simulate, beamform, metrics, compare."""
 
 import argparse
-import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -13,10 +12,7 @@ from .delays import FocalPoint
 from .errors import PabeamError
 from .metrics import TargetSpec, depth_row, evaluate, lateral_profile
 from .phantom import add_channel_noise, simulate_rf
-from .pipeline import TILE_BYTES, finalize, reconstruct, reconstruct_methods
-
-# glibc mallopt parameters
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+from .pipeline import finalize, reconstruct, reconstruct_methods
 
 
 def _fail(exc: Exception, **context) -> int:
@@ -189,20 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_heap_thresholds() -> None:
-    """Keeps a tile's temporaries on the heap, and the heap untrimmed between
-    tiles, on glibc. An MV/MSMV tile frees about 3.5 TILE_BYTES of arrays of
-    up to TILE_BYTES each; glibc's default thresholds move with the largest
-    block freed so far, and below that every tile faults its pages in afresh
-    (MSMV ran up to a third slower). Fixed ones do not depend on the past."""
-    if sys.platform == "linux":
-        libc = ctypes.CDLL(None)
-        libc.mallopt(M_MMAP_THRESHOLD, 2 * TILE_BYTES)
-        libc.mallopt(M_TRIM_THRESHOLD, 8 * TILE_BYTES)
-
-
 def main(argv=None) -> int:
-    _pin_heap_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -75,11 +75,13 @@ class GatherPlan:
     It holds the lateral term (element_x - x)^2 of every column and element,
     (len(xs), M) float64 values, the record index m (T + 4) + 2 of each
     channel's sample 0, the frame's guarded record and its view shifted by
-    one sample, and the offsets as float64. The record is the frame's own
-    (a view), so the plan copies no samples.
+    one sample, the offsets as float64 and the arrays a gather of up to
+    ``span`` columns (all if None) writes into, ``tau`` None for a lone
+    offset 0. The record is the frame's own (a view), so the plan copies no
+    samples.
     """
 
-    def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray):
+    def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray, span=None):
         geometry = frame.geometry
         lateral = geometry.element_x - np.asarray(xs, dtype=np.float64)[:, None]
         lateral *= lateral
@@ -92,11 +94,14 @@ class GatherPlan:
         self.offsets = np.asarray(offsets, dtype=np.float64)
         self.sound_speed = geometry.sound_speed
         self.sampling_rate = geometry.sampling_rate
+        shape = (min(len(lateral), span or len(lateral)), len(offsets), geometry.n_elements)
+        self.lo, self.hi, self.index = np.empty(shape), np.empty(shape), np.empty(shape, np.int64)
+        self.tau = np.empty(shape) if len(offsets) > 1 or self.offsets.any() else None
 
 
 def gather_span(plan: GatherPlan, start: int, stop: int, z: float) -> np.ndarray:
     """Delayed channel data for the plan's columns start..stop-1 at depth
-    ``z``: shape (P, len(plan.offsets), M).
+    ``z``: shape (P, len(plan.offsets), M), in ``plan.lo`` until the next gather.
 
     The delay is ``_delays``' sqrt(lateral + z^2) / c * fs, the same
     operations in the same order, formed in place, and each offset is
@@ -111,22 +116,23 @@ def gather_span(plan: GatherPlan, start: int, stop: int, z: float) -> np.ndarray
     np.sqrt(delay, out=delay)
     delay /= plan.sound_speed
     delay *= plan.sampling_rate
-    offsets = plan.offsets
-    if len(offsets) == 1 and offsets[0] == 0.0:
+    p = len(delay)
+    if plan.tau is None:
         tau = delay[:, None, :]
     else:
         # contiguous slabs: a strided delay would take the slow ufunc loops
-        tau = np.empty((len(delay), len(offsets), delay.shape[1]))
-        for i, offset in enumerate(offsets):
+        tau = plan.tau[:p]
+        for i, offset in enumerate(plan.offsets):
             np.add(delay, offset, out=tau[:, i])
-    del delay  # a separate array is freed before the reads allocate theirs
-    k = np.floor(tau)
+    k = np.floor(tau, out=plan.lo[:p])
     frac = np.subtract(tau, k, out=tau)
     np.clip(k, -2, plan.n_samples, out=k)
-    k = k.astype(np.int64)
-    k += plan.base
-    lo = plan.record.take(k)
-    hi = plan.shifted.take(k)
+    index = plan.index[:p]
+    index[...] = k
+    index += plan.base
+    # in range by the clip; "raise" would copy into ``out`` through a buffer
+    lo = plan.record.take(index, out=plan.lo[:p], mode="clip")
+    hi = plan.shifted.take(index, out=plan.hi[:p], mode="clip")
     # (1 - frac) * lo + frac * hi, in place and in that order of operations
     hi *= frac
     np.subtract(1.0, frac, out=frac)
@@ -146,16 +152,17 @@ def gather_delayed(
     return gather_span(GatherPlan(frame, xs, offsets), 0, len(xs), z)
 
 
-def subarray_snapshots(delayed: np.ndarray, L: int) -> np.ndarray:
+def subarray_snapshots(delayed: np.ndarray, L: int, out=None) -> np.ndarray:
     """Length-L subarray windows of gathered data (P, O, M), offset-major:
     shape (P, O(M-L+1), L), row n of pixel p being snapshot column n.
 
-    The windows are one read-only strided view of ``delayed``; with a single
-    offset the result is that view, otherwise a copy.
+    One read-only strided view of ``delayed`` is copied into ``out[:P]`` if
+    ``out`` (C-contiguous float64) is given, else into a new C-ordered array.
     """
     p, o, m = delayed.shape
-    step = delayed.strides[-1]
-    windows = as_strided(
-        delayed, (p, o, m - L + 1, L), (*delayed.strides, step), writeable=False
+    n = m - L + 1
+    out = np.empty((p, o * n, L)) if out is None else out[:p]
+    out.reshape(p, o, n, L)[...] = as_strided(
+        delayed, (p, o, n, L), (*delayed.strides, delayed.strides[-1]), writeable=False
     )
-    return windows.reshape(p, -1, L)
+    return out

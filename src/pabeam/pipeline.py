@@ -19,10 +19,9 @@ from .delays import GatherPlan, gather_span, subarray_snapshots
 from .errors import ConfigError
 from .phantom import RfFrame
 
-# Largest size of one tile's snapshot tensor. Tiles this small are as fast
-# per pixel as whole rows (MSMV faster: the tile stays in cache) and keep the
-# kernel's working set small and independent of the grid; at 512 KiB the
-# process's peak memory already rose by 2 MiB over a per-pixel loop.
+# Largest size of a tile's snapshot tensor, a span's gathered block and an
+# envelope block's spectrum: tiles this small are as fast per pixel as whole
+# rows (MSMV faster, as the tile stays in cache) and bound the working set.
 TILE_BYTES = 3 << 17
 
 
@@ -130,6 +129,12 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
     return tile * max(1, TILE_BYTES // (n_offsets * n_elements * 8 * tile))
 
 
+def _tile_buffers(pixels: int, n_offsets: int, M: int, L: int) -> tuple:
+    """Uninitialized snapshot rows X, X^T and MSMV's reweighted X^T of a tile."""
+    n = n_offsets * (M - L + 1)
+    return np.empty((pixels, n, L)), np.empty((pixels, L, n)), np.empty((pixels, L, n))
+
+
 def _beamform_tile(
     gathered: np.ndarray,
     das: np.ndarray,
@@ -137,6 +142,7 @@ def _beamform_tile(
     L: int,
     dl_factor: float,
     msmv: MsmvConfig,
+    out: tuple | None = None,
 ) -> tuple[dict, np.ndarray]:
     """The MV and MSMV values of the tile whose delayed channel data is
     ``gathered`` (P, 2K+1 offsets -K..K, M), keyed by those of ``methods``
@@ -144,20 +150,22 @@ def _beamform_tile(
     succeeded. A pixel where it failed takes its DAS value from ``das`` (P).
 
     Each pixel's covariance is estimated, loaded and Capon-solved once: MV
-    outputs that weight and MSMV iterates from it.
+    outputs that weight and MSMV iterates from it. ``out`` is ``_tile_buffers``
+    of at least P pixels, whose leading P the tile fills (new ones if None).
     """
-    K = gathered.shape[1] // 2
-    snaps = subarray_snapshots(gathered, L)
-    xt = np.ascontiguousarray(np.swapaxes(snaps, -1, -2))
+    snap_out, xt_out, scaled_out = out or _tile_buffers(*gathered.shape, L)
+    snaps = subarray_snapshots(gathered, L, snap_out)
+    xt = xt_out[:len(snaps)]
+    xt[...] = np.swapaxes(snaps, -1, -2)
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
     w, ok = capon_weights(r_loaded)
-    n_sub = gathered.shape[-1] - L + 1
+    K, n_sub = gathered.shape[1] // 2, gathered.shape[-1] - L + 1
     center = snaps[:, K * n_sub:(K + 1) * n_sub]
     values = {}
     if Method.MV in methods:
         values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
     if Method.MSMV in methods:
-        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w, ok), xt=xt)
+        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w, ok), xt=xt, out=scaled_out)
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
     return values, ok
 
@@ -169,21 +177,20 @@ def _beamform_rows(
     zs: np.ndarray,
     methods: tuple[Method, ...],
     tile: int,
-    span: int,
     taps: np.ndarray,
     **tile_settings,
 ) -> list[np.ndarray]:
     """The planes (row, column) of the image rows ``rows``, one per method in
     order, then the boolean mask of the pixels whose adaptive weights fell
     back to DAS; row j holds image row rows[j]. Each row is gathered through
-    ``plan``, which holds the image's columns and offsets, a span of ``span``
-    pixels at a time. Every span's DAS, the taper ``taps`` on its centre
-    offset summed by ``einsum``, whose bits depend on neither the span's
-    length nor its stride, is written into the first DAS plane's row, or
-    into a scratch row when DAS is not asked for. With an adaptive method,
-    the span is then beamformed tile by tile of ``tile`` pixels by
-    ``_beamform_tile``, given the rest of its arguments as
-    ``tile_settings`` and the tile's slice of that row as its fallback.
+    ``plan``, which holds the image's columns and offsets, a span of as many
+    pixels as its arrays hold at a time. Every span's DAS, the taper ``taps``
+    on its centre offset summed by ``einsum``, whose bits depend on neither
+    the span's length nor its stride, is written into the first DAS plane's
+    row, or into a scratch row when DAS is not asked for. With an adaptive
+    method, the span is then beamformed tile by tile of ``tile`` pixels by
+    ``_beamform_tile``, given ``tile_settings``, the tile's slice of that row
+    as its fallback and the call's one set of ``_tile_buffers``.
 
     The mask starts all True, so it marks every pixel that no tile reached:
     all of a DAS-only run's, whose mask is not read, and those of a span
@@ -192,13 +199,15 @@ def _beamform_rows(
     have a zero covariance, so every method gives 0 and the adaptive ones
     fall back, and the adaptive planes keep their zeros there.
     """
-    nx, centre = len(plan.lateral), len(plan.offsets) // 2
+    nx, span, centre = len(plan.lateral), len(plan.lo), len(plan.offsets) // 2
     shape = (len(rows), nx)
     planes = [np.zeros(shape) for _ in methods]
     fallback = np.ones(shape, dtype=bool)
     das_planes = [p for m, p in zip(methods, planes) if m is Method.DAS]
     adaptive = [(m, p) for m, p in zip(methods, planes) if m is not Method.DAS]
     scratch = np.empty(nx)
+    if adaptive:
+        buffers = _tile_buffers(tile, len(plan.offsets), len(plan.base), tile_settings["L"])
     for j, iz in enumerate(rows):
         das = das_planes[0][j] if das_planes else scratch
         for s in range(0, nx, span):
@@ -209,7 +218,7 @@ def _beamform_rows(
             for i in range(0, len(gathered), tile):
                 cols = slice(s + i, s + i + tile)
                 values, ok = _beamform_tile(
-                    gathered[i:i + tile], das[cols], methods, **tile_settings)
+                    gathered[i:i + tile], das[cols], methods, **tile_settings, out=buffers)
                 fallback[j, cols] = ~ok
                 for method, plane in adaptive:
                     plane[j, cols] = values[method]
@@ -242,21 +251,21 @@ def reconstruct_methods(
     """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
     Each image row is gathered in spans of up to ``span_pixels`` pixels, and
-    one gather feeds every method. Every span first sums DAS, the fixed
-    taper ``das_taps`` on its centre-time samples, once, whichever methods
-    are asked for: it is the DAS image and the value an adaptive pixel falls
-    back to. With MV or MSMV, the span is then cut into tiles of up to
-    ``tile_pixels`` pixels, each one batched pass of snapshots ->
-    covariance -> diagonal loading -> Capon weights -> subarray-averaged
-    output; MSMV iterates from that same MV solve. A DAS-only run gathers
-    the one offset 0 and cuts no tiles, so its spans are whole rows of up
-    to 768 px at M=64. A pixel whose loaded covariance still fails the
+    one gather feeds every method. Every span first sums DAS, the fixed taper
+    ``das_taps`` on its centre-time samples, once, whichever methods are asked
+    for: it is the DAS image and the value an adaptive pixel falls back to.
+    With MV or MSMV, the span is then cut into tiles of up to ``tile_pixels``
+    pixels, each one batched pass of snapshots -> covariance -> diagonal
+    loading -> Capon weights -> subarray-averaged output; MSMV iterates from
+    that same MV solve. A pixel whose loaded covariance still fails the
     positive-definiteness check (an identically zero neighborhood) takes its
-    DAS value and is counted in the MV and MSMV images'
-    fallback_pixel_count; the image is never aborted. A span that gathers
-    only zeros (past the record) skips the tiles. The depth-free part of the
-    gather (``GatherPlan``) is built once per call, before any worker forks.
-    A setting left None takes its default (see ``kernel_settings``).
+    DAS value and is counted in the MV and MSMV images' fallback_pixel_count;
+    the image is never aborted. A span that gathers only zeros (past the
+    record) skips the tiles. The depth-free part of the gather
+    (``GatherPlan``), with the arrays a span is gathered into, is built once
+    per call, before any worker forks, and each process makes its tile buffers
+    once: no span or tile allocates an array of that size. A setting left None
+    takes its default (see ``kernel_settings``).
 
     The span and tile partitions depend only on the grid, the array, L, K
     and whether an adaptive method is asked for, each pixel's gathered
@@ -302,9 +311,9 @@ def reconstruct_methods(
     else:
         offsets, tile = np.arange(-K, K + 1), tile_pixels(m, L, K)
     kernel = dict(
-        plan=GatherPlan(frame, grid.x_coords, offsets), zs=grid.z_coords,
-        methods=methods, tile=tile, span=span_pixels(tile, len(offsets), m),
-        L=L, dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
+        plan=GatherPlan(frame, grid.x_coords, offsets, span_pixels(tile, len(offsets), m)),
+        zs=grid.z_coords, methods=methods, tile=tile, L=L, dl_factor=dl_factor,
+        msmv=msmv, taps=das_taps(m, L),
     )
     # one block of rows per worker: blocks of 8 rows or of one row ran no
     # faster; there is one block when workers is 1 or the grid has one row

@@ -188,6 +188,23 @@ class TestMsmv:
             f = msmv_objective(r, snaps, w, 1.0)
             assert f <= f0 + 1e-9
 
+    def test_two_beta_objective_non_increase_every_step(self):
+        # the reweighting at beta majorizes w'Rw + 2 beta ||X'w||_1, so on
+        # test_05's draws no step raises that objective (the one at beta
+        # itself rises on hundreds of these steps). Not every draw holds it:
+        # at L = N = 17 and beta = 10 (17 standard-normal snapshot columns
+        # from default_rng(1413) and their loaded covariance), step 8, whose
+        # matrix has a condition number near 1e17, takes it from 12.67 to
+        # 16.05 (ROADMAP item 18)
+        rng = np.random.default_rng(105)
+        for _ in range(100):
+            dim = int(rng.integers(2, 17))
+            r = random_spd(rng, dim)
+            snaps = snaps_from(rng.standard_normal((dim, 2 * dim)))
+            f = [msmv_objective(r, snaps, msmv_weight(r, snaps, MsmvConfig(n_iter=k)).values, 2.0)
+                 for k in range(11)]
+            assert all(after <= before + 1e-9 for before, after in zip(f, f[1:]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             msmv_weight(np.eye(3), snaps_from(np.ones((2, 4))))

@@ -569,6 +569,32 @@ def test_fused_pass_matches_single_methods(scene):
         assert single[Method.MV].fallback_pixel_count == 5
 
 
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_tile_msmv_is_one_pixel_msmv_weight(K):
+    # each pixel of a tile's MSMV values is msmv_weight's on that pixel's
+    # snapshots, byte for byte, at K = 0 as at K >= 1 (the snapshot rows are
+    # C-ordered for any K); reused buffers of more pixels, filled with NaN
+    # beforehand, give the same bytes as a tile that makes its own
+    L, m, cfg = 16, 32, MsmvConfig()
+    n_sub, dl = m - L + 1, default_dl_factor(L)
+    gathered = np.random.default_rng(40 + K).standard_normal((9, 2 * K + 1, m))
+    das = np.zeros(len(gathered))
+    values, ok = pipeline._beamform_tile(gathered, das, (Method.MSMV,), L, dl, cfg)
+    assert ok.all()
+    for p in range(len(gathered)):
+        snaps = subarray_snapshots(gathered[p:p + 1], L)
+        columns = SnapshotMatrix(columns=snaps[0].T, subarray_len=L,
+                                 n_subarrays=n_sub, temporal_half_window=K)
+        w = msmv_weight(loaded_covariance(snaps, dl)[0], columns, cfg).values
+        center = snaps[:, K * n_sub:(K + 1) * n_sub]
+        assert values[Method.MSMV][p] == beamform_outputs(center, w[None])[0]
+    buffers = pipeline._tile_buffers(len(gathered) + 3, 2 * K + 1, m, L)
+    for buffer in buffers:
+        buffer.fill(np.nan)
+    again, _ = pipeline._beamform_tile(gathered, das, (Method.MSMV,), L, dl, cfg, buffers)
+    assert again[Method.MSMV].tobytes() == values[Method.MSMV].tobytes()
+
+
 def per_tile_block(frame, grid, methods, L, K, msmv, gather=gather_delayed):
     """The kernel's planes for ``methods`` and its fallback mask, as one block
     (method, row, column), with each MV/MSMV-sized tile gathered on its own
