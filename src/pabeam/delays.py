@@ -8,10 +8,10 @@ The gather and the snapshot build work on a tile of focal points sharing one
 depth; a single point is a tile of one. What does not depend on depth is
 built once per image, in a ``GatherPlan``: the lateral term (element_x - x)^2
 of every column and element, each channel's index in the guarded record, the
-record and its one-sample shift, and the offsets in float64. Each row then
-does only its own depth's work (``gather_span``): the delay from the lateral
-term, the offsets, and the interpolated read. ``gather_delayed`` is the
-one-row case of the same code.
+record and its one-sample shift, and the offsets in float64. The plan is
+read-only: each row does its own depth's work (``gather_span``), the delay,
+the offsets and the interpolated read, in the ``gather_buffers`` that each
+process gathering rows makes. ``gather_delayed`` is the one-row case.
 """
 
 from dataclasses import dataclass
@@ -75,13 +75,12 @@ class GatherPlan:
     It holds the lateral term (element_x - x)^2 of every column and element,
     (len(xs), M) float64 values, the record index m (T + 4) + 2 of each
     channel's sample 0, the frame's guarded record and its view shifted by
-    one sample, the offsets as float64 and the arrays a gather of up to
-    ``span`` columns (all if None) writes into, ``tau`` None for a lone
-    offset 0. The record is the frame's own (a view), so the plan copies no
-    samples.
+    one sample, and the offsets as float64. No gather writes to it, so forked
+    workers share it as it is. The record is the frame's own (a view), so
+    the plan copies no samples.
     """
 
-    def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray, span=None):
+    def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray):
         geometry = frame.geometry
         lateral = geometry.element_x - np.asarray(xs, dtype=np.float64)[:, None]
         lateral *= lateral
@@ -94,14 +93,21 @@ class GatherPlan:
         self.offsets = np.asarray(offsets, dtype=np.float64)
         self.sound_speed = geometry.sound_speed
         self.sampling_rate = geometry.sampling_rate
-        shape = (min(len(lateral), span or len(lateral)), len(offsets), geometry.n_elements)
-        self.lo, self.hi, self.index = np.empty(shape), np.empty(shape), np.empty(shape, np.int64)
-        self.tau = np.empty(shape) if len(offsets) > 1 or self.offsets.any() else None
 
 
-def gather_span(plan: GatherPlan, start: int, stop: int, z: float) -> np.ndarray:
+def gather_buffers(plan: GatherPlan, pixels: int) -> tuple:
+    """Uninitialized delays (None for a lone offset 0), read indices and the
+    two samples around each read of a gather of up to ``pixels`` columns,
+    each (pixels, len(plan.offsets), M)."""
+    shape = (pixels, len(plan.offsets), len(plan.base))
+    tau = np.empty(shape) if len(plan.offsets) > 1 or plan.offsets.any() else None
+    return tau, np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
+
+
+def gather_span(plan: GatherPlan, start: int, stop: int, z: float, out: tuple) -> np.ndarray:
     """Delayed channel data for the plan's columns start..stop-1 at depth
-    ``z``: shape (P, len(plan.offsets), M), in ``plan.lo`` until the next gather.
+    ``z``: shape (P, len(plan.offsets), M), written into ``out``, the
+    ``gather_buffers`` of at least P pixels, and valid until its next gather.
 
     The delay is ``_delays``' sqrt(lateral + z^2) / c * fs, the same
     operations in the same order, formed in place, and each offset is
@@ -117,22 +123,23 @@ def gather_span(plan: GatherPlan, start: int, stop: int, z: float) -> np.ndarray
     delay /= plan.sound_speed
     delay *= plan.sampling_rate
     p = len(delay)
-    if plan.tau is None:
+    tau, index, lo, hi = out
+    if tau is None:
         tau = delay[:, None, :]
     else:
         # contiguous slabs: a strided delay would take the slow ufunc loops
-        tau = plan.tau[:p]
+        tau = tau[:p]
         for i, offset in enumerate(plan.offsets):
             np.add(delay, offset, out=tau[:, i])
-    k = np.floor(tau, out=plan.lo[:p])
+    k = np.floor(tau, out=lo[:p])
     frac = np.subtract(tau, k, out=tau)
     np.clip(k, -2, plan.n_samples, out=k)
-    index = plan.index[:p]
+    index = index[:p]
     index[...] = k
     index += plan.base
     # in range by the clip; "raise" would copy into ``out`` through a buffer
-    lo = plan.record.take(index, out=plan.lo[:p], mode="clip")
-    hi = plan.shifted.take(index, out=plan.hi[:p], mode="clip")
+    lo = plan.record.take(index, out=lo[:p], mode="clip")
+    hi = plan.shifted.take(index, out=hi[:p], mode="clip")
     # (1 - frac) * lo + frac * hi, in place and in that order of operations
     hi *= frac
     np.subtract(1.0, frac, out=frac)
@@ -146,10 +153,11 @@ def gather_delayed(
 ) -> np.ndarray:
     """Delayed channel data for the focal points (xs[i], z), read at each
     temporal offset in samples: shape (P, len(offsets), M). The one-row case
-    of ``gather_span``, which documents the read.
+    of ``gather_span``, which documents the read, in arrays of its own.
     """
     xs = np.asarray(xs)
-    return gather_span(GatherPlan(frame, xs, offsets), 0, len(xs), z)
+    plan = GatherPlan(frame, xs, offsets)
+    return gather_span(plan, 0, len(xs), z, gather_buffers(plan, len(xs)))
 
 
 def subarray_snapshots(delayed: np.ndarray, L: int, out=None) -> np.ndarray:

@@ -15,7 +15,7 @@ from .beamformers import (
     msmv_weights,
 )
 from .covariance import default_dl_factor, loaded_covariance
-from .delays import GatherPlan, gather_span, subarray_snapshots
+from .delays import GatherPlan, gather_buffers, gather_span, subarray_snapshots
 from .errors import ConfigError
 from .phantom import RfFrame
 
@@ -176,55 +176,55 @@ def _beamform_rows(
     plan: GatherPlan,
     zs: np.ndarray,
     methods: tuple[Method, ...],
+    span: int,
     tile: int,
     taps: np.ndarray,
     **tile_settings,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], int]:
     """The planes (row, column) of the image rows ``rows``, one per method in
-    order, then the boolean mask of the pixels whose adaptive weights fell
-    back to DAS; row j holds image row rows[j]. Each row is gathered through
-    ``plan``, which holds the image's columns and offsets, a span of as many
-    pixels as its arrays hold at a time. Every span's DAS, the taper ``taps``
-    on its centre offset summed by ``einsum``, whose bits depend on neither
-    the span's length nor its stride, is written into the first DAS plane's
-    row, or into a scratch row when DAS is not asked for. With an adaptive
-    method, the span is then beamformed tile by tile of ``tile`` pixels by
-    ``_beamform_tile``, given ``tile_settings``, the tile's slice of that row
-    as its fallback and the call's one set of ``_tile_buffers``.
+    order, and the number of their pixels whose adaptive weights fell back to
+    DAS; row j holds image row rows[j]. Each row is gathered through the
+    read-only ``plan``, which holds the image's columns and offsets, ``span``
+    pixels at a time. Every span's DAS, the taper ``taps`` on its centre
+    offset summed by ``einsum``, whose bits depend on neither the span's
+    length nor its stride, is written into the first DAS plane's row, or into
+    a scratch row when DAS is not asked for. With an adaptive method, the span
+    is then beamformed tile by tile of ``tile`` pixels by ``_beamform_tile``,
+    given ``tile_settings`` and the tile's slice of that row as its fallback.
 
-    The mask starts all True, so it marks every pixel that no tile reached:
-    all of a DAS-only run's, whose mask is not read, and those of a span
-    whose gathered data is all zero, such as one whose every read index is
-    past the record. Such a span is not beamformed: each of its pixels would
-    have a zero covariance, so every method gives 0 and the adaptive ones
-    fall back, and the adaptive planes keep their zeros there.
+    The call makes its process's workspace once: the ``gather_buffers`` of a
+    span and, with an adaptive method, one set of ``_tile_buffers``, which
+    every span and tile reuse. A span whose gathered data is all zero, such
+    as one whose every read index is past the record, is not beamformed and
+    all its pixels count as fallen back: each would have a zero covariance,
+    so every method gives 0 and the adaptive ones fall back, and the adaptive
+    planes keep their zeros there. A DAS-only run's count is not read.
     """
-    nx, span, centre = len(plan.lateral), len(plan.lo), len(plan.offsets) // 2
-    shape = (len(rows), nx)
-    planes = [np.zeros(shape) for _ in methods]
-    fallback = np.ones(shape, dtype=bool)
+    nx, centre, fallback = len(plan.lateral), len(plan.offsets) // 2, 0
+    planes = [np.zeros((len(rows), nx)) for _ in methods]
     das_planes = [p for m, p in zip(methods, planes) if m is Method.DAS]
     adaptive = [(m, p) for m, p in zip(methods, planes) if m is not Method.DAS]
-    scratch = np.empty(nx)
+    scratch, gather_out = np.empty(nx), gather_buffers(plan, min(nx, span))
     if adaptive:
         buffers = _tile_buffers(tile, len(plan.offsets), len(plan.base), tile_settings["L"])
     for j, iz in enumerate(rows):
         das = das_planes[0][j] if das_planes else scratch
         for s in range(0, nx, span):
-            gathered = gather_span(plan, s, s + span, zs[iz])
+            gathered = gather_span(plan, s, s + span, zs[iz], gather_out)
             np.einsum("pm,m->p", gathered[:, centre], taps, out=das[s:s + span])
             if not (adaptive and gathered.any()):
+                fallback += len(gathered)
                 continue
             for i in range(0, len(gathered), tile):
                 cols = slice(s + i, s + i + tile)
                 values, ok = _beamform_tile(
                     gathered[i:i + tile], das[cols], methods, **tile_settings, out=buffers)
-                fallback[j, cols] = ~ok
+                fallback += int(len(ok) - np.count_nonzero(ok))
                 for method, plane in adaptive:
                     plane[j, cols] = values[method]
     for plane in das_planes[1:]:
         plane[:] = das_planes[0]
-    return planes + [fallback]
+    return planes, fallback
 
 
 # The keyword arguments of _beamform_rows in a worker process, filled in once
@@ -233,7 +233,7 @@ def _beamform_rows(
 _worker_kernel: dict = {}
 
 
-def _worker_rows(rows: range) -> list[np.ndarray]:
+def _worker_rows(rows: range) -> tuple[list[np.ndarray], int]:
     """``_beamform_rows`` in a worker process."""
     return _beamform_rows(rows, **_worker_kernel)
 
@@ -261,11 +261,11 @@ def reconstruct_methods(
     positive-definiteness check (an identically zero neighborhood) takes its
     DAS value and is counted in the MV and MSMV images' fallback_pixel_count;
     the image is never aborted. A span that gathers only zeros (past the
-    record) skips the tiles. The depth-free part of the gather
-    (``GatherPlan``), with the arrays a span is gathered into, is built once
-    per call, before any worker forks, and each process makes its tile buffers
-    once: no span or tile allocates an array of that size. A setting left None
-    takes its default (see ``kernel_settings``).
+    record) skips the tiles. The depth-free part of the gather, the read-only
+    ``GatherPlan``, is built once per call, before any worker forks; each
+    process that runs rows makes its own workspace once (``_beamform_rows``),
+    so no span or tile allocates one and a forked run's caller holds none. A
+    setting left None takes its default (see ``kernel_settings``).
 
     The span and tile partitions depend only on the grid, the array, L, K
     and whether an adaptive method is asked for, each pixel's gathered
@@ -281,12 +281,13 @@ def reconstruct_methods(
     settings through the fork and gather from this process's record of the
     frame, so ``fork`` must be a start method of the platform (Linux) and
     the calling process should run no other threads. Each block returns its
-    rows of every plane and of the fallback mask, joined plane by plane; all
-    workers have exited when this returns or raises.
+    rows of every plane, joined plane by plane, and its fallback count,
+    summed; all workers have exited when this returns or raises. ``RUSAGE_SELF``
+    memory counts the calling process only, none of the workers'.
 
     Each image owns its plane, one the kernel made for that entry of
     ``methods`` (a method asked for twice gets two), so it holds one plane
-    and keeps neither the fallback mask nor another image's plane alive.
+    and keeps no other image's plane alive.
 
     Returns:
         One image per entry of ``methods``, in order.
@@ -311,9 +312,9 @@ def reconstruct_methods(
     else:
         offsets, tile = np.arange(-K, K + 1), tile_pixels(m, L, K)
     kernel = dict(
-        plan=GatherPlan(frame, grid.x_coords, offsets, span_pixels(tile, len(offsets), m)),
-        zs=grid.z_coords, methods=methods, tile=tile, L=L, dl_factor=dl_factor,
-        msmv=msmv, taps=das_taps(m, L),
+        plan=GatherPlan(frame, grid.x_coords, offsets), zs=grid.z_coords,
+        methods=methods, span=span_pixels(tile, len(offsets), m), tile=tile, L=L,
+        dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
     # one block of rows per worker: blocks of 8 rows or of one row ran no
     # faster; there is one block when workers is 1 or the grid has one row
@@ -321,7 +322,7 @@ def reconstruct_methods(
     blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
     processes = 1 if len(blocks) == 1 else min(len(blocks), len(os.sched_getaffinity(0)))
     if processes == 1:
-        *planes, fallback = _beamform_rows(range(grid.nz), **kernel)
+        planes, n_fallback = _beamform_rows(range(grid.nz), **kernel)
     else:
         # Imported here: loading the process pool costs 17-20 ms, which a
         # run in this process need not pay.
@@ -334,9 +335,8 @@ def reconstruct_methods(
             initializer=_worker_kernel.update,
             initargs=(kernel,),
         ) as pool:
-            *planes, fallback = map(np.concatenate, zip(*pool.map(_worker_rows, blocks)))
-
-    n_fallback = int(fallback.sum())
+            row_planes, counts = zip(*pool.map(_worker_rows, blocks))
+        planes, n_fallback = [np.concatenate(p) for p in zip(*row_planes)], sum(counts)
     return tuple(
         PaImage(
             grid=grid,

@@ -16,3 +16,10 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+def pytest_configure(config):
+    # warnings are errors, as in CI's ``pytest -W error``, so a run without
+    # that flag fails where CI fails; a -W given on the command line still
+    # takes precedence
+    config.addinivalue_line("filterwarnings", "error")

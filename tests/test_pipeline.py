@@ -337,9 +337,9 @@ class TestPlaneBudgets:
 
     def test_das_peak_with_gather_plan(self, frame):
         # a DAS reconstruct of the 240 x 260 grid peaks at 1.51P plus its
-        # gather plan's lateral term (nx x M float64), and the plan does not
-        # grow with nz: doubling the rows adds only the grid's own arrays,
-        # the plane, the fallback mask and the row depths (9 B a pixel, 8 a
+        # gather plan's lateral term (nx x M float64), and neither the plan
+        # nor the workspace grows with nz: doubling the rows adds only the
+        # grid's own arrays, the plane and the row depths (8 B a pixel, 8 a
         # row)
         nx, m = 240, frame.geometry.n_elements
         extra = []
@@ -348,7 +348,7 @@ class TestPlaneBudgets:
             das = functools.partial(reconstruct, frame, grid, Method.DAS)
             das()
             _, _, peak = traced(das)
-            extra.append(peak - nz * (9 * nx + 8))
+            extra.append(peak - nz * (8 * nx + 8))
             if nz == 260:
                 assert peak <= 1.51 * nz * nx * 8 + nx * m * 8
         assert extra[1] <= extra[0] + 1024
@@ -732,6 +732,19 @@ def test_worker_processes_capped_at_usable_cpus(monkeypatch, tmp_path):
     assert str(os.getpid()) not in used and 1 <= len(used) <= 2
 
 
+def test_forked_run_caller_holds_no_workspace(monkeypatch):
+    # the gather and tile arrays of a forked run are made in the workers:
+    # the calling process holds the plan and the planes, not a span's
+    # gathered block (153 px x 5 offsets x 64 channels, 4 arrays, 1.5 MiB)
+    frame = noisy_frame()
+    grid = ImageGrid(-3e-3, 3e-3, 9e-3, 11e-3, 240, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run = functools.partial(reconstruct, frame, grid, Method.MV, L=32, K=2, workers=2)
+    run()  # untraced first, so the process pool's first imports are not counted
+    _, _, peak = traced(run)
+    assert peak < 1 << 20
+
+
 class TileFailure(Exception):
     pass
 
@@ -754,10 +767,10 @@ def test_worker_processes_end_with_the_call(monkeypatch):
     gather = pipeline.gather_span
     last_row = grid.z_coords[-1]
 
-    def failing_gather(plan, start, stop, z):
+    def failing_gather(plan, start, stop, z, out):
         if z == last_row:
             raise TileFailure(f"tile at z={z}")
-        return gather(plan, start, stop, z)
+        return gather(plan, start, stop, z, out)
 
     monkeypatch.setattr(pipeline, "gather_span", failing_gather)
     with pytest.raises(TileFailure, match="^tile at z="):
