@@ -1,17 +1,12 @@
 """Weight computations: DAS, MV, sparse-Capon (SC) and the sparse-regularized
-MV update, plus the subarray-averaged beamformed output.
+MV update (MSMV), plus the subarray-averaged beamformed output.
 
 All arithmetic is real: the steering vector is all-ones (channels are
 pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
-transposes. The sparse-regularized method iterates a reweighted closed-form
-update: at each step the l1 penalty on the snapshot outputs is converted to a
-quadratic via a diagonal of reciprocal output magnitudes, which augments the
-covariance before the Capon solve. Each step descends w^T R w + 2 beta ||X^T w||_1.
-
-``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work on a tile
-of pixels (a leading pixel axis) and are what images are formed from.
-``mv_weight``, ``msmv_weight``, ``sc_weight`` and ``msmv_objective`` state
-the one-pixel definitions the tile results are checked against.
+transposes. ``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work
+on a tile of pixels (a leading pixel axis) and form the images; ``mv_weight``,
+``msmv_weight``, ``sc_weight`` and ``msmv_objective`` state the one-pixel
+definitions the tiles are checked against.
 """
 
 from dataclasses import dataclass
@@ -43,11 +38,9 @@ EPSILON_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class MsmvConfig:
-    """The two settings of the sparse-regularized MV iteration: the penalty
-    weight ``beta`` and the number of reweighted steps ``n_iter``. Each step
-    descends w^T R w + 2 beta ||X^T w||_1 (``msmv_objective`` at 2 beta); the
-    iteration runs all ``n_iter`` (it has no convergence test), and every
-    step penalizes all snapshot columns, the set the covariance averages over."""
+    """The two settings of the MSMV iteration (``msmv_weights``): the penalty
+    weight ``beta`` and the number of reweighted steps ``n_iter``, which are
+    all taken, as the iteration has no convergence test."""
 
     beta: float = 1.0
     n_iter: int = 10
@@ -157,14 +150,13 @@ def msmv_weights(
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    snapshot rows. The whole tile takes all ``cfg.n_iter`` steps, descending
-    w^T R w + 2 beta ||x w||_1: a step solves each pixel's r_loaded +
-    (x^T Lambda) x, one unsymmetrized matmul of a contiguous x^T (the solver
-    reads one triangle and factors the step's matrix in place, as nothing
-    reads it afterwards), Lambda = beta / max(|x w|, eps * peak) of the last
-    iterate, or 0 if all outputs are 0. A pixel keeps its last iterate where
-    the step's matrix is not positive definite, so every later step rebuilds
-    the same matrix and fails again, and its NaN weights where MV failed.
+    snapshot rows, all N of which are penalized. The whole tile takes all
+    ``cfg.n_iter`` steps, each descending w^T R w + 2 beta ||x w||_1
+    (``msmv_objective`` at 2 beta): a step Capon-solves r_loaded +
+    x^T Lambda x, with Lambda = beta / max(|x w|, eps * peak) of the last
+    iterate (``_reweight``). A pixel keeps its last iterate where the step's
+    matrix is not positive definite, so every later step rebuilds the same
+    matrix and fails again, and its NaN weights where MV failed.
 
     ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
     made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
@@ -199,14 +191,10 @@ def msmv_weights(
 def msmv_weight(
     r_loaded: np.ndarray, snapshots: SnapshotMatrix, cfg: MsmvConfig = MsmvConfig()
 ) -> WeightVector:
-    """Sparse-regularized MV weights via the iteratively reweighted update.
-
-    Starts from the MV weight (the iteration is insensitive to the
-    initializer) and runs cfg.n_iter steps, each solving with the covariance
-    augmented by beta * X D X^T, D the reweighting diagonal of the previous
-    iterate over every snapshot column. One-pixel case of ``msmv_weights``.
+    """The one-pixel case of ``msmv_weights``.
 
     Raises:
+        DimensionMismatch: the snapshots' rows do not match the covariance.
         NotPositiveDefinite: the MV starting solve failed.
     """
     x = snapshots.columns

@@ -36,8 +36,7 @@ def cmd_simulate(args) -> int:
     frame = _simulate_frame(cfg)
     pio.write_rf(args.out, frame)
     # named after the pair, so each pair in a directory keeps its own
-    manifest = Path(f"{pio.stem(args.out)}.manifest.json")
-    manifest.write_text(json.dumps(pio.config_to_dict(cfg), indent=2))
+    pio.write_manifest(f"{pio.stem(args.out)}.manifest.json", cfg)
     print(f"wrote {frame.geometry.n_elements}x{frame.n_samples} RF frame to {args.out}")
     return 0
 
@@ -48,14 +47,21 @@ def _parse_grid(spec: str | None) -> dict | None:
         return None
     parts = spec.split(",")
     if len(parts) != 6:
-        raise pio.ConfigError(
-            "grid: expected x_min,x_max,z_min,z_max,nx,nz"
-        )
+        raise pio.ConfigError("grid: expected x_min,x_max,z_min,z_max,nx,nz")
     try:
-        vals = [float(p) for p in parts[:4]] + [int(p) for p in parts[4:]]
+        vals = [float(p) for p in parts]  # resolve_config checks nx and nz
     except ValueError as exc:
         raise pio.ConfigError(f"grid: {exc}") from exc
     return dict(zip(("x_min", "x_max", "z_min", "z_max", "nx", "nz"), vals))
+
+
+def _write_image(base, image, depths, profile_prefix) -> None:
+    """``io.write_image`` of ``image`` at ``base``, then its lateral profile
+    at each of ``depths`` to ``<profile_prefix><depth in mm>mm.csv``."""
+    pio.write_image(base, image)
+    for depth in depths:
+        pio.write_profile_csv(f"{profile_prefix}{depth * 1e3:.1f}mm.csv",
+                              lateral_profile(image, depth))
 
 
 def cmd_beamform(args) -> int:
@@ -77,11 +83,7 @@ def cmd_beamform(args) -> int:
         dl_factor=cfg.dl, msmv=cfg.msmv, workers=cfg.workers,
     )
     image = finalize(image, cfg.dynamic_range_db)
-    pio.write_image(args.out, image)
-    out = pio.stem(args.out)
-    for depth in args.profile_depth:
-        prof = lateral_profile(image, depth)
-        pio.write_profile_csv(f"{out}_profile_{depth * 1e3:.1f}mm.csv", prof)
+    _write_image(args.out, image, args.profile_depth, f"{pio.stem(args.out)}_profile_")
     print(
         f"wrote {args.method} image ({cfg.grid.nx}x{cfg.grid.nz}, "
         f"{image.fallback_pixel_count} fallback pixels) to {args.out}"
@@ -107,9 +109,7 @@ def cmd_compare(args) -> int:
     frame = _simulate_frame(cfg)  # no phantom fails here, before any file
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "run-manifest.json").write_text(
-        json.dumps(pio.config_to_dict(cfg), indent=2)
-    )
+    pio.write_manifest(outdir / "run-manifest.json", cfg)
     pio.write_rf(outdir / "rf", frame)
     # a profile at each absorber depth the grid spans; an absorber outside
     # it fails the metrics, reported below
@@ -124,12 +124,8 @@ def cmd_compare(args) -> int:
     )
     for method, image in zip(Method, images):
         image = finalize(image, cfg.dynamic_range_db)
-        pio.write_image(outdir / f"image_{method.value}", image)
-        for depth in depths:
-            prof = lateral_profile(image, depth)
-            pio.write_profile_csv(
-                outdir / f"profile_{method.value}_{depth * 1e3:.1f}mm.csv", prof
-            )
+        _write_image(outdir / f"image_{method.value}", image, depths,
+                     outdir / f"profile_{method.value}_")
         try:
             reports.append(evaluate(image, spec))
         except PabeamError as exc:
@@ -189,7 +185,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PabeamError, OSError) as exc:
+    except (PabeamError, OSError, MemoryError) as exc:
         return _fail(exc)
 
 

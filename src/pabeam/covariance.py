@@ -31,13 +31,10 @@ def loaded_covariance(
 ) -> np.ndarray:
     """Diagonally loaded covariance of each pixel of a tile: snapshot rows
     X^T (P, N, L) to R = (1/N) X X^T plus dl_factor * trace(R) on the
-    diagonal, shape (P, L, L).
-
-    The mean outer product over all subarray x temporal snapshot columns makes
-    the covariance estimator and the sparsity-penalty column set consistent.
-    ``xt`` is the contiguous transpose of ``snapshots`` if the caller holds it.
-    The Gram is symmetric only up to roundoff, as the solver reads the lower
-    triangle alone.
+    diagonal, shape (P, L, L). It averages over all N subarray x temporal
+    columns, the set the MSMV penalty sums over. ``xt`` is the contiguous
+    transpose of ``snapshots`` if the caller holds it. R is left symmetric
+    only up to roundoff, as the solver reads its lower triangle alone.
     """
     if xt is None:
         xt = np.ascontiguousarray(np.swapaxes(snapshots, -1, -2))

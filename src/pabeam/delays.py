@@ -2,16 +2,9 @@
 
 Delays are one-way (photoacoustic) times of flight expressed in fractional
 sample indices; reads at fractional indices use linear interpolation and
-out-of-record reads return 0 so edge pixels still reconstruct.
-
-The gather and the snapshot build work on a tile of focal points sharing one
-depth; a single point is a tile of one. What does not depend on depth is
-built once per image, in a ``GatherPlan``: the lateral term (element_x - x)^2
-of every column and element, each channel's index in the guarded record, the
-record and its one-sample shift, and the offsets in float64. The plan is
-read-only: each row does its own depth's work (``gather_span``), the delay,
-the offsets and the interpolated read, in the ``gather_buffers`` that each
-process gathering rows makes. ``gather_delayed`` is the one-row case.
+out-of-record reads return 0 so edge pixels still reconstruct. The gather
+and the snapshot build work on a tile of focal points sharing one depth; a
+single point is a tile of one.
 """
 
 from dataclasses import dataclass
@@ -51,12 +44,10 @@ class SnapshotMatrix:
 
 def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
     """One-way delay of each element to (x, z), in fractional samples; ``x``
-    broadcasts against the element axis, which is last. The definition that
-    ``gather_span`` forms from a plan's lateral term, bit for bit.
-
-    The distance is sqrt(dx^2 + z^2) formed in place: ``np.hypot`` costs
-    several times as much per element, and the two delays agree to 4.5e-16
-    relative.
+    broadcasts against the element axis, which is last. ``gather_span``
+    forms the same bits from a plan's lateral term. The distance is
+    sqrt(dx^2 + z^2) in place, as ``np.hypot`` costs several times as much
+    per element (the two agree to 4.5e-16 relative).
     """
     tau = geometry.element_x - x
     tau *= tau
@@ -70,14 +61,11 @@ def _delays(geometry: ArrayGeometry, x, z) -> np.ndarray:
 class GatherPlan:
     """The depth-free part of the gather for the columns ``xs`` of an image
     row read at the temporal ``offsets`` (samples), built once per image so
-    that each row does only its own depth's work (see ``gather_span``).
-
-    It holds the lateral term (element_x - x)^2 of every column and element,
-    (len(xs), M) float64 values, the record index m (T + 4) + 2 of each
-    channel's sample 0, the frame's guarded record and its view shifted by
-    one sample, and the offsets as float64. No gather writes to it, so forked
-    workers share it as it is. The record is the frame's own (a view), so
-    the plan copies no samples.
+    that each row does only its own depth's work (``gather_span``): the
+    lateral term (element_x - x)^2 of every column and element, the record
+    index of each channel's sample 0, the frame's guarded record (a view, not
+    a copy) and its view shifted by one sample, and the offsets as float64.
+    No gather writes to it, so forked workers share it as it is.
     """
 
     def __init__(self, frame: RfFrame, xs: np.ndarray, offsets: np.ndarray):
@@ -109,14 +97,11 @@ def gather_span(plan: GatherPlan, start: int, stop: int, z: float, out: tuple) -
     ``z``: shape (P, len(plan.offsets), M), written into ``out``, the
     ``gather_buffers`` of at least P pixels, and valid until its next gather.
 
-    The delay is ``_delays``' sqrt(lateral + z^2) / c * fs, the same
-    operations in the same order, formed in place, and each offset is
-    added into its own (P, M) slab (skipped for a lone offset 0). Each
-    channel is then read at its fractional index t by linear
-    interpolation between flat ``take``s of samples floor(t) and
-    floor(t) + 1 from the guarded record, so nothing is copied or padded
-    per call. The floor is clipped to [-2, T], so every read outside
-    [0, T-1] lands on a guard zero and reads as 0.
+    The delay is ``_delays``', formed by the same operations in the same
+    order. Each channel is read at its fractional index t by linear
+    interpolation between flat ``take``s of samples floor(t) and floor(t) + 1
+    from the guarded record; the floor is clipped to [-2, T], so every read
+    outside [0, T-1] lands on a guard zero and reads as 0.
     """
     delay = plan.lateral[start:stop] + z * z
     np.sqrt(delay, out=delay)
@@ -151,10 +136,8 @@ def gather_span(plan: GatherPlan, start: int, stop: int, z: float, out: tuple) -
 def gather_delayed(
     frame: RfFrame, xs: np.ndarray, z: float, offsets: np.ndarray
 ) -> np.ndarray:
-    """Delayed channel data for the focal points (xs[i], z), read at each
-    temporal offset in samples: shape (P, len(offsets), M). The one-row case
-    of ``gather_span``, which documents the read, in arrays of its own.
-    """
+    """``gather_span`` of the focal points (xs[i], z) at each temporal offset
+    in samples, shape (P, len(offsets), M), in arrays of its own."""
     xs = np.asarray(xs)
     plan = GatherPlan(frame, xs, offsets)
     return gather_span(plan, 0, len(xs), z, gather_buffers(plan, len(xs)))

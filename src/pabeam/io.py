@@ -125,9 +125,9 @@ def resolve_config(raw: dict) -> RunConfig:
     """Fills in defaults and validates a raw config dict.
 
     Defaults mirror the reference imaging setup: 128 elements at 0.3 mm pitch,
-    5 MHz center frequency, 77% bandwidth, 1540 m/s, fs = 20 MHz, L = M/2
-    (1 for one element), K = 2, diagonal loading 1/(100 L), beta = 1 with 10
-    iterations, 50 dB dynamic range. ``t_max`` defaults to the farthest
+    5 MHz center frequency, 77% bandwidth, 1540 m/s, fs = 20 MHz; L, K, dl
+    and workers as ``kernel_settings``, msmv as ``MsmvConfig`` and the
+    dynamic range as ``dynamic_range``. ``t_max`` defaults to the farthest
     absorber's echo time plus 2 us, and stays None without a phantom.
 
     Raises:
@@ -215,16 +215,17 @@ def resolve_config(raw: dict) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved config as a plain JSON-serializable dict, ``phantom``
-    left out when there is none.
-
-    Re-resolving this dict reproduces the run exactly, so it doubles as the
-    run manifest.
-    """
+    """The resolved config as a JSON-serializable dict, ``phantom`` left out
+    when there is none; ``resolve_config`` of it gives ``cfg`` back."""
     out = asdict(cfg)
     if cfg.phantom is None:
         del out["phantom"]
     return out
+
+
+def write_manifest(path, cfg: RunConfig) -> None:
+    """Writes ``config_to_dict(cfg)`` as indented JSON: the run manifest."""
+    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2))
 
 
 @contextmanager

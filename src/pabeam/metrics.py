@@ -115,11 +115,19 @@ def fwhm(image: PaImage, target: FocalPoint) -> float:
     return float(cross(+1) - cross(-1))
 
 
-def _sidelobe(
-    image: PaImage, target: FocalPoint, mainlobe_exclusion: float
+def peak_sidelobe(
+    image: PaImage, target: FocalPoint, mainlobe_exclusion: float | None = None
 ) -> float | None:
-    """``peak_sidelobe`` with an explicit exclusion, or None where it covers
-    the whole row."""
+    """Highest dB-profile value farther than ``mainlobe_exclusion`` from the
+    peak, relative to the peak, or None where the exclusion covers the whole
+    row. The exclusion defaults to 3x the target's ``fwhm``.
+
+    Raises:
+        NoPeakFound: no local maximum on the row.
+        WidthUnbounded: as ``fwhm``, when the exclusion is left to default.
+    """
+    if mainlobe_exclusion is None:
+        mainlobe_exclusion = 3.0 * fwhm(image, target)
     db = _plane(image, "db")
     row, _, xs, ipk = _peak(image, target)
     outside = np.abs(xs - xs[ipk]) > mainlobe_exclusion
@@ -128,39 +136,16 @@ def _sidelobe(
     return float(db[row][outside].max() - db[row][ipk])
 
 
-def peak_sidelobe(
-    image: PaImage, target: FocalPoint, mainlobe_exclusion: float | None = None
-) -> float:
-    """Highest dB-profile value outside the mainlobe, relative to the peak.
-
-    ``mainlobe_exclusion`` defaults to 3x the measured FWHM of the target.
+def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:
+    """``snr`` plus each target's ``fwhm`` and its ``peak_sidelobe`` outside 3x
+    that FWHM, which is None where that covers the row (the rest is still
+    reported).
 
     Raises:
-        NoPeakFound: no local maximum on the row, or the exclusion covers
-            the whole row.
+        PabeamError: as ``snr``, ``fwhm`` and ``peak_sidelobe``.
     """
-    if mainlobe_exclusion is None:
-        mainlobe_exclusion = 3.0 * fwhm(image, target)
-    psl = _sidelobe(image, target, mainlobe_exclusion)
-    if psl is None:
-        raise NoPeakFound("mainlobe exclusion covers the whole row")
-    return psl
-
-
-def evaluate(image: PaImage, spec: TargetSpec) -> MetricsReport:
-    """SNR plus per-target FWHM and peak sidelobe for every target. A
-    target's sidelobe is None where its exclusion, 3x its FWHM, covers the
-    whole row: its SNR and FWHM are still reported."""
     per_target = []
     for t in spec.targets:
         width = fwhm(image, t)
-        per_target.append(
-            TargetMetrics(
-                depth=t.z,
-                fwhm=width,
-                peak_sidelobe_db=_sidelobe(image, t, 3.0 * width),
-            )
-        )
-    return MetricsReport(
-        method=image.method.value, snr_db=snr(image), per_target=tuple(per_target)
-    )
+        per_target.append(TargetMetrics(t.z, width, peak_sidelobe(image, t, 3.0 * width)))
+    return MetricsReport(image.method.value, snr(image), tuple(per_target))

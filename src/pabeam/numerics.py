@@ -1,20 +1,13 @@
 """Small dense symmetric positive-definite linear algebra.
 
-Everything downstream (covariance matrices, augmented penalty matrices) is
-real symmetric by construction and diagonally loaded to positive definiteness,
-so a failing Cholesky factorization is a meaningful signal, not a condition to
-recover from.
-
-The solver works on a stack of matrices (one per pixel of a tile; one matrix
-is a stack of one): one LAPACK ``dposv`` per matrix both decides positive
-definiteness and solves, from a single Cholesky factorization of the matrix's
-lower triangle.
-
-``dposv`` is called through ``ctypes`` from the LAPACK that numpy's own
-``linalg`` already loads (numpy's wheels bundle an ILP64 OpenBLAS that
-exports it as ``scipy_dposv_64_``), so no run imports SciPy. A numpy whose
-LAPACK does not export that name falls back to SciPy's wrapper of the same
-routine, imported only then.
+Every matrix solved (loaded covariances, MSMV step matrices) is real
+symmetric and diagonally loaded to positive definiteness by construction, so
+a failing Cholesky factorization is a signal, not a condition to recover
+from. The solver works on a stack of matrices, one per pixel of a tile: one
+LAPACK ``dposv`` per matrix both decides positive definiteness and solves.
+``dposv`` is called through ``ctypes`` from the LAPACK that numpy's
+``linalg`` already loads, so no run imports SciPy; a numpy whose LAPACK does
+not export ``DPOSV_SYMBOL`` falls back to SciPy's wrapper, imported only then.
 """
 
 import ctypes

@@ -109,10 +109,8 @@ def dynamic_range(dynamic_range_db: float | None = None) -> float:
 
 def tile_pixels(n_elements: int, L: int, K: int) -> int:
     """Pixels per MV and MSMV tile: as many as keep the tile's snapshot
-    tensor (pixels x (2K+1)(M-L+1) snapshot columns x L float64 values)
-    within TILE_BYTES, and at least one. 9 px at M=64, L=32, K=2. Tiles are
-    cut from spans (see ``span_pixels``); DAS takes none.
-    """
+    tensor (pixels x (2K+1)(M-L+1) columns x L float64 values) within
+    TILE_BYTES, and at least one."""
     return max(1, TILE_BYTES // ((2 * K + 1) * (n_elements - L + 1) * L * 8))
 
 
@@ -120,11 +118,7 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
     """Pixels per span, the run of an image row gathered at once: as many
     whole tiles of ``tile`` pixels as keep the gathered block (pixels x
     ``n_offsets`` x M float64 values) within TILE_BYTES, and at least one.
-
-    153 px (17 tiles) for MV and MSMV at M=64, L=32, K=2; a DAS-only run,
-    which cuts no tiles (``tile`` 1) and gathers one offset, spans 768 px.
-    One gather per span, not per tile, saves the gather's per-call cost,
-    while the working set stays independent of the grid.
+    A gather per span, not per tile, pays the gather's call cost less often.
     """
     return tile * max(1, TILE_BYTES // (n_offsets * n_elements * 8 * tile))
 
@@ -144,14 +138,11 @@ def _beamform_tile(
     msmv: MsmvConfig,
     out: tuple | None = None,
 ) -> tuple[dict, np.ndarray]:
-    """The MV and MSMV values of the tile whose delayed channel data is
-    ``gathered`` (P, 2K+1 offsets -K..K, M), keyed by those of ``methods``
-    that are adaptive, and ``ok``, the mask of the pixels whose MV solve
-    succeeded. A pixel where it failed takes its DAS value from ``das`` (P).
-
-    Each pixel's covariance is estimated, loaded and Capon-solved once: MV
-    outputs that weight and MSMV iterates from it. ``out`` is ``_tile_buffers``
-    of at least P pixels, whose leading P the tile fills (new ones if None).
+    """The values of the adaptive ``methods`` on the tile whose delayed
+    channel data is ``gathered`` (P, offsets -K..K, M), keyed by method, and
+    ``ok``, the mask of the pixels whose MV solve succeeded; the others take
+    their DAS value from ``das`` (P). MSMV iterates from MV's solve. ``out``
+    is ``_tile_buffers`` of at least P pixels (new ones if None).
     """
     snap_out, xt_out, scaled_out = out or _tile_buffers(*gathered.shape, L)
     snaps = subarray_snapshots(gathered, L, snap_out)
@@ -183,32 +174,28 @@ def _beamform_rows(
 ) -> tuple[list[np.ndarray], int]:
     """The planes (row, column) of the image rows ``rows``, one per method in
     order, and the number of their pixels whose adaptive weights fell back to
-    DAS; row j holds image row rows[j]. Each row is gathered through the
-    read-only ``plan``, which holds the image's columns and offsets, ``span``
-    pixels at a time. Every span's DAS, the taper ``taps`` on its centre
-    offset summed by ``einsum``, whose bits depend on neither the span's
-    length nor its stride, is written into the first DAS plane's row, or into
-    a scratch row when DAS is not asked for. With an adaptive method, the span
-    is then beamformed tile by tile of ``tile`` pixels by ``_beamform_tile``,
-    given ``tile_settings`` and the tile's slice of that row as its fallback.
+    DAS.
 
-    The call makes its process's workspace once: the ``gather_buffers`` of a
-    span and, with an adaptive method, one set of ``_tile_buffers``, which
-    every span and tile reuse. A span whose gathered data is all zero, such
-    as one whose every read index is past the record, is not beamformed and
-    all its pixels count as fallen back: each would have a zero covariance,
-    so every method gives 0 and the adaptive ones fall back, and the adaptive
-    planes keep their zeros there. A DAS-only run's count is not read.
+    Each row is gathered through the read-only ``plan`` ``span`` pixels at a
+    time. A span's DAS, the taper ``taps`` on its centre offset summed by
+    ``einsum`` (whose bits depend on neither the span's length nor its
+    stride), goes into the DAS plane's row, or a scratch row without DAS, and
+    is the fallback of its tiles of ``tile`` pixels (``_beamform_tile`` with
+    ``tile_settings``). The workspace, a span's ``gather_buffers`` and one
+    set of ``_tile_buffers``, is made once per call, in the process that runs
+    it. A span that gathers only zeros is not cut into tiles: each of its
+    pixels would have a zero covariance, so every method gives 0 there and
+    the pixel counts as a fallback.
     """
     nx, centre, fallback = len(plan.lateral), len(plan.offsets) // 2, 0
-    planes = [np.zeros((len(rows), nx)) for _ in methods]
-    das_planes = [p for m, p in zip(methods, planes) if m is Method.DAS]
-    adaptive = [(m, p) for m, p in zip(methods, planes) if m is not Method.DAS]
+    planes = {method: np.zeros((len(rows), nx)) for method in methods}
+    das_plane = planes.get(Method.DAS)
+    adaptive = [(m, p) for m, p in planes.items() if m is not Method.DAS]
     scratch, gather_out = np.empty(nx), gather_buffers(plan, min(nx, span))
     if adaptive:
         buffers = _tile_buffers(tile, len(plan.offsets), len(plan.base), tile_settings["L"])
     for j, iz in enumerate(rows):
-        das = das_planes[0][j] if das_planes else scratch
+        das = scratch if das_plane is None else das_plane[j]
         for s in range(0, nx, span):
             gathered = gather_span(plan, s, s + span, zs[iz], gather_out)
             np.einsum("pm,m->p", gathered[:, centre], taps, out=das[s:s + span])
@@ -222,9 +209,7 @@ def _beamform_rows(
                 fallback += int(len(ok) - np.count_nonzero(ok))
                 for method, plane in adaptive:
                     plane[j, cols] = values[method]
-    for plane in das_planes[1:]:
-        plane[:] = das_planes[0]
-    return planes, fallback
+    return list(planes.values()), fallback
 
 
 # The keyword arguments of _beamform_rows in a worker process, filled in once
@@ -250,51 +235,32 @@ def reconstruct_methods(
 ) -> tuple[PaImage, ...]:
     """Beamformed planes for several of DAS, MV and MSMV from one pass.
 
-    Each image row is gathered in spans of up to ``span_pixels`` pixels, and
-    one gather feeds every method. Every span first sums DAS, the fixed taper
-    ``das_taps`` on its centre-time samples, once, whichever methods are asked
-    for: it is the DAS image and the value an adaptive pixel falls back to.
-    With MV or MSMV, the span is then cut into tiles of up to ``tile_pixels``
-    pixels, each one batched pass of snapshots -> covariance -> diagonal
-    loading -> Capon weights -> subarray-averaged output; MSMV iterates from
-    that same MV solve. A pixel whose loaded covariance still fails the
-    positive-definiteness check (an identically zero neighborhood) takes its
-    DAS value and is counted in the MV and MSMV images' fallback_pixel_count;
-    the image is never aborted. A span that gathers only zeros (past the
-    record) skips the tiles. The depth-free part of the gather, the read-only
-    ``GatherPlan``, is built once per call, before any worker forks; each
-    process that runs rows makes its own workspace once (``_beamform_rows``),
-    so no span or tile allocates one and a forked run's caller holds none. A
-    setting left None takes its default (see ``kernel_settings``).
+    One gather per span (``span_pixels``) feeds every method: DAS is the
+    span's ``das_taps`` sum, and MV and MSMV are solved tile by tile
+    (``tile_pixels``), MSMV iterating from the MV solve (``_beamform_rows``).
+    A pixel whose loaded covariance is not positive definite takes its DAS
+    value and is counted in the MV and MSMV images' fallback_pixel_count. A
+    setting left None takes its default (``kernel_settings``).
 
-    The span and tile partitions depend only on the grid, the array, L, K
-    and whether an adaptive method is asked for, each pixel's gathered
-    values not even on that, and DAS's taper sum on none of it, so every
-    plane is bit-identical for any ``workers`` and to its one-method run.
-    One process means this process: the rows run here, with no pool, when
-    ``workers`` is 1, when the grid has one row, or when this process may
-    use only one CPU, tested in that order (so a one-worker run never asks
-    for the CPU set, which some platforms cannot give). Otherwise the rows
-    split into ``workers`` blocks for forked processes, at most one per CPU
-    this process may use (the tiles' solves hold the interpreter lock, so
-    threads do not run them in parallel). They inherit the gather plan and
-    settings through the fork and gather from this process's record of the
-    frame, so ``fork`` must be a start method of the platform (Linux) and
-    the calling process should run no other threads. Each block returns its
-    rows of every plane, joined plane by plane, and its fallback count,
-    summed; all workers have exited when this returns or raises. ``RUSAGE_SELF``
-    memory counts the calling process only, none of the workers'.
-
-    Each image owns its plane, one the kernel made for that entry of
-    ``methods`` (a method asked for twice gets two), so it holds one plane
-    and keeps no other image's plane alive.
+    The span and tile partition depends only on the grid, the array, L, K
+    and whether an adaptive method is asked for, so every plane is
+    bit-identical for any ``workers`` and to its one-method run. The rows run
+    in this process when ``workers`` is 1, when the grid has one row, or when
+    this process may use one CPU, tested in that order (so a one-worker run
+    never asks for the CPU set, which some platforms cannot give). Otherwise
+    they split into ``workers`` blocks for forked processes, at most one per
+    usable CPU (threads would not run the tiles in parallel, as they hold the
+    interpreter lock). The workers inherit the frame and the gather plan
+    through the fork, so the platform must offer ``fork`` (Linux) and the
+    calling process should run no other threads. All workers have exited
+    when this returns or raises.
 
     Returns:
-        One image per entry of ``methods``, in order.
+        One image per entry of ``methods``, in order, each owning its plane.
 
     Raises:
-        ConfigError: a setting out of range (see ``kernel_settings``), or a
-            method that is not one of das, mv and msmv.
+        ConfigError: a setting out of range (see ``kernel_settings``), a
+            method that is not one of das, mv and msmv, or one asked for twice.
     """
     try:
         methods = tuple(Method(m) for m in methods)
@@ -304,6 +270,9 @@ def reconstruct_methods(
         ) from exc
     if not methods:
         raise ConfigError("no method to reconstruct")
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ConfigError(f"method: {method.value} asked for twice")
     m = frame.geometry.n_elements
     L, K, dl_factor, workers = kernel_settings(m, L, K, dl_factor, workers)
 
@@ -316,8 +285,7 @@ def reconstruct_methods(
         methods=methods, span=span_pixels(tile, len(offsets), m), tile=tile, L=L,
         dl_factor=dl_factor, msmv=msmv, taps=das_taps(m, L),
     )
-    # one block of rows per worker: blocks of 8 rows or of one row ran no
-    # faster; there is one block when workers is 1 or the grid has one row
+    # one block of rows per worker: blocks of 8 rows or of one row ran no faster
     step = -(-grid.nz // workers)
     blocks = [range(i, min(i + step, grid.nz)) for i in range(0, grid.nz, step)]
     processes = 1 if len(blocks) == 1 else min(len(blocks), len(os.sched_getaffinity(0)))
@@ -338,20 +306,15 @@ def reconstruct_methods(
             row_planes, counts = zip(*pool.map(_worker_rows, blocks))
         planes, n_fallback = [np.concatenate(p) for p in zip(*row_planes)], sum(counts)
     return tuple(
-        PaImage(
-            grid=grid,
-            beamformed=plane,
-            method=method,
-            fallback_pixel_count=0 if method is Method.DAS else n_fallback,
-        )
+        PaImage(grid=grid, beamformed=plane, method=method,
+                fallback_pixel_count=0 if method is Method.DAS else n_fallback)
         for method, plane in zip(methods, planes)
     )
 
 
 def reconstruct(frame: RfFrame, grid: ImageGrid, method: Method, **settings) -> PaImage:
-    """Beamformed plane for one of DAS, MV and MSMV: the one-method case of
-    ``reconstruct_methods``, which documents the kernel and takes
-    ``settings`` (L, K, dl_factor, msmv, workers) by keyword.
+    """``reconstruct_methods`` for one method, with its keyword ``settings``
+    (L, K, dl_factor, msmv, workers).
 
     Raises:
         ConfigError: as ``reconstruct_methods``.
@@ -360,16 +323,14 @@ def reconstruct(frame: RfFrame, grid: ImageGrid, method: Method, **settings) -> 
 
 
 def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
-    """Magnitude of the analytic signal along depth, column by column.
-
-    The analytic signal is ifft(fft(x) * U) over the n depth samples, with
-    U = 2 on bins 1 .. (n+1)//2 - 1, 0 from bin n//2 + 1 on and 1 at DC and
-    (even n) Nyquist: SciPy's signal-module ``hilbert``, which this equals bit
-    for bit, as U keeps only the bins where numpy's ``rfft`` has SciPy's bits.
-    The columns are transformed in blocks whose complex spectrum fits
-    TILE_BYTES, each block's magnitude written into the returned plane, so
-    the call holds that plane plus one block's spectrum. A column's bits do
-    not depend on its block. ``beamformed`` is left as it was.
+    """Magnitude of the analytic signal along depth, column by column:
+    ifft(fft(x) U) over the n depth samples, U = 2 on bins 1 .. (n+1)//2 - 1,
+    1 at DC and (even n) Nyquist and 0 above. It equals SciPy's
+    ``signal.hilbert`` bit for bit, as U keeps only the bins where numpy's
+    ``rfft`` has SciPy's bits. Columns are transformed in blocks whose
+    spectrum fits TILE_BYTES, so the call holds the returned plane plus one
+    block's spectrum; a column's bits do not depend on its block.
+    ``beamformed`` is left as it was.
     """
     x = np.asarray(beamformed, dtype=np.float64)
     n = x.shape[0]
@@ -388,11 +349,8 @@ def envelope_detect(beamformed: np.ndarray) -> np.ndarray:
 
 
 def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
-    """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0].
-
-    Divide, log10, scale by 20 and clamp all run in the one returned array;
-    ``envelope`` is left as it was.
-    """
+    """Normalize to unit max and map to dB, clamped to [-dynamic_range, 0],
+    in the one returned array; ``envelope`` is left as it was."""
     dynamic_range_db = dynamic_range(dynamic_range_db)
     envelope = np.asarray(envelope, dtype=np.float64)
     peak = envelope.max(initial=0.0)
@@ -406,14 +364,8 @@ def log_compress(envelope: np.ndarray, dynamic_range_db: float) -> np.ndarray:
 
 
 def finalize(image: PaImage, dynamic_range_db: float | None = None) -> PaImage:
-    """Fills in the normalized envelope and log-compressed planes over
-    ``dynamic_range_db`` (see ``dynamic_range`` for its default).
-
-    Beyond ``image.beamformed``, the call holds the envelope plane plus one
-    block's complex spectrum while it detects (see ``envelope_detect``),
-    then the two planes it returns with: the envelope, normalized in place,
-    and the dB plane. ``image`` is not changed.
-    """
+    """A copy of ``image`` with the normalized envelope and the log-compressed
+    plane over ``dynamic_range_db`` (default: ``dynamic_range``) filled in."""
     dynamic_range_db = dynamic_range(dynamic_range_db)
     env = envelope_detect(image.beamformed)
     peak = env.max(initial=0.0)

@@ -815,7 +815,7 @@ class TestCli:
         ["--beta", "-1"], ["--iters", "-2"], ["--dl", "-1"], ["--dr", "0"],
         ["--beta", "nan"], ["--dl", "inf"], ["--dr", "nan"],
         ["--grid=a,b,c,d,1,1"], ["--grid=0,1,2,3,x,1"], ["--grid=-1e308,1e308,0,1,3,2"],
-        ["--grid=1,2,3"],
+        ["--grid=1,2,3"], ["--grid=-1e-3,1e-3,0.018,0.022,3.5,2"],
     ], ids=lambda flags: "".join(flags))
     def test_beamform_bad_flag_value(self, tmp_path, capsys, flags):
         # one line of JSON and exit code 1, not a traceback (or, for nan and
@@ -886,6 +886,24 @@ class TestCli:
             unset = (tmp_path / f"unset{ext}").read_bytes()
             assert unset == (tmp_path / f"explicit{ext}").read_bytes()
 
+    def test_beamform_grid_counts_follow_integer_rule(self, tmp_path, small_config,
+                                                      capsys):
+        # --grid's nx and nz follow a config's integer rule: 3.0 is read as 3,
+        # so the same files are written, and 3.5 is refused naming grid.nx
+        rf = tmp_path / "frame"
+        assert main(["simulate", "--config", str(small_config), "--out", str(rf)]) == 0
+        rcs = [main(["beamform", "--rf", str(rf), "--method", "mv", "--profile-depth", "0.02",
+                     f"--grid=-1e-3,1e-3,0.018,0.022,{counts}", "--out", str(tmp_path / name)])
+               for name, counts in (("int", "3,2"), ("float", "3.0,2"), ("half", "3.5,2"))]
+        assert rcs == [0, 0, 1]
+        for suffix in (".bin", ".json", ".pgm", "_profile_20.0mm.csv"):
+            assert ((tmp_path / f"int{suffix}").read_bytes()
+                    == (tmp_path / f"float{suffix}").read_bytes())
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("grid: field grid.nx must be an integer")
+        assert not list(tmp_path.glob("half*"))
+
     @pytest.mark.parametrize("flags, key", [
         (["--L", "99"], "L"), (["--K", "-1"], "K"), (["--dl", "-1"], "dl"),
         (["--workers", "0"], "workers"), (["--dr", "0"], "dynamic_range_db"),
@@ -924,6 +942,24 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DepthOutOfGrid"
         assert "0.03" in err["message"]
+        assert not list(tmp_path.glob("img*"))
+
+    def test_failed_allocation_reported(self, tmp_path, capsys, monkeypatch):
+        # a failed allocation (as a huge --K asks for) is one line of JSON and
+        # exit code 1, not a traceback, and no image is written
+        _valid_rf(tmp_path)
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr("pabeam.cli.reconstruct", out_of_memory)
+        rc = main(["beamform", "--rf", str(tmp_path / "rf"), "--method", "mv",
+                   "--out", str(tmp_path / "img")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError",
+                                        "message": "Unable to allocate 14.6 TiB"}
         assert not list(tmp_path.glob("img*"))
 
     def test_compare_without_phantom_writes_nothing(self, tmp_path, capsys):

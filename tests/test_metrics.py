@@ -156,8 +156,16 @@ class TestPeakSidelobe:
 
     def test_exclusion_covers_row(self):
         img = self.sidelobe_image()
-        with pytest.raises(NoPeakFound):
-            peak_sidelobe(img, FocalPoint(0.0, 0.02), mainlobe_exclusion=1.0)
+        assert peak_sidelobe(img, FocalPoint(0.0, 0.02), mainlobe_exclusion=1.0) is None
+
+
+def assert_sidelobes_are_peak_sidelobe(img, spec, report, measured):
+    # evaluate's sidelobe is peak_sidelobe outside 3x the target's FWHM,
+    # None included
+    for target, t in zip(spec.targets, report.per_target, strict=True):
+        expected = peak_sidelobe(img, target, 3 * fwhm(img, target))
+        assert t.peak_sidelobe_db == expected
+        assert (expected is not None) == measured
 
 
 class TestEvaluate:
@@ -176,6 +184,7 @@ class TestEvaluate:
         assert report.per_target[0].fwhm == pytest.approx(
             2.3548200450309493 * 0.3e-3, rel=0.02
         )
+        assert_sidelobes_are_peak_sidelobe(img, spec, report, measured=True)
 
     def test_sidelobe_unmeasurable_keeps_report(self, tmp_path):
         # 3x the FWHM (0.71 mm) covers the whole +-1 mm row: the sidelobe is
@@ -191,8 +200,9 @@ class TestEvaluate:
         (t,) = report.per_target
         assert t.fwhm == fwhm(img, target)
         assert t.peak_sidelobe_db is None
-        with pytest.raises(NoPeakFound):
-            peak_sidelobe(img, target)
+        assert peak_sidelobe(img, target) is None
+        assert_sidelobes_are_peak_sidelobe(img, TargetSpec(targets=(target,)), report,
+                                           measured=False)
         pio.write_metrics_json(tmp_path / "m.json", [report])
         raw = json.loads((tmp_path / "m.json").read_text())
         assert raw[0]["per_target"][0]["peak_sidelobe_db"] is None
