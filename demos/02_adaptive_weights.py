@@ -3,7 +3,7 @@
 Delay-and-sum always applies uniform 1/L weights. The minimum-variance
 (Capon) solution shapes its weights to the measured covariance while keeping
 unit gain toward the focal point, and the sparse-regularized variant then
-re-solves with the covariance augmented by a penalty on the snapshot outputs.
+adds an l1 penalty on the beamformed output at each temporal offset.
 Run:
 
     python3 demos/02_adaptive_weights.py
@@ -21,7 +21,7 @@ from pabeam import (
     default_dl_factor,
     simulate_rf,
 )
-from pabeam.beamformers import beamform_outputs, capon_weights, msmv_weights
+from pabeam.beamformers import beamform_outputs, capon_weights, msmv_weights, offset_sums
 from pabeam.covariance import loaded_covariance
 from pabeam.delays import gather_delayed, subarray_snapshots
 
@@ -47,7 +47,7 @@ snaps = subarray_snapshots(gathered, L)  # (2 points, snapshots, L)
 r = loaded_covariance(snaps, default_dl_factor(L))
 w_das = np.tile(das_weight(L).values, (2, 1))
 w_mv, _ = capon_weights(r)
-w_ms, _, _ = msmv_weights(r, snaps, MsmvConfig(beta=1.0, n_iter=10))
+w_ms, _, _ = msmv_weights(r, offset_sums(snaps, 2 * K + 1), MsmvConfig(beta=1.0, n_iter=10))
 center = snaps[:, K * n_sub:(K + 1) * n_sub]  # the offset-0 snapshots
 out = {name: beamform_outputs(center, w)
        for name, w in (("das", w_das), ("mv", w_mv), ("msmv", w_ms))}

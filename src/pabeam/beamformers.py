@@ -1,6 +1,12 @@
 """Weight computations: DAS, MV, sparse-Capon (SC) and the sparse-regularized
 MV update (MSMV), plus the subarray-averaged beamformed output.
 
+MSMV penalizes the l1 norm of the beamformed output over the temporal window:
+at each offset, the sum over the subarrays of their outputs (``offset_sums``),
+2K+1 values per pixel. Its reweighted steps are taken in that
+(2K+1)-dimensional output space: after MV's solve, R is solved once more and
+each step factors a (2K+1) x (2K+1) matrix, not an L x L one.
+
 All arithmetic is real: the steering vector is all-ones (channels are
 pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
 transposes. ``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work
@@ -31,16 +37,13 @@ class WeightVector:
     iterations_run: int = 0
 
 
-# Clamp floor of the reweighting, relative to a pixel's largest snapshot
-# output magnitude: keeps the p-2 = -1 exponent defined at sparse solutions.
-EPSILON_FLOOR_REL = 1e-12
-
-
 @dataclass(frozen=True)
 class MsmvConfig:
     """The two settings of the MSMV iteration (``msmv_weights``): the penalty
-    weight ``beta`` and the number of reweighted steps ``n_iter``, which are
-    all taken, as the iteration has no convergence test."""
+    weight ``beta`` on the subarray sums of the outputs at each temporal
+    offset, so beta on the subarray-averaged output is beta (M-L+1), and the
+    number of reweighted steps ``n_iter``, which are all taken, as the
+    iteration has no convergence test."""
 
     beta: float = 1.0
     n_iter: int = 10
@@ -125,67 +128,71 @@ def sc_weight(
     return WeightVector(values=w, iterations_run=it)
 
 
-def _reweight(x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-    """beta over the output magnitudes |x w|, clamped below at
-    EPSILON_FLOOR_REL times the pixel's largest, for snapshot rows x (P, N, L)
-    and weights w (P, L); a pixel whose outputs are all zero keeps all zeros,
-    which drops its penalty term and reduces the step to MV."""
-    y = np.matmul(x, w[..., None])[..., 0]
-    np.abs(y, out=y)
-    peak = y.max(axis=-1, keepdims=True, initial=0.0)
-    np.maximum(y, EPSILON_FLOOR_REL * peak, out=y)
-    np.divide(beta, y, out=y, where=peak > 0.0)
-    return y
+def offset_sums(x: np.ndarray, n_offsets: int) -> np.ndarray:
+    """S (P, n_offsets, L): the sum of a tile's offset-major snapshot rows
+    x (P, N, L) over the subarrays at each temporal offset, so that S w holds
+    the subarray sums of the outputs of weights w, the ones MSMV penalizes."""
+    p, n, L = x.shape
+    return x.reshape(p, n_offsets, n // n_offsets, L).sum(axis=2)
 
 
 def msmv_weights(
     r_loaded: np.ndarray,
-    x: np.ndarray,
+    s: np.ndarray,
     cfg: MsmvConfig,
     *,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-    xt: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse-regularized MV weights for every pixel of a tile.
 
-    ``r_loaded`` (P, L, L) are the loaded covariances and ``x`` (P, N, L) the
-    snapshot rows, all N of which are penalized. The whole tile takes all
-    ``cfg.n_iter`` steps, each descending w^T R w + 2 beta ||x w||_1
-    (``msmv_objective`` at 2 beta): a step Capon-solves r_loaded +
-    x^T Lambda x, with Lambda = beta / max(|x w|, eps * peak) of the last
-    iterate (``_reweight``). A pixel keeps its last iterate where the step's
-    matrix is not positive definite, so every later step rebuilds the same
-    matrix and fails again, and its NaN weights where MV failed.
+    ``r_loaded`` (P, L, L) are the loaded covariances and ``s`` (P, 2K+1, L)
+    the ``offset_sums``, whose outputs y = S w are penalized. The whole tile
+    takes all ``cfg.n_iter`` steps, each descending w^T R w + 2 beta ||S w||_1
+    (``msmv_objective`` at 2 beta) under 1^T w = 1. A step's weights are
+    (R + S^T diag(beta / |y|) S)^-1 1 normalized, for the last outputs y,
+    taken in output space by the Woodbury identity: from MV's weights w0,
+    V = R^-1 S^T, a = S w0, B = S V and t = 1^T V, a step solves
+    (B + diag(|y| / beta)) c = a, starting from y = a, and sets
+    y = (a - B c) / (1 - t^T c); the weights are w = (w0 - V c) / (1 - t^T c).
+    Two rules keep every step exact. An offset whose sums are all zero has
+    output 0 for every w: it gets a unit diagonal entry, so its c is 0. A
+    pixel whose step matrix is still not positive definite keeps its previous
+    c, and so its outputs, which makes every later step the same. A pixel
+    keeps NaN weights where MV failed.
 
     ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
-    made it already; its weights are updated in place. ``xt`` is x^T (P, L, N)
-    when the caller holds it, e.g. the one its covariance was formed from.
-    ``out`` holds each step's reweighted x^T in its leading pixels if given.
+    made it already.
 
     Returns:
         (w, ok, iterations): weights (P, L), the mask of pixels whose MV
-        solve succeeded (w is NaN elsewhere), and steps taken per pixel.
+        solve succeeded (w is NaN elsewhere), and the steps each pixel took.
     """
-    w, ok = capon_weights(r_loaded) if start is None else start
-    iterations = np.zeros(len(w), dtype=np.int64)
+    w0, ok = capon_weights(r_loaded) if start is None else start
+    iterations = np.zeros(len(w0), dtype=np.int64)
     if cfg.beta == 0.0 or cfg.n_iter == 0 or not ok.any():
-        return w, ok, iterations
-    if xt is None:
-        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    scaled = np.empty(xt.shape) if out is None else out[:len(xt)]
+        return w0, ok, iterations
+    vt, _ = spd_solve_stack(r_loaded, s)  # V^T: row k is R^-1 s_k
+    a = np.matmul(s, w0[..., None])[..., 0]
+    b = np.matmul(s, np.swapaxes(vt, -1, -2))
+    t, unit = vt.sum(axis=-1), ~s.any(axis=-1)
+    c, y = np.zeros_like(a), a
     for k in range(1, cfg.n_iter + 1):
-        lam = _reweight(x, w, cfg.beta)
-        a = np.matmul(np.multiply(xt, lam[:, None, :], out=scaled), x)
-        a += r_loaded
-        # the Capon solve of capon_weights, factoring a in place
-        x_next, solved = _spd_solve_in_place(a, np.ones(a.shape[-1]))
-        # reweighting saturated the conditioning (deep nulls): keep the last
-        # valid iterate rather than discarding the pixel
+        step = b.copy()
+        np.einsum("pkk->pk", step)[...] += np.where(unit, 1.0, np.abs(y) / cfg.beta)
+        c_next, solved = _spd_solve_in_place(step, a)
         solved &= ok
-        w[solved] = (x_next / x_next.sum(axis=-1, keepdims=True))[solved]
+        c[solved] = c_next[solved]
         iterations[solved] = k
-    return w, ok, iterations
+        gain = 1.0 - np.sum(t * c, axis=-1, keepdims=True)
+        y = (a - np.matmul(b, c[..., None])[..., 0]) / gain
+    return (w0 - np.matmul(c[:, None], vt)[:, 0]) / gain, ok, iterations
+
+
+def _sums(snapshots: SnapshotMatrix) -> np.ndarray:
+    """``offset_sums`` of one pixel's snapshots, (1, 2K+1, L), from the
+    kernel's C-contiguous snapshot rows: the sums' bits depend on layout."""
+    rows = np.ascontiguousarray(snapshots.columns.T)[None]
+    return offset_sums(rows, 2 * snapshots.temporal_half_window + 1)
 
 
 def msmv_weight(
@@ -197,14 +204,11 @@ def msmv_weight(
         DimensionMismatch: the snapshots' rows do not match the covariance.
         NotPositiveDefinite: the MV starting solve failed.
     """
-    x = snapshots.columns
-    if x.shape[0] != r_loaded.shape[0]:
+    if snapshots.columns.shape[0] != r_loaded.shape[0]:
         raise DimensionMismatch(
-            f"snapshot rows {x.shape[0]} != covariance dim {r_loaded.shape[0]}"
+            f"snapshot rows {snapshots.columns.shape[0]} != covariance dim {r_loaded.shape[0]}"
         )
-    # the kernel's C-contiguous snapshot rows: matmul bits depend on layout
-    rows = np.ascontiguousarray(x.T)[None]
-    w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], rows, cfg)
+    w, ok, iterations = msmv_weights(check_symmetric(r_loaded)[None], _sums(snapshots), cfg)
     if not ok[0]:
         raise NotPositiveDefinite("matrix is not positive definite")
     return WeightVector(values=w[0], iterations_run=int(iterations[0]))
@@ -213,9 +217,9 @@ def msmv_weight(
 def msmv_objective(
     r: np.ndarray, snapshots: SnapshotMatrix, w: np.ndarray, beta: float
 ) -> float:
-    """w^T R w + beta * ||X^T w||_1, which the update run at penalty beta / 2 descends."""
-    x = snapshots.columns
-    return float(w @ r @ w + beta * np.sum(np.abs(x.T @ w)))
+    """w^T R w + beta * ||S w||_1, S the ``offset_sums`` of the snapshots,
+    which the steps at penalty beta / 2 descend."""
+    return float(w @ r @ w + beta * np.sum(np.abs(_sums(snapshots)[0] @ w)))
 
 
 def beamform_outputs(center: np.ndarray, w: np.ndarray) -> np.ndarray:

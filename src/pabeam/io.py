@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamformers import EPSILON_FLOOR_REL, Method, MsmvConfig
+from .beamformers import Method, MsmvConfig
 from .delays import FocalPoint
 from .errors import ConfigError, PabeamError
 from .metrics import MetricsReport, TargetMetrics, TargetSpec
@@ -24,14 +24,6 @@ from .pipeline import ImageGrid, PaImage, dynamic_range, finalize, kernel_settin
 
 RF_MAGIC = "PARF"
 RF_VERSION = 1
-# msmv keys of older manifests, accepted only at the one value the iteration
-# now always has (msmv.early_stop_tol, which only early stopping read, is
-# ignored), so an old manifest either reruns to the same image or is refused
-RETIRED_MSMV_KEYS = {
-    "early_stop": False,
-    "epsilon_floor_rel": EPSILON_FLOOR_REL,
-    "penalty_window": "full",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +166,6 @@ def resolve_config(raw: dict) -> RunConfig:
         beta=float(_num(raw, "msmv.beta", d.beta)),
         n_iter=_int(raw, "msmv.n_iter", d.n_iter),
     )
-    for key, fixed in RETIRED_MSMV_KEYS.items():
-        value = _get(raw, f"msmv.{key}", fixed)
-        if type(value) is not type(fixed) or value != fixed:
-            raise ConfigError(
-                f"msmv.{key}: retired, only {fixed!r} is accepted, got {value!r}"
-            )
 
     snr_db = _num(raw, "noise.snr_db")
     seed = _int(raw, "noise.seed", 0)

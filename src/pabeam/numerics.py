@@ -1,10 +1,11 @@
 """Small dense symmetric positive-definite linear algebra.
 
-Every matrix solved (loaded covariances, MSMV step matrices) is real
-symmetric and diagonally loaded to positive definiteness by construction, so
-a failing Cholesky factorization is a signal, not a condition to recover
-from. The solver works on a stack of matrices, one per pixel of a tile: one
-LAPACK ``dposv`` per matrix both decides positive definiteness and solves.
+Every matrix solved (loaded covariances, MSMV's (2K+1)-dimensional step
+matrices) is real symmetric, and a failing Cholesky factorization reports
+one that is not positive definite: a pixel for the caller to handle, not an
+error. The solver works on a stack of matrices, one per pixel of a tile, each with
+one or several right-hand sides: one LAPACK ``dposv`` per matrix both decides
+positive definiteness and solves.
 ``dposv`` is called through ``ctypes`` from the LAPACK that numpy's
 ``linalg`` already loads, so no run imports SciPy; a numpy whose LAPACK does
 not export ``DPOSV_SYMBOL`` falls back to SciPy's wrapper, imported only then.
@@ -37,8 +38,9 @@ def _numpy_posv():
     ``DPOSV_SYMBOL``.
 
     The solver overwrites a C-ordered (P, n, n) stack with its factors and a
-    C-ordered (P, n) block of right-hand sides with the solutions, and
-    returns {p: info} for the matrices whose ``info`` is not 0.
+    C-ordered (P, n) or (P, r, n) block of right-hand sides, r per matrix,
+    with the solutions, and returns {p: info} for the matrices whose
+    ``info`` is not 0.
     """
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -52,17 +54,19 @@ def _numpy_posv():
     # (1-2 us of a 6 us solve at n = 32): each argument is made once as the
     # ctypes object dposv takes
     fn.restype = None
-    uplo, nrhs, uplo_len = ctypes.c_char_p(b"U"), ctypes.byref(c_int(1)), ctypes.c_size_t(1)
+    uplo, uplo_len = ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
 
     def posv(a, x):
-        count, n = x.shape
         if not x.size:  # nothing to solve, and from_buffer refuses 0 bytes
             return {}
-        # n >= 1 here, so n is also lda = ldb = max(1, n)
+        count, n = len(a), a.shape[-1]
+        # a C-ordered (r, n) block read as Fortran is n x r: r right-hand
+        # sides, each a row; n >= 1 here, so n is also lda = ldb = max(1, n)
+        nrhs = ctypes.byref(c_int(x[0].size // n))
         n_ref, info = ctypes.byref(c_int(n)), c_int()
         info_ref = ctypes.byref(info)
         a_p, x_p = _pointer(a), _pointer(x)
-        a_step, x_step = n * n * a.itemsize, n * x.itemsize
+        a_step, x_step = n * n * a.itemsize, x[0].nbytes
         failed = {}
         # a C-ordered matrix read as Fortran is its transpose, so "U" reads
         # the lower triangle; the pointers step through the stack in place,
@@ -86,8 +90,9 @@ def _scipy_posv():
         failed = {}
         for p, mat in enumerate(a):
             # mat.T is the Fortran-ordered view of mat, so its upper triangle
-            # is mat's lower one
-            _, x[p], info = dposv(mat.T, x[p], lower=0)
+            # is mat's lower one; x[p].T holds the right-hand sides as columns
+            _, solution, info = dposv(mat.T, x[p].T, lower=0)
+            x[p] = solution.T
             if info:
                 failed[p] = info
         return failed
@@ -114,20 +119,21 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solves A_p x_p = b for a stack of symmetric matrices and one
-    right-hand side.
+    """Solves A_p x = b for a stack of symmetric matrices, with one
+    right-hand side for all of them or one or several per matrix.
 
     Only the lower triangle of each A_p is read (the strict upper triangle
     may hold anything), and ``a`` is left unchanged.
 
     Args:
         a: matrices, shape (P, n, n).
-        b: right-hand side vector, shape (n,).
+        b: right-hand sides: one vector (n,), one per matrix (P, n), or r per
+            matrix (P, r, n), each a row (``dposv``'s NRHS).
 
     Returns:
-        (x, ok): solutions of shape (P, n) and a (P,) mask of the matrices
-        whose Cholesky factorization succeeded. Rows of x where ok is False
-        are NaN.
+        (x, ok): solutions of shape (P, n) for a b of shape (n,), else of b's
+        shape, and a (P,) mask of the matrices whose Cholesky factorization
+        succeeded. The solutions of a matrix where ok is False are NaN.
 
     Raises:
         DimensionMismatch: ``a`` is not a stack of square matrices or ``b``
@@ -145,11 +151,14 @@ def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     is made."""
     if a.dtype != np.float64 or not a.flags.c_contiguous:
         raise ValueError("dposv takes a C-ordered float64 stack")
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or np.shape(b) != a.shape[2:]:
+    shape = np.shape(b)
+    per_matrix = len(shape) in (2, 3) and (shape[0], shape[-1]) == a.shape[::2]
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not (shape == a.shape[2:] or per_matrix):
         raise DimensionMismatch(
-            f"expected a (P, n, n) stack and an (n,) vector, got {a.shape} and {np.shape(b)}"
+            f"expected a (P, n, n) stack and an (n,), (P, n) or (P, r, n) right-hand"
+            f" side, got {a.shape} and {shape}"
         )
-    x = np.empty(a.shape[:-1])
+    x = np.empty(a.shape[:-1] if len(shape) == 1 else shape)
     x[...] = b
     failed = _posv(a, x)
     ok = np.ones(len(a), dtype=bool)

@@ -13,6 +13,7 @@ from .beamformers import (
     capon_weights,
     das_taps,
     msmv_weights,
+    offset_sums,
 )
 from .covariance import default_dl_factor, loaded_covariance
 from .delays import GatherPlan, gather_buffers, gather_span, subarray_snapshots
@@ -124,9 +125,9 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
 
 
 def _tile_buffers(pixels: int, n_offsets: int, M: int, L: int) -> tuple:
-    """Uninitialized snapshot rows X, X^T and MSMV's reweighted X^T of a tile."""
+    """Uninitialized snapshot rows X and X^T of a tile."""
     n = n_offsets * (M - L + 1)
-    return np.empty((pixels, n, L)), np.empty((pixels, L, n)), np.empty((pixels, L, n))
+    return np.empty((pixels, n, L)), np.empty((pixels, L, n))
 
 
 def _beamform_tile(
@@ -144,7 +145,7 @@ def _beamform_tile(
     their DAS value from ``das`` (P). MSMV iterates from MV's solve. ``out``
     is ``_tile_buffers`` of at least P pixels (new ones if None).
     """
-    snap_out, xt_out, scaled_out = out or _tile_buffers(*gathered.shape, L)
+    snap_out, xt_out = out or _tile_buffers(*gathered.shape, L)
     snaps = subarray_snapshots(gathered, L, snap_out)
     xt = xt_out[:len(snaps)]
     xt[...] = np.swapaxes(snaps, -1, -2)
@@ -156,7 +157,7 @@ def _beamform_tile(
     if Method.MV in methods:
         values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
     if Method.MSMV in methods:
-        w, _, _ = msmv_weights(r_loaded, snaps, msmv, start=(w, ok), xt=xt, out=scaled_out)
+        w, _, _ = msmv_weights(r_loaded, offset_sums(snaps, 2 * K + 1), msmv, start=(w, ok))
         values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
     return values, ok
 

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from pabeam import beamformers
 from pabeam.beamformers import (
-    EPSILON_FLOOR_REL,
     MsmvConfig,
-    _reweight,
     beamform_outputs,
     das_taps,
     das_weight,
@@ -17,6 +15,7 @@ from pabeam.beamformers import (
     msmv_weight,
     msmv_weights,
     mv_weight,
+    offset_sums,
     sc_weight,
 )
 from pabeam.covariance import apply_dl, default_dl_factor, loaded_covariance
@@ -106,32 +105,60 @@ class TestSparseCapon:
             sc_weight(r, -1.0, 10)
 
 
+def capture_steps(monkeypatch):
+    """The list that every step matrix ``msmv_weights`` factors is copied
+    into, as it is passed to the solver."""
+    real, steps = beamformers._spd_solve_in_place, []
+
+    def solve(a, b):
+        steps.append(a.copy())
+        return real(a, b)
+
+    monkeypatch.setattr(beamformers, "_spd_solve_in_place", solve)
+    return steps
+
+
 class TestReweightDiagonal:
-    # _reweight takes snapshot rows (P, N, L): row n of a pixel is column n
-    # of its snapshot matrix
+    # a step factors B + diag(|y| / beta), B = S R^-1 S^T, for the outputs
+    # y = S w of the last iterate: the diagonal carries the reweighting
 
-    def test_hand_value(self):
-        x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        w = np.array([0.5, 0.5])
-        d = _reweight(x.T[None], w[None], 2.5)
-        np.testing.assert_allclose(d, [[5.0, 2.5]])  # outputs 0.5 and 1.0
+    def test_hand_value(self, monkeypatch):
+        # R = I and one subarray per offset, sums [1, 0], [0, 2] and [1, 1]:
+        # MV is [0.5, 0.5], so y = [0.5, 1, 1], B = S S^T has diagonal
+        # [1, 4, 2], and beta = 2.5 adds [0.2, 0.4, 0.4]
+        s = np.array([[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]])
+        steps = capture_steps(monkeypatch)
+        msmv_weights(np.eye(2)[None], s, MsmvConfig(beta=2.5, n_iter=1))
+        np.testing.assert_allclose(np.diagonal(steps[0][0]), [1.2, 4.4, 2.4], rtol=1e-15)
+        lower = np.tril_indices(3, -1)
+        assert steps[0][0][lower].tolist() == (s[0] @ s[0].T)[lower].tolist()
 
-    def test_clamp_floor(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        w = np.array([1.0, 0.0])
-        d = _reweight(x.T[None], w[None], 1.0)[0]
-        assert d[0] == 1.0
-        assert d[1] == 1.0 / EPSILON_FLOOR_REL  # clamped at eps * peak
-
-    def test_all_zero_marker(self):
-        # a pixel whose outputs are all zero gets an all-zero diagonal (its
-        # penalty drops out) without disturbing its neighbor in the tile
-        x = np.zeros((2, 3, 2))
-        x[1, 0] = [1.0, 2.0]
-        d = _reweight(x, np.array([[0.3, 0.7], [0.3, 0.7]]), 1.0)
-        np.testing.assert_array_equal(d[0], 0.0)
-        assert d[1, 0] == pytest.approx(1.0 / 1.7)
-        np.testing.assert_array_equal(d[1, 1:], 1.0 / (1.7 * EPSILON_FLOOR_REL))
+    def test_all_zero_marker(self, monkeypatch):
+        # rule 1: an offset whose sums are all zero (one past the record, say)
+        # has output 0 for every w. It gets a unit diagonal entry and no other
+        # entry, so its c is 0 and the step is the one without that offset:
+        # the pixel still takes every step off MV, where without the rule
+        # every step matrix would be singular. Its neighbour in the tile
+        # comes out as it does alone.
+        L, n_iter = 4, 5
+        cfg = MsmvConfig(n_iter=n_iter)
+        x = np.random.default_rng(5).standard_normal((2, 3 * L, L))
+        x[0, :L] = 0.0  # pixel 0's first offset, of L subarrays
+        r = loaded_covariance(x, default_dl_factor(L))
+        s = offset_sums(x, 3)
+        steps = capture_steps(monkeypatch)
+        w, ok, iterations = msmv_weights(r, s, cfg)
+        assert len(steps) == n_iter
+        for step in steps:
+            assert step[0, 0].tolist() == [1.0, 0.0, 0.0]
+            assert step[0, :, 0].tolist() == [1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(iterations, [n_iter, n_iter])
+        w_mv = mv_weight(r[0]).values
+        assert np.max(np.abs(w[0] - w_mv)) > 1e-3 * np.max(np.abs(w_mv))
+        without, _, _ = msmv_weights(r[:1], s[:1, 1:], cfg)
+        np.testing.assert_allclose(w[0], without[0], rtol=1e-12)
+        alone, _, _ = msmv_weights(r[1:], s[1:], cfg)
+        assert w[1].tobytes() == alone[0].tobytes()
 
 
 class TestMsmv:
@@ -189,21 +216,51 @@ class TestMsmv:
             assert f <= f0 + 1e-9
 
     def test_two_beta_objective_non_increase_every_step(self):
-        # the reweighting at beta majorizes w'Rw + 2 beta ||X'w||_1, so on
-        # test_05's draws no step raises that objective (the one at beta
-        # itself rises on hundreds of these steps). Not every draw holds it:
-        # at L = N = 17 and beta = 10 (17 standard-normal snapshot columns
-        # from default_rng(1413) and their loaded covariance), step 8, whose
-        # matrix has a condition number near 1e17, takes it from 12.67 to
-        # 16.05 (ROADMAP item 18)
+        # the reweighting at beta majorizes w'Rw + 2 beta ||S w||_1, so no
+        # step raises that objective (the one at beta itself may rise): on
+        # test_05's draws, on draws of five offsets, and on 17 standard-normal
+        # snapshot columns from default_rng(1413) with their loaded
+        # covariance at beta = 10, where the L x L steps of the former
+        # per-column penalty took it from 12.67 to 16.05 at step 8, on a
+        # matrix of condition number near 1e17
         rng = np.random.default_rng(105)
+        draws = []
         for _ in range(100):
             dim = int(rng.integers(2, 17))
-            r = random_spd(rng, dim)
-            snaps = snaps_from(rng.standard_normal((dim, 2 * dim)))
-            f = [msmv_objective(r, snaps, msmv_weight(r, snaps, MsmvConfig(n_iter=k)).values, 2.0)
-                 for k in range(11)]
+            columns = rng.standard_normal((dim, 2 * dim))
+            draws.append((random_spd(rng, dim), snaps_from(columns), 1.0))
+        rng = np.random.default_rng(106)
+        for _ in range(30):
+            dim = int(rng.integers(2, 17))
+            columns = rng.standard_normal((dim, 5 * dim))
+            draws.append((random_spd(rng, dim), snaps_from(columns, K=2), 1.0))
+        columns = np.random.default_rng(1413).standard_normal((17, 17))
+        r = loaded_covariance(np.ascontiguousarray(columns.T)[None], default_dl_factor(17))[0]
+        draws.append((r, snaps_from(columns), 10.0))
+        for r, snaps, beta in draws:
+            cfgs = [MsmvConfig(beta=beta, n_iter=k) for k in range(11)]
+            f = [msmv_objective(r, snaps, msmv_weight(r, snaps, cfg).values, 2 * beta)
+                 for cfg in cfgs]
             assert all(after <= before + 1e-9 for before, after in zip(f, f[1:]))
+
+    def test_singular_step_keeps_previous_c(self):
+        # rule 2: R = 2I and every offset sum a multiple of [1, -1], so MV's
+        # [0.5, 0.5] has outputs exactly 0 and the step matrix is B = S S^T / 2,
+        # rank 1 with entries +-1: its Cholesky factorization meets an exact
+        # zero pivot. The pixel keeps c = 0, that is MV, the objective's
+        # minimizer here (its penalty is 0), and nothing is raised; the other
+        # pixel of the tile steps as it does alone
+        s = np.array([[[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],
+                      [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]])
+        r = np.stack([2.0 * np.eye(2)] * 2)
+        cfg = MsmvConfig(n_iter=4)
+        w, ok, iterations = msmv_weights(r, s, cfg)
+        assert ok.all()
+        assert w[0].tolist() == [0.5, 0.5]
+        alone = msmv_weights(r[1:], s[1:], cfg)
+        assert w[1].tobytes() == alone[0][0].tobytes()
+        np.testing.assert_array_equal(iterations, [0, 4])
+        assert alone[2][0] == 4
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -268,14 +325,15 @@ def test_das_taps_invalid():
 @given(seed=st.integers(0, 2**32 - 1), n_pix=st.integers(1, 9), L=st.integers(2, 12),
        n_iter=st.sampled_from((0, 1, 3)), zero_pixel=st.booleans())
 def test_msmv_tile_unit_gain_every_iterate(seed, n_pix, L, n_iter, zero_pixel):
-    # a seeded random tile; an all-zero pixel has no positive-definite
-    # covariance and must come back not ok (NaN) without disturbing the rest
+    # a seeded random tile of three offsets; an all-zero pixel has no
+    # positive-definite covariance and must come back not ok (NaN) without
+    # disturbing the rest
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_pix, 3 * L, L))
     if zero_pixel:
         x[0] = 0.0
     w, ok, iterations = msmv_weights(
-        loaded_covariance(x, default_dl_factor(L)), x, MsmvConfig(n_iter=n_iter)
+        loaded_covariance(x, default_dl_factor(L)), offset_sums(x, 3), MsmvConfig(n_iter=n_iter)
     )
     assert ok.sum() == n_pix - zero_pixel
     assert np.isnan(w[~ok]).all()
@@ -285,7 +343,7 @@ def test_msmv_tile_unit_gain_every_iterate(seed, n_pix, L, n_iter, zero_pixel):
 
 def test_msmv_tile_matches_one_pixel():
     # a tile of random pixels, a pixel of equal snapshots (the iterate stays
-    # uniform), a pixel whose outputs are all zero (the penalty drops out),
+    # uniform), a pixel whose sums are all zero (every step keeps MV),
     # an all-zero pixel and an indefinite one (both not positive definite);
     # every positive-definite pixel runs all n_iter steps, and each must come
     # out of the tile exactly as it comes out of a one-pixel run
@@ -299,14 +357,15 @@ def test_msmv_tile_matches_one_pixel():
     r[9] = random_spd(rng, L)
     r[11] = -np.eye(L)
     snaps = [snaps_from(c, K=K) for c in cols]
-    x = np.ascontiguousarray(np.swapaxes(cols, 1, 2))  # the kernel's layout
-    w, ok, iterations = msmv_weights(r, x, cfg)
+    # the sums of the kernel's C-ordered snapshot rows
+    s = offset_sums(np.ascontiguousarray(np.swapaxes(cols, 1, 2)), 2 * K + 1)
+    w, ok, iterations = msmv_weights(r, s, cfg)
     np.testing.assert_array_equal(ok, [True] * 10 + [False] * 2)
     np.testing.assert_array_equal(iterations, [n_iter] * 10 + [0] * 2)
     np.testing.assert_allclose(w[8], 1.0 / L, rtol=1e-12)
     assert w[9].tobytes() == mv_weight(r[9]).values.tobytes()
     for p in range(len(cols)):
-        w_p, ok_p, it_p = msmv_weights(r[p:p + 1], x[p:p + 1], cfg)
+        w_p, ok_p, it_p = msmv_weights(r[p:p + 1], s[p:p + 1], cfg)
         assert w[p].tobytes() == w_p[0].tobytes()
         assert (ok[p], iterations[p]) == (ok_p[0], it_p[0])
         if ok[p]:
@@ -320,15 +379,16 @@ def test_msmv_tile_matches_one_pixel():
 
 def test_msmv_weight_independent_of_layout():
     # the same snapshot values held C- or Fortran-ordered give the same bits,
-    # those of the kernel's C-contiguous snapshot rows; the reweighting
-    # amplifies any roundoff a layout-dependent matmul would add
+    # those of the kernel's C-contiguous snapshot rows, whose sums' bits
+    # depend on their layout
     L, n_iter = 16, 12
     cfg = MsmvConfig(n_iter=n_iter)
     rng = np.random.default_rng(11)
     for _ in range(8):
         cols = rng.standard_normal((L, 85))
         r = loaded_covariance(np.ascontiguousarray(cols.T)[None], default_dl_factor(L))[0]
-        kernel, _, _ = msmv_weights(r[None], np.ascontiguousarray(cols.T)[None], cfg)
+        sums = offset_sums(np.ascontiguousarray(cols.T)[None], 1)
+        kernel, _, _ = msmv_weights(r[None], sums, cfg)
         for layout in (np.ascontiguousarray(cols), np.asfortranarray(cols)):
             w = msmv_weight(r, snaps_from(layout), cfg)
             assert w.values.tobytes() == kernel[0].tobytes()
@@ -336,33 +396,32 @@ def test_msmv_weight_independent_of_layout():
 
 @pytest.mark.parametrize("j", [1, 4, 8])
 def test_msmv_step_failure_keeps_last_iterate(monkeypatch, j):
-    # the solver is stubbed so that one pixel's step matrix is not positive
-    # definite from step j on, as a real failure is at every later step; the
-    # pixel is marked by a value in its strict upper triangle, which the
-    # solver never reads. It must end at its step-(j-1) iterate after j-1
-    # steps, and the other pixels (an MV-failed one among them) must come out
-    # as in an unstubbed run, byte for byte.
-    L, n_iter, marked, mark = 6, 8, 2, 1e300
+    # rule 2, with the solver stubbed so that one pixel's step matrix is not
+    # positive definite from step j on, as a real failure is at every later
+    # step (the pixel's outputs, and so its matrix, no longer change). It
+    # must end at its step-(j-1) iterate after j-1 steps, and the other
+    # pixels (an MV-failed one among them) must come out as in an unstubbed
+    # run, byte for byte.
+    L, n_iter, marked = 6, 8, 2
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 15, L))
     r = loaded_covariance(x, default_dl_factor(L))
     r[4] = -np.eye(L)
-    r[marked, 0, -1] = mark
-    clean = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
-    before = msmv_weights(r, x, MsmvConfig(n_iter=j - 1))
+    s = offset_sums(x, 3)
+    clean = msmv_weights(r, s, MsmvConfig(n_iter=n_iter))
+    before = msmv_weights(r, s, MsmvConfig(n_iter=j - 1))
     real = beamformers._spd_solve_in_place
     calls = []
 
     def fails_from_step_j(a, b):  # the step solve; call k-1 is step k
         x, ok = real(a, b)
         if len(calls) >= j - 1:
-            hit = a[:, 0, -1] == mark
-            x[hit], ok[hit] = np.nan, False
+            x[marked], ok[marked] = np.nan, False
         calls.append(len(a))
         return x, ok
 
     monkeypatch.setattr(beamformers, "_spd_solve_in_place", fails_from_step_j)
-    w, ok, iterations = msmv_weights(r, x, MsmvConfig(n_iter=n_iter))
+    w, ok, iterations = msmv_weights(r, s, MsmvConfig(n_iter=n_iter))
     assert len(calls) == n_iter
     np.testing.assert_array_equal(ok, [True] * 4 + [False, True])
     assert w[marked].tobytes() == before[0][marked].tobytes()

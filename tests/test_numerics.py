@@ -111,6 +111,15 @@ def test_solve_stack_mixed():
     np.testing.assert_array_equal(ok, [True, False, False, False, True, False])
     assert np.isnan(x[~ok]).all()
     np.testing.assert_allclose(x[ok], np.linalg.solve(a[ok], b), rtol=1e-12, atol=0)
+    # one right-hand side per matrix, or several, each a row
+    for rhs in (rng.standard_normal((len(a), dim)), rng.standard_normal((len(a), 3, dim))):
+        x_r, ok_r = spd_solve_stack(a, rhs)
+        assert x_r.shape == rhs.shape
+        np.testing.assert_array_equal(ok_r, ok)
+        assert np.isnan(x_r[~ok]).all()
+        rows = rhs.reshape(len(a), -1, dim)[ok]
+        expected = np.linalg.solve(a[ok], rows.swapaxes(1, 2)).swapaxes(1, 2)
+        np.testing.assert_allclose(x_r[ok], expected.reshape(x_r[ok].shape), rtol=1e-12, atol=0)
     # only the lower triangle is read: garbage above the diagonal changes nothing
     upper = np.triu_indices(dim, 1)
     a[:, upper[0], upper[1]] = rng.uniform(-1e3, 1e3, (len(a), len(upper[0])))
@@ -128,8 +137,9 @@ def solve_with(posv, a, b):
 
 @st.composite
 def stacks(draw):
-    """A stack of symmetric matrices, some not positive definite, and a
-    right-hand side; the strict upper triangle may hold junk."""
+    """A stack of symmetric matrices, some not positive definite, and
+    right-hand sides: one for all, one per matrix or several per matrix. The
+    strict upper triangle may hold junk."""
     n = draw(st.integers(1, 33))
     # per matrix: the shift of g g^T / n (-0.5 is indefinite for most g),
     # or an all-zero matrix
@@ -148,7 +158,8 @@ def stacks(draw):
     if junk is not None:
         upper = np.triu_indices(n, 1)
         a[:, upper[0], upper[1]] = junk
-    return a, rng.standard_normal(n)
+    rhs = draw(st.sampled_from(((n,), (len(a), n), (len(a), 3, n))))
+    return a, rng.standard_normal(rhs)
 
 
 @pytest.mark.skipif(NUMPY_POSV is None, reason="numpy's LAPACK exports no dposv")
@@ -161,7 +172,7 @@ def test_numpy_and_scipy_dposv_agree_bit_for_bit(stack):
     assert a.tobytes() == before
     x_sp, ok_sp = solve_with(SCIPY_POSV, a, b)
     assert a.tobytes() == before
-    assert x_np.shape == x_sp.shape == a.shape[:-1]
+    assert x_np.shape == x_sp.shape == (b.shape if b.ndim > 1 else a.shape[:-1])
     assert x_np.tobytes() == x_sp.tobytes()
     np.testing.assert_array_equal(ok_np, ok_sp)
     assert np.isnan(x_np[~ok_np]).all()
@@ -210,8 +221,10 @@ def test_illegal_argument_raises(monkeypatch, posv):
 
 def test_stack_shapes_checked():
     # the solver walks raw memory, so every shape is checked first
-    for a, b in ((np.ones((2, 3, 4)), np.ones(4)), (np.ones((2, 3, 3)), np.ones(4)),
-                 (np.eye(3), np.ones(3)), (np.ones((2, 3, 3)), np.ones((1, 3)))):
+    stack = np.ones((2, 3, 3))
+    for a, b in ((np.ones((2, 3, 4)), np.ones(4)), (stack, np.ones(4)), (np.eye(3), np.ones(3)),
+                 (stack, np.ones((1, 3))), (stack, np.ones((2, 4))), (stack, np.ones((3, 2, 3))),
+                 (stack, np.ones((2, 2, 4))), (stack, np.ones((2, 1, 1, 3)))):
         with pytest.raises(DimensionMismatch):
             spd_solve_stack(a, b)
     # and the in-place solve passes its stack's own memory, so its layout
