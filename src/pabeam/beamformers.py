@@ -9,10 +9,11 @@ each step factors a (2K+1) x (2K+1) matrix, not an L x L one.
 
 All arithmetic is real: the steering vector is all-ones (channels are
 pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
-transposes. ``capon_weights``, ``msmv_weights`` and ``beamform_outputs`` work
-on a tile of pixels (a leading pixel axis) and form the images; ``mv_weight``,
-``msmv_weight``, ``sc_weight`` and ``msmv_objective`` state the one-pixel
-definitions the tiles are checked against.
+transposes. ``capon_weights``, ``offset_sums``, ``msmv_weights`` and
+``beamform_outputs`` work on a tile of pixels (a leading pixel axis) and form
+the images; ``mv_weight``, ``msmv_weight``, ``sc_weight`` and
+``msmv_objective`` state the one-pixel definitions the tiles are checked
+against.
 """
 
 from dataclasses import dataclass
