@@ -4,26 +4,34 @@ MV update (MSMV), plus the subarray-averaged beamformed output.
 MSMV penalizes the l1 norm of the beamformed output over the temporal window:
 at each offset, the sum over the subarrays of their outputs (``offset_sums``),
 2K+1 values per pixel. Its reweighted steps are taken in that
-(2K+1)-dimensional output space: after MV's solve, R is solved once more and
-each step factors a (2K+1) x (2K+1) matrix, not an L x L one.
+(2K+1)-dimensional output space: each pixel's R is factored once, in MV's
+solve, which also gives R^-1 S^T (``msmv_start``), and each step factors a
+(2K+1) x (2K+1) matrix, not an L x L one.
 
 All arithmetic is real: the steering vector is all-ones (channels are
 pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
-transposes. ``capon_weights``, ``offset_sums``, ``msmv_weights`` and
-``beamform_outputs`` work on a tile of pixels (a leading pixel axis) and form
-the images; ``mv_weight``, ``msmv_weight``, ``sc_weight`` and
+transposes. ``capon_weights``, ``offset_sums``, ``msmv_start``,
+``msmv_steps``, ``msmv_step_weights``, ``msmv_weights`` and
+``beamform_outputs`` work on a stack of pixels (a leading pixel axis) and
+form the images; ``mv_weight``, ``msmv_weight``, ``sc_weight`` and
 ``msmv_objective`` state the one-pixel definitions the tiles are checked
 against.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .delays import SnapshotMatrix
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
-from .numerics import _spd_solve_in_place, check_symmetric, spd_solve_stack
+from .numerics import (
+    _spd_solve_both_in_place,
+    _spd_solve_in_place,
+    check_symmetric,
+    spd_solve_stack,
+)
 
 
 class Method(str, Enum):
@@ -54,6 +62,11 @@ class MsmvConfig:
             raise ConfigError("msmv.beta: must be finite and >= 0")
         if self.n_iter < 0:
             raise ConfigError("msmv.n_iter: must be >= 0")
+
+    @property
+    def iterates(self) -> bool:
+        """Whether a step is taken: with beta 0 or no steps, MSMV is MV."""
+        return self.beta > 0.0 and self.n_iter > 0
 
 
 def das_weight(L: int) -> WeightVector:
@@ -137,56 +150,134 @@ def offset_sums(x: np.ndarray, n_offsets: int) -> np.ndarray:
     return x.reshape(p, n_offsets, n // n_offsets, L).sum(axis=2)
 
 
+class MsmvStart(NamedTuple):
+    """Where the MSMV steps of a stack of P pixels start, all from one
+    ``dposv`` per pixel on R [u V] = [1 S^T] (``msmv_start``): ``x``
+    (P, 2K+2, L) holds MV's weights w0 = u / 1^T u in row 0 and V^T in the
+    rest; then MV's outputs a = S w0 (P, 2K+1), B = S V (P, 2K+1, 2K+1),
+    t = 1^T V (P, 2K+1), the mask ``unit`` (P, 2K+1) of the offsets whose
+    sums are all zero, and ``ok`` (P,), the pixels whose solve succeeded
+    (the others hold NaN)."""
+
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    t: np.ndarray
+    unit: np.ndarray
+    ok: np.ndarray
+
+    @property
+    def w0(self) -> np.ndarray:
+        return self.x[:, 0]
+
+    @property
+    def vt(self) -> np.ndarray:
+        return self.x[:, 1:]
+
+    def pixels(self, index) -> "MsmvStart":
+        """The arrays of the pixels ``index`` (views for a slice)."""
+        return MsmvStart(*[arr[index] for arr in self])
+
+
+def msmv_buffers(pixels: int, n_offsets: int, L: int) -> MsmvStart:
+    """Uninitialized ``MsmvStart`` arrays of up to ``pixels`` pixels."""
+    n = n_offsets
+    return MsmvStart(np.empty((pixels, n + 1, L)), np.empty((pixels, n)),
+                     np.empty((pixels, n, n)), np.empty((pixels, n)),
+                     np.empty((pixels, n), dtype=bool), np.empty(pixels, dtype=bool))
+
+
+def msmv_start(r_loaded: np.ndarray, s: np.ndarray, out: MsmvStart | None = None) -> MsmvStart:
+    """The ``MsmvStart`` of the P pixels of the loaded covariances
+    ``r_loaded`` (P, L, L), a C-ordered float64 stack that is overwritten
+    with its Cholesky factors, and their ``offset_sums`` ``s`` (P, 2K+1, L):
+    each R is factored once, for the 2K+2 right-hand sides [1 S^T], which
+    are solved in place. Written into the first P pixels of ``out``
+    (``msmv_buffers``; new ones if None) and returned."""
+    p, n, L = s.shape
+    out = (out or msmv_buffers(p, n, L)).pixels(slice(0, p))
+    out.x[:, 0], out.x[:, 1:] = 1.0, s
+    out.ok[...] = _spd_solve_both_in_place(r_loaded, out.x)
+    w0, vt = out.w0, out.vt
+    w0 /= w0.sum(axis=-1, keepdims=True)
+    np.matmul(s, w0[..., None], out=out.a[..., None])
+    np.matmul(s, np.swapaxes(vt, -1, -2), out=out.b)
+    vt.sum(axis=-1, out=out.t)
+    np.logical_not(s.any(axis=-1), out=out.unit)
+    return out
+
+
+def _gain(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """1 - t^T c of each pixel, (P, 1)."""
+    return 1.0 - np.sum(t * c, axis=-1, keepdims=True)
+
+
+def msmv_steps(start: MsmvStart, cfg: MsmvConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``cfg.n_iter`` reweighted steps (``msmv_weights``, beta > 0) of
+    the pixels of ``start`` whose solve succeeded: (c, iterations), each
+    pixel's step coefficients (P, 2K+1) and the steps it took. A pixel whose
+    solve failed takes no step, and no step matrix is factored for it."""
+    c = np.zeros_like(start.a)
+    iterations = np.zeros(len(c), dtype=np.int64)
+    if not start.ok.any():
+        return c, iterations
+    # views when every solve succeeded, else copies of the pixels that did
+    live = slice(None) if start.ok.all() else start.ok
+    a, b, t, unit = start.a[live], start.b[live], start.t[live], start.unit[live]
+    c_live, it_live, y = c[live], iterations[live], a
+    for k in range(1, cfg.n_iter + 1):
+        step = b.copy()
+        np.einsum("pkk->pk", step)[...] += np.where(unit, 1.0, np.abs(y) / cfg.beta)
+        c_next, solved = _spd_solve_in_place(step, a)
+        c_live[solved] = c_next[solved]
+        it_live[solved] = k
+        y = (a - np.matmul(b, c_live[..., None])[..., 0]) / _gain(t, c_live)
+    c[live], iterations[live] = c_live, it_live
+    return c, iterations
+
+
+def msmv_step_weights(start: MsmvStart, c: np.ndarray) -> np.ndarray:
+    """The weights (w0 - V c) / (1 - t^T c) of step coefficients ``c``."""
+    return (start.w0 - np.matmul(c[:, None], start.vt)[:, 0]) / _gain(start.t, c)
+
+
 def msmv_weights(
-    r_loaded: np.ndarray,
-    s: np.ndarray,
-    cfg: MsmvConfig,
-    *,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
+    r_loaded: np.ndarray, s: np.ndarray, cfg: MsmvConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse-regularized MV weights for every pixel of a tile.
 
     ``r_loaded`` (P, L, L) are the loaded covariances and ``s`` (P, 2K+1, L)
-    the ``offset_sums``, whose outputs y = S w are penalized. The whole tile
-    takes all ``cfg.n_iter`` steps, each descending w^T R w + 2 beta ||S w||_1
-    (``msmv_objective`` at 2 beta) under 1^T w = 1. A step's weights are
-    (R + S^T diag(beta / |y|) S)^-1 1 normalized, for the last outputs y,
-    taken in output space by the Woodbury identity: from MV's weights w0,
-    V = R^-1 S^T, a = S w0, B = S V and t = 1^T V, a step solves
+    the ``offset_sums``, whose outputs y = S w are penalized. Every pixel
+    whose MV solve succeeds takes all ``cfg.n_iter`` steps, each descending
+    w^T R w + 2 beta ||S w||_1 (``msmv_objective`` at 2 beta) under
+    1^T w = 1. A step's weights are (R + S^T diag(beta / |y|) S)^-1 1
+    normalized, for the last outputs y, taken in output space by the
+    Woodbury identity: from ``msmv_start`` (w0, V = R^-1 S^T, a = S w0,
+    B = S V and t = 1^T V, one factorization of R), a step solves
     (B + diag(|y| / beta)) c = a, starting from y = a, and sets
-    y = (a - B c) / (1 - t^T c); the weights are w = (w0 - V c) / (1 - t^T c).
-    Two rules keep every step exact. An offset whose sums are all zero has
-    output 0 for every w: it gets a unit diagonal entry, so its c is 0. A
-    pixel whose step matrix is still not positive definite keeps its previous
-    c, and so its outputs, which makes every later step the same. A pixel
-    keeps NaN weights where MV failed.
+    y = (a - B c) / (1 - t^T c) (``msmv_steps``); the weights are
+    w = (w0 - V c) / (1 - t^T c) (``msmv_step_weights``). Two rules keep
+    every step exact. An offset whose sums are all zero has output 0 for
+    every w: it gets a unit diagonal entry, so its c is 0. A pixel whose step
+    matrix is still not positive definite keeps its previous c, and so its
+    outputs, which makes every later step the same. A pixel keeps NaN
+    weights where MV failed. With beta 0 or no steps the weights are
+    ``capon_weights``'.
 
-    ``start`` is the MV solve ``capon_weights(r_loaded)`` when the caller has
-    made it already.
+    Each pixel's steps depend on that pixel alone, so the steps of several
+    tiles taken at once (the kernel takes them per span) have the bits of
+    each tile's own.
 
     Returns:
         (w, ok, iterations): weights (P, L), the mask of pixels whose MV
         solve succeeded (w is NaN elsewhere), and the steps each pixel took.
     """
-    w0, ok = capon_weights(r_loaded) if start is None else start
-    iterations = np.zeros(len(w0), dtype=np.int64)
-    if cfg.beta == 0.0 or cfg.n_iter == 0 or not ok.any():
-        return w0, ok, iterations
-    vt, _ = spd_solve_stack(r_loaded, s)  # V^T: row k is R^-1 s_k
-    a = np.matmul(s, w0[..., None])[..., 0]
-    b = np.matmul(s, np.swapaxes(vt, -1, -2))
-    t, unit = vt.sum(axis=-1), ~s.any(axis=-1)
-    c, y = np.zeros_like(a), a
-    for k in range(1, cfg.n_iter + 1):
-        step = b.copy()
-        np.einsum("pkk->pk", step)[...] += np.where(unit, 1.0, np.abs(y) / cfg.beta)
-        c_next, solved = _spd_solve_in_place(step, a)
-        solved &= ok
-        c[solved] = c_next[solved]
-        iterations[solved] = k
-        gain = 1.0 - np.sum(t * c, axis=-1, keepdims=True)
-        y = (a - np.matmul(b, c[..., None])[..., 0]) / gain
-    return (w0 - np.matmul(c[:, None], vt)[:, 0]) / gain, ok, iterations
+    if not cfg.iterates:
+        w, ok = capon_weights(r_loaded)
+        return w, ok, np.zeros(len(w), dtype=np.int64)
+    start = msmv_start(np.array(r_loaded, dtype=np.float64, order="C"), s)
+    c, iterations = msmv_steps(start, cfg)
+    return msmv_step_weights(start, c), start.ok, iterations
 
 
 def _sums(snapshots: SnapshotMatrix) -> np.ndarray:

@@ -149,17 +149,26 @@ def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     """``spd_solve_stack`` for a C-ordered float64 stack ``a`` that nothing
     reads afterwards: ``dposv`` overwrites it with its factors, so no copy
     is made."""
-    if a.dtype != np.float64 or not a.flags.c_contiguous:
-        raise ValueError("dposv takes a C-ordered float64 stack")
     shape = np.shape(b)
-    per_matrix = len(shape) in (2, 3) and (shape[0], shape[-1]) == a.shape[::2]
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or not (shape == a.shape[2:] or per_matrix):
+    one_for_all = len(shape) == 1 and shape == a.shape[1:2] == a.shape[2:]
+    x = np.empty(a.shape[:-1] if one_for_all else shape)
+    x[...] = b
+    return x, _spd_solve_both_in_place(a, x)
+
+
+def _spd_solve_both_in_place(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_spd_solve_in_place`` that also overwrites its right-hand sides
+    ``x``, C-ordered float64 (P, n) or (P, r, n), with the solutions, so that
+    no array is made; returns ``ok``."""
+    if not all(arr.dtype == np.float64 and arr.flags.c_contiguous for arr in (a, x)):
+        raise ValueError("dposv takes C-ordered float64 stacks")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not (
+        x.ndim in (2, 3) and (x.shape[0], x.shape[-1]) == a.shape[::2]
+    ):
         raise DimensionMismatch(
             f"expected a (P, n, n) stack and an (n,), (P, n) or (P, r, n) right-hand"
-            f" side, got {a.shape} and {shape}"
+            f" side, got {a.shape} and {x.shape}"
         )
-    x = np.empty(a.shape[:-1] if len(shape) == 1 else shape)
-    x[...] = b
     failed = _posv(a, x)
     ok = np.ones(len(a), dtype=bool)
     if failed:
@@ -167,4 +176,4 @@ def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
             raise RuntimeError(f"dposv refused its argument {-min(failed.values())}")
         ok[list(failed)] = False
         x[~ok] = np.nan
-    return x, ok
+    return ok

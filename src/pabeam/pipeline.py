@@ -9,10 +9,14 @@ import numpy as np
 from .beamformers import (
     Method,
     MsmvConfig,
+    MsmvStart,
     beamform_outputs,
     capon_weights,
     das_taps,
-    msmv_weights,
+    msmv_buffers,
+    msmv_start,
+    msmv_step_weights,
+    msmv_steps,
     offset_sums,
 )
 from .covariance import default_dl_factor, loaded_covariance
@@ -125,12 +129,49 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
 
 
 def _tile_buffers(pixels: int, n_offsets: int, M: int, L: int) -> tuple:
-    """Uninitialized snapshot rows X and X^T of a tile."""
-    n = n_offsets * (M - L + 1)
-    return np.empty((pixels, n, L)), np.empty((pixels, L, n))
+    """Uninitialized snapshot rows X and X^T of a tile, and a C-ordered
+    (pixels, M-L+1, L) array for its centre-offset rows in X's memory."""
+    n_sub = M - L + 1
+    x = np.empty((pixels, n_offsets * n_sub, L))
+    center = x.reshape(-1)[:pixels * n_sub * L].reshape(pixels, n_sub, L)
+    return x, np.empty((pixels, L, n_offsets * n_sub)), center
+
+
+def _workspace(
+    tile: int, span: int, n_offsets: int, M: int, L: int, methods: tuple, msmv: MsmvConfig
+) -> tuple:
+    """``(tiles, start)``: the ``_tile_buffers`` of ``tile`` pixels and,
+    when MSMV takes steps, the ``msmv_buffers`` of ``span`` pixels, else
+    None."""
+    steps = Method.MSMV in methods and msmv.iterates
+    start = msmv_buffers(span, n_offsets, L) if steps else None
+    return _tile_buffers(tile, n_offsets, M, L), start
 
 
 def _beamform_tile(
+    gathered: np.ndarray, L: int, dl_factor: float, out: tuple, start: MsmvStart | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centre, w, ok) of the tile whose delayed channel data is ``gathered``
+    (P, offsets -K..K, M): its centre-offset snapshot rows (P, M-L+1, L), a
+    view of ``out`` (``_tile_buffers`` of at least P pixels) valid until the
+    next tile, and the MV weights and mask of the pixels whose solve of the
+    loaded covariance succeeded. With ``start`` (``msmv_buffers`` of at
+    least P pixels) that one solve also writes MSMV's ``msmv_start`` there.
+    """
+    snap_out, xt_out, _ = out
+    snaps = subarray_snapshots(gathered, L, snap_out)
+    xt = xt_out[:len(snaps)]
+    xt[...] = np.swapaxes(snaps, -1, -2)
+    r_loaded = loaded_covariance(snaps, dl_factor, xt)
+    K, n_sub = gathered.shape[1] // 2, gathered.shape[-1] - L + 1
+    center = snaps[:, K * n_sub:(K + 1) * n_sub]
+    if start is None:
+        return center, *capon_weights(r_loaded)
+    start = msmv_start(r_loaded, offset_sums(snaps, 2 * K + 1), start)
+    return center, start.w0, start.ok
+
+
+def _beamform_span(
     gathered: np.ndarray,
     das: np.ndarray,
     methods: tuple[Method, ...],
@@ -139,26 +180,44 @@ def _beamform_tile(
     msmv: MsmvConfig,
     out: tuple | None = None,
 ) -> tuple[dict, np.ndarray]:
-    """The values of the adaptive ``methods`` on the tile whose delayed
+    """The values of the adaptive ``methods`` on the span whose delayed
     channel data is ``gathered`` (P, offsets -K..K, M), keyed by method, and
     ``ok``, the mask of the pixels whose MV solve succeeded; the others take
-    their DAS value from ``das`` (P). MSMV iterates from MV's solve. ``out``
-    is ``_tile_buffers`` of at least P pixels (new ones if None).
+    their DAS value from ``das`` (P).
+
+    ``out`` is a ``_workspace`` of at least P span pixels (the span as one
+    tile in new arrays if None), whose tile buffers cut the span into tiles
+    (``_beamform_tile``). Each tile's one solve gives MV's values and, when
+    MSMV takes steps, MSMV's start in the span's ``msmv_buffers``. After the
+    last tile, the steps run once over the whole span (``msmv_steps``), and
+    each tile's MSMV values come from its step weights and its centre-offset
+    rows, copied from ``gathered`` again. A pixel's bits depend on neither
+    its tile nor its span.
     """
-    snap_out, xt_out = out or _tile_buffers(*gathered.shape, L)
-    snaps = subarray_snapshots(gathered, L, snap_out)
-    xt = xt_out[:len(snaps)]
-    xt[...] = np.swapaxes(snaps, -1, -2)
-    r_loaded = loaded_covariance(snaps, dl_factor, xt)
-    w, ok = capon_weights(r_loaded)
-    K, n_sub = gathered.shape[1] // 2, gathered.shape[-1] - L + 1
-    center = snaps[:, K * n_sub:(K + 1) * n_sub]
-    values = {}
-    if Method.MV in methods:
-        values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
-    if Method.MSMV in methods:
-        w, _, _ = msmv_weights(r_loaded, offset_sums(snaps, 2 * K + 1), msmv, start=(w, ok))
-        values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
+    p, n_offsets, m = gathered.shape
+    K = n_offsets // 2
+    tiles, start = out or _workspace(p, p, n_offsets, m, L, methods, msmv)
+    tile = len(tiles[0])
+    values = {method: np.empty(p) for method in methods if method is not Method.DAS}
+    ok = np.empty(p, dtype=bool)
+    for i in range(0, p, tile):
+        cols = slice(i, i + tile)
+        center, w, ok[cols] = _beamform_tile(
+            gathered[cols], L, dl_factor, tiles, None if start is None else start.pixels(cols))
+        # MSMV without steps is MV; with steps its values are set below
+        if Method.MV in methods or start is None:
+            mv = np.where(ok[cols], beamform_outputs(center, w), das[cols])
+            for plane in values.values():
+                plane[cols] = mv
+    if start is not None:
+        start = start.pixels(slice(0, p))
+        c, _ = msmv_steps(start, msmv)
+        for i in range(0, p, tile):
+            cols = slice(i, i + tile)
+            w = msmv_step_weights(start.pixels(cols), c[cols])
+            center = subarray_snapshots(gathered[cols, K:K + 1], L, tiles[2])
+            msmv_values = beamform_outputs(center, w)
+            values[Method.MSMV][cols] = np.where(ok[cols], msmv_values, das[cols])
     return values, ok
 
 
@@ -181,12 +240,14 @@ def _beamform_rows(
     time. A span's DAS, the taper ``taps`` on its centre offset summed by
     ``einsum`` (whose bits depend on neither the span's length nor its
     stride), goes into the DAS plane's row, or a scratch row without DAS, and
-    is the fallback of its tiles of ``tile`` pixels (``_beamform_tile`` with
-    ``tile_settings``). The workspace, a span's ``gather_buffers`` and one
-    set of ``_tile_buffers``, is made once per call, in the process that runs
-    it. A span that gathers only zeros is not cut into tiles: each of its
-    pixels would have a zero covariance, so every method gives 0 there and
-    the pixel counts as a fallback.
+    is the fallback of its MV and MSMV values (``_beamform_span`` with
+    ``tile_settings``, in tiles of ``tile`` pixels). The workspace, a span's
+    ``gather_buffers`` and, with an adaptive method, a ``_workspace`` (tile
+    buffers, and a span's MSMV step arrays only when MSMV takes steps), is
+    made once per call, in the process that runs it. A span that gathers
+    only zeros is not cut into tiles: each of its pixels would have a zero
+    covariance, so every method gives 0 there and the pixel counts as a
+    fallback.
     """
     nx, centre, fallback = len(plan.lateral), len(plan.offsets) // 2, 0
     planes = {method: np.zeros((len(rows), nx)) for method in methods}
@@ -194,7 +255,8 @@ def _beamform_rows(
     adaptive = [(m, p) for m, p in planes.items() if m is not Method.DAS]
     scratch, gather_out = np.empty(nx), gather_buffers(plan, min(nx, span))
     if adaptive:
-        buffers = _tile_buffers(tile, len(plan.offsets), len(plan.base), tile_settings["L"])
+        workspace = _workspace(tile, min(nx, span), len(plan.offsets), len(plan.base),
+                               tile_settings["L"], methods, tile_settings["msmv"])
     for j, iz in enumerate(rows):
         das = scratch if das_plane is None else das_plane[j]
         for s in range(0, nx, span):
@@ -203,13 +265,12 @@ def _beamform_rows(
             if not (adaptive and gathered.any()):
                 fallback += len(gathered)
                 continue
-            for i in range(0, len(gathered), tile):
-                cols = slice(s + i, s + i + tile)
-                values, ok = _beamform_tile(
-                    gathered[i:i + tile], das[cols], methods, **tile_settings, out=buffers)
-                fallback += int(len(ok) - np.count_nonzero(ok))
-                for method, plane in adaptive:
-                    plane[j, cols] = values[method]
+            cols = slice(s, s + span)
+            values, ok = _beamform_span(gathered, das[cols], methods, **tile_settings,
+                                        out=workspace)
+            fallback += int(len(ok) - np.count_nonzero(ok))
+            for method, plane in adaptive:
+                plane[j, cols] = values[method]
     return list(planes.values()), fallback
 
 
@@ -238,7 +299,8 @@ def reconstruct_methods(
 
     One gather per span (``span_pixels``) feeds every method: DAS is the
     span's ``das_taps`` sum, and MV and MSMV are solved tile by tile
-    (``tile_pixels``), MSMV iterating from the MV solve (``_beamform_rows``).
+    (``tile_pixels``), MSMV stepping from the MV solve once per span
+    (``_beamform_span``).
     A pixel whose loaded covariance is not positive definite takes its DAS
     value and is counted in the MV and MSMV images' fallback_pixel_count. A
     setting left None takes its default (``kernel_settings``).

@@ -341,6 +341,15 @@ def test_msmv_tile_unit_gain_every_iterate(seed, n_pix, L, n_iter, zero_pixel):
     assert np.all(iterations <= n_iter)
 
 
+def test_msmv_weights_leave_their_covariances():
+    # msmv_start factors its stack in place, so msmv_weights hands it a copy
+    x = np.random.default_rng(9).standard_normal((3, 15, 6))
+    r = loaded_covariance(x, default_dl_factor(6))
+    before = r.tobytes()
+    msmv_weights(r, offset_sums(x, 3), MsmvConfig(n_iter=2))
+    assert r.tobytes() == before
+
+
 def test_msmv_tile_matches_one_pixel():
     # a tile of random pixels, a pixel of equal snapshots (the iterate stays
     # uniform), a pixel whose sums are all zero (every step keeps MV),

@@ -18,10 +18,13 @@ from pabeam.beamformers import (
     Method,
     MsmvConfig,
     beamform_outputs,
+    capon_weights,
     das_taps,
     das_weight,
     msmv_weight,
+    msmv_weights,
     mv_weight,
+    offset_sums,
 )
 from pabeam.covariance import default_dl_factor, loaded_covariance
 from pabeam.delays import (
@@ -568,15 +571,16 @@ def test_fused_pass_matches_single_methods(scene):
 
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_tile_msmv_is_one_pixel_msmv_weight(K):
-    # each pixel of a tile's MSMV values is msmv_weight's on that pixel's
+    # each pixel of a span's MSMV values is msmv_weight's on that pixel's
     # snapshots, byte for byte, at K = 0 as at K >= 1 (the snapshot rows are
-    # C-ordered for any K); reused buffers of more pixels, filled with NaN
-    # beforehand, give the same bytes as a tile that makes its own
+    # C-ordered for any K); a reused workspace of 4-pixel tiles (three tiles
+    # of the span, whose steps run at once) and of more step pixels, filled
+    # with NaN beforehand, gives the same bytes as one tile that makes its own
     L, m, cfg = 16, 32, MsmvConfig()
     n_sub, dl = m - L + 1, default_dl_factor(L)
     gathered = np.random.default_rng(40 + K).standard_normal((9, 2 * K + 1, m))
     das = np.zeros(len(gathered))
-    values, ok = pipeline._beamform_tile(gathered, das, (Method.MSMV,), L, dl, cfg)
+    values, ok = pipeline._beamform_span(gathered, das, (Method.MSMV,), L, dl, cfg)
     assert ok.all()
     for p in range(len(gathered)):
         snaps = subarray_snapshots(gathered[p:p + 1], L)
@@ -585,10 +589,11 @@ def test_tile_msmv_is_one_pixel_msmv_weight(K):
         w = msmv_weight(loaded_covariance(snaps, dl)[0], columns, cfg).values
         center = snaps[:, K * n_sub:(K + 1) * n_sub]
         assert values[Method.MSMV][p] == beamform_outputs(center, w[None])[0]
-    buffers = pipeline._tile_buffers(len(gathered) + 3, 2 * K + 1, m, L)
-    for buffer in buffers:
+    tiles, start = workspace = pipeline._workspace(
+        4, len(gathered) + 3, 2 * K + 1, m, L, (Method.MSMV,), cfg)
+    for buffer in (*tiles, *start):
         buffer.fill(np.nan)
-    again, _ = pipeline._beamform_tile(gathered, das, (Method.MSMV,), L, dl, cfg, buffers)
+    again, _ = pipeline._beamform_span(gathered, das, (Method.MSMV,), L, dl, cfg, workspace)
     assert again[Method.MSMV].tobytes() == values[Method.MSMV].tobytes()
 
 
@@ -596,23 +601,28 @@ def per_tile_block(frame, grid, methods, L, K, msmv, gather=gather_delayed):
     """The kernel's planes for ``methods`` and its fallback mask, as one block
     (method, row, column), with each MV/MSMV-sized tile gathered on its own
     by ``gather`` (``gather_delayed``'s arguments), its DAS taper summed on
-    its own and, with an adaptive method, its MV and MSMV values from
-    ``_beamform_tile``: the row loop without spans, gather plans or skipped
-    spans."""
+    its own and, with an adaptive method, its MV and MSMV values from the
+    tile's own ``capon_weights`` and ``msmv_weights``: the row loop without
+    spans, gather plans, skipped spans or steps taken per span."""
     m = frame.geometry.n_elements
-    tile, taps = tile_pixels(m, L, K), das_taps(m, L)
+    tile, taps, n_sub = tile_pixels(m, L, K), das_taps(m, L), m - L + 1
     adaptive = set(methods) != {Method.DAS}
     offsets = np.arange(-K, K + 1) if adaptive else np.zeros(1)
-    kw = dict(L=L, dl_factor=default_dl_factor(L), msmv=msmv)
     xs = grid.x_coords
 
     def block(z, i):
         gathered = gather(frame, xs[i:i + tile], z, offsets)
         das = np.einsum("pm,m->p", gathered[:, len(offsets) // 2], taps)
-        values, ok = {}, np.zeros(len(das), dtype=bool)
+        values, ok = {Method.DAS: das}, np.zeros(len(das), dtype=bool)
         if adaptive:
-            values, ok = pipeline._beamform_tile(gathered, das, methods, **kw)
-        values[Method.DAS] = das
+            snaps = subarray_snapshots(gathered, L)
+            r = loaded_covariance(snaps, default_dl_factor(L))
+            center = snaps[:, K * n_sub:(K + 1) * n_sub]
+            w, ok = capon_weights(r)
+            values[Method.MV] = np.where(ok, beamform_outputs(center, w), das)
+            if Method.MSMV in methods:
+                w, _, _ = msmv_weights(r, offset_sums(snaps, 2 * K + 1), msmv)
+                values[Method.MSMV] = np.where(ok, beamform_outputs(center, w), das)
         return np.stack([values[method] for method in methods] + [~ok])
 
     return np.stack([
@@ -654,6 +664,33 @@ def test_spans_match_per_tile_gathers(methods, nx, x_min, x_max, z_min, nz, work
         assert np.array_equal(image.beamformed, plane)
         expected = 0 if image.method is Method.DAS else int(fallback.sum())
         assert image.fallback_pixel_count == expected
+
+
+def test_each_covariance_factored_once(monkeypatch):
+    # a DAS+MV+MSMV run of three rows of the truncated record, each one span
+    # of three tiles (9 + 9 + 1 px) with fallback pixels: each pixel's L x L
+    # covariance is factored once, for MV and MSMV's start together; the
+    # steps factor n_iter (2K+1) x (2K+1) matrices per pixel whose MV solve
+    # succeeded, none for a fallback pixel, in n_iter solver calls per span
+    real, factored = numerics._posv, []
+
+    def counting(a, x):
+        factored.append((a.shape[-1], len(a)))
+        return real(a, x)
+
+    monkeypatch.setattr(numerics, "_posv", counting)
+    msmv, nx, nz = MsmvConfig(n_iter=3), 19, 3
+    grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, nx, nz)
+    images = reconstruct_methods(truncated_frame(), grid, tuple(Method), L=TILE_L,
+                                 K=TILE_K, msmv=msmv)
+    fallback = images[2].fallback_pixel_count
+    assert fallback >= nz and tile_pixels(64, TILE_L, TILE_K) < nx
+    covariances = [count for n, count in factored if n == TILE_L]
+    steps = [count for n, count in factored if n == 2 * TILE_K + 1]
+    assert sum(covariances) == nx * nz
+    assert sum(steps) == msmv.n_iter * (nx * nz - fallback)
+    assert len(steps) == msmv.n_iter * nz
+    assert len(covariances) + len(steps) == len(factored)
 
 
 def reference_gather(frame, xs, z, offsets):
