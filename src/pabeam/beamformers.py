@@ -1,21 +1,24 @@
 """Weight computations: DAS, MV, sparse-Capon (SC) and the sparse-regularized
 MV update (MSMV), plus the subarray-averaged beamformed output.
 
-MSMV penalizes the l1 norm of the beamformed output over the temporal window:
-at each offset, the sum over the subarrays of their outputs (``offset_sums``),
-2K+1 values per pixel. Its reweighted steps are taken in that
-(2K+1)-dimensional output space: each pixel's R is factored once, in MV's
-solve, which also gives R^-1 S^T (``msmv_start``), and each step factors a
-(2K+1) x (2K+1) matrix, not an L x L one.
+The sums over the subarrays of a pixel's snapshot rows at each of the 2K+1
+temporal offsets (``offset_sums``, S) carry both of its outputs. The image
+value of weights w is the subarray-averaged output, the centre row of S
+dotted with w over M-L+1 (``averaged_outputs``), and MSMV penalizes the l1
+norm of S w, the subarray sums of the outputs at every offset. Its
+reweighted steps are taken in that (2K+1)-dimensional output space: each
+pixel's R is factored once, in MV's solve, which also gives R^-1 S^T
+(``msmv_start``), and each step factors a (2K+1) x (2K+1) matrix, not an
+L x L one.
 
 All arithmetic is real: the steering vector is all-ones (channels are
 pre-delayed) and RF samples are real, so conjugate transposes reduce to plain
 transposes. ``capon_weights``, ``offset_sums``, ``msmv_start``,
-``msmv_steps``, ``msmv_step_weights``, ``msmv_weights`` and
-``beamform_outputs`` work on a stack of pixels (a leading pixel axis) and
-form the images; ``mv_weight``, ``msmv_weight``, ``sc_weight`` and
-``msmv_objective`` state the one-pixel definitions the tiles are checked
-against.
+``msmv_steps``, ``msmv_step_weights``, ``msmv_weights``,
+``averaged_outputs`` and ``beamform_outputs`` work on a stack of pixels (a
+leading pixel axis) and form the images; ``mv_weight``, ``msmv_weight``,
+``sc_weight`` and ``msmv_objective`` state the one-pixel definitions the
+tiles are checked against.
 """
 
 from dataclasses import dataclass
@@ -26,12 +29,7 @@ import numpy as np
 
 from .delays import SnapshotMatrix
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
-from .numerics import (
-    _spd_solve_both_in_place,
-    _spd_solve_in_place,
-    check_symmetric,
-    spd_solve_stack,
-)
+from .numerics import _spd_solve_both_in_place, check_symmetric, spd_solve_stack
 
 
 class Method(str, Enum):
@@ -145,9 +143,15 @@ def sc_weight(
 def offset_sums(x: np.ndarray, n_offsets: int) -> np.ndarray:
     """S (P, n_offsets, L): the sum of a tile's offset-major snapshot rows
     x (P, N, L) over the subarrays at each temporal offset, so that S w holds
-    the subarray sums of the outputs of weights w, the ones MSMV penalizes."""
+    the subarray sums of the outputs of weights w, the ones MSMV penalizes.
+
+    One ``matmul`` of a ones vector with each offset's block of rows, so a
+    row of S has the same bits whether its block is summed with the other
+    offsets' or alone (the kernel's MV-only centre sums)."""
     p, n, L = x.shape
-    return x.reshape(p, n_offsets, n // n_offsets, L).sum(axis=2)
+    n_sub = n // n_offsets
+    blocks = x.reshape(p * n_offsets, n_sub, L)
+    return np.matmul(np.ones(n_sub), blocks).reshape(p, n_offsets, L)
 
 
 class MsmvStart(NamedTuple):
@@ -226,9 +230,9 @@ def msmv_steps(start: MsmvStart, cfg: MsmvConfig) -> tuple[np.ndarray, np.ndarra
     a, b, t, unit = start.a[live], start.b[live], start.t[live], start.unit[live]
     c_live, it_live, y = c[live], iterations[live], a
     for k in range(1, cfg.n_iter + 1):
-        step = b.copy()
+        step, c_next = b.copy(), a.copy()
         np.einsum("pkk->pk", step)[...] += np.where(unit, 1.0, np.abs(y) / cfg.beta)
-        c_next, solved = _spd_solve_in_place(step, a)
+        solved = _spd_solve_both_in_place(step, c_next)
         c_live[solved] = c_next[solved]
         it_live[solved] = k
         y = (a - np.matmul(b, c_live[..., None])[..., 0]) / _gain(t, c_live)
@@ -314,10 +318,19 @@ def msmv_objective(
     return float(w @ r @ w + beta * np.sum(np.abs(_sums(snapshots)[0] @ w)))
 
 
+def averaged_outputs(sums: np.ndarray, w: np.ndarray, n_subarrays: int) -> np.ndarray:
+    """Subarray-averaged output (sum_l x_l)^T w / (M-L+1) of each pixel of a
+    stack, from its centre-offset sums ``sums`` (P, L), the centre row of
+    ``offset_sums``, and its weights ``w`` (P, L). A pixel's bits depend on
+    neither the stack's length nor its strides."""
+    return np.vecdot(sums, w) / n_subarrays
+
+
 def beamform_outputs(center: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Subarray-averaged output of each pixel of a tile: the mean of w^T X_l
-    over the center-time snapshot rows ``center`` (P, M-L+1, L), for weights
-    w of shape (P, L). The other temporal offsets feed only the covariance
-    and the sparsity penalty."""
-    return np.matmul(center, w[..., None])[..., 0].mean(axis=-1)
+    """Subarray-averaged output of each pixel of a tile, the mean of w^T x_l
+    over its centre-time snapshot rows ``center`` (P, M-L+1, L), for weights
+    w of shape (P, L): ``averaged_outputs`` of their ``offset_sums``. The
+    other temporal offsets feed only the covariance and the sparsity
+    penalty."""
+    return averaged_outputs(offset_sums(center, 1)[:, 0], w, center.shape[1])
 

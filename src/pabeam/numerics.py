@@ -142,13 +142,7 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
             this module rather than a matrix that is not positive definite.
     """
     # dposv overwrites its matrix with the factor and b with the solution
-    return _spd_solve_in_place(np.array(a, dtype=np.float64, order="C"), b)
-
-
-def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``spd_solve_stack`` for a C-ordered float64 stack ``a`` that nothing
-    reads afterwards: ``dposv`` overwrites it with its factors, so no copy
-    is made."""
+    a = np.array(a, dtype=np.float64, order="C")
     shape = np.shape(b)
     one_for_all = len(shape) == 1 and shape == a.shape[1:2] == a.shape[2:]
     x = np.empty(a.shape[:-1] if one_for_all else shape)
@@ -157,9 +151,10 @@ def _spd_solve_in_place(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _spd_solve_both_in_place(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_spd_solve_in_place`` that also overwrites its right-hand sides
-    ``x``, C-ordered float64 (P, n) or (P, r, n), with the solutions, so that
-    no array is made; returns ``ok``."""
+    """``spd_solve_stack`` in place, for a C-ordered float64 stack ``a`` that
+    nothing reads afterwards and right-hand sides ``x``, C-ordered float64
+    (P, n) or (P, r, n): ``dposv`` overwrites ``a`` with its factors and ``x``
+    with the solutions, so that no array is made; returns ``ok``."""
     if not all(arr.dtype == np.float64 and arr.flags.c_contiguous for arr in (a, x)):
         raise ValueError("dposv takes C-ordered float64 stacks")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not (

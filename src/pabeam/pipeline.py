@@ -9,8 +9,7 @@ import numpy as np
 from .beamformers import (
     Method,
     MsmvConfig,
-    MsmvStart,
-    beamform_outputs,
+    averaged_outputs,
     capon_weights,
     das_taps,
     msmv_buffers,
@@ -128,47 +127,46 @@ def span_pixels(tile: int, n_offsets: int, n_elements: int) -> int:
     return tile * max(1, TILE_BYTES // (n_offsets * n_elements * 8 * tile))
 
 
-def _tile_buffers(pixels: int, n_offsets: int, M: int, L: int) -> tuple:
-    """Uninitialized snapshot rows X and X^T of a tile, and a C-ordered
-    (pixels, M-L+1, L) array for its centre-offset rows in X's memory."""
-    n_sub = M - L + 1
-    x = np.empty((pixels, n_offsets * n_sub, L))
-    center = x.reshape(-1)[:pixels * n_sub * L].reshape(pixels, n_sub, L)
-    return x, np.empty((pixels, L, n_offsets * n_sub)), center
-
-
 def _workspace(
     tile: int, span: int, n_offsets: int, M: int, L: int, methods: tuple, msmv: MsmvConfig
 ) -> tuple:
-    """``(tiles, start)``: the ``_tile_buffers`` of ``tile`` pixels and,
-    when MSMV takes steps, the ``msmv_buffers`` of ``span`` pixels, else
-    None."""
-    steps = Method.MSMV in methods and msmv.iterates
-    start = msmv_buffers(span, n_offsets, L) if steps else None
-    return _tile_buffers(tile, n_offsets, M, L), start
+    """``(x, xt, sums, w, ok, start)``, uninitialized: the snapshot rows X
+    (tile, N, L) of a tile of ``tile`` pixels and their transpose X^T; the
+    centre-offset sums (span, L), MV weights (span, L) and solve mask (span,)
+    of a span of ``span`` pixels; and, when MSMV takes steps, the span's
+    ``msmv_buffers``, whose w0 and ok are then the w and ok, else None."""
+    n = n_offsets * (M - L + 1)
+    start = None
+    if Method.MSMV in methods and msmv.iterates:
+        start = msmv_buffers(span, n_offsets, L)
+        w, ok = start.w0, start.ok
+    else:
+        w, ok = np.empty((span, L)), np.empty(span, dtype=bool)
+    return np.empty((tile, n, L)), np.empty((tile, L, n)), np.empty((span, L)), w, ok, start
 
 
-def _beamform_tile(
-    gathered: np.ndarray, L: int, dl_factor: float, out: tuple, start: MsmvStart | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centre, w, ok) of the tile whose delayed channel data is ``gathered``
-    (P, offsets -K..K, M): its centre-offset snapshot rows (P, M-L+1, L), a
-    view of ``out`` (``_tile_buffers`` of at least P pixels) valid until the
-    next tile, and the MV weights and mask of the pixels whose solve of the
-    loaded covariance succeeded. With ``start`` (``msmv_buffers`` of at
-    least P pixels) that one solve also writes MSMV's ``msmv_start`` there.
+def _beamform_tile(gathered: np.ndarray, L: int, dl_factor: float, out: tuple, cols: slice):
+    """Fills the span pixels ``cols`` of ``out`` (a ``_workspace``) for the
+    tile whose delayed channel data is ``gathered`` (P, offsets -K..K, M),
+    through its tile arrays: their centre-offset sums, and the MV weights
+    and mask of the pixels whose solve of the loaded covariance succeeded.
+    With ``out``'s MSMV start that one solve also writes ``msmv_start``
+    there, and its w0 and ok are MV's. A tile without it sums its centre
+    offset's rows alone, with the bits of that row of the full sums.
     """
-    snap_out, xt_out, _ = out
-    snaps = subarray_snapshots(gathered, L, snap_out)
-    xt = xt_out[:len(snaps)]
+    x, xt, sums, w, ok, start = out
+    snaps = subarray_snapshots(gathered, L, x)
+    xt = xt[:len(snaps)]
     xt[...] = np.swapaxes(snaps, -1, -2)
     r_loaded = loaded_covariance(snaps, dl_factor, xt)
     K, n_sub = gathered.shape[1] // 2, gathered.shape[-1] - L + 1
-    center = snaps[:, K * n_sub:(K + 1) * n_sub]
     if start is None:
-        return center, *capon_weights(r_loaded)
-    start = msmv_start(r_loaded, offset_sums(snaps, 2 * K + 1), start)
-    return center, start.w0, start.ok
+        sums[cols] = offset_sums(snaps[:, K * n_sub:(K + 1) * n_sub], 1)[:, 0]
+        w[cols], ok[cols] = capon_weights(r_loaded)
+    else:
+        s = offset_sums(snaps, 2 * K + 1)
+        sums[cols] = s[:, K]
+        msmv_start(r_loaded, s, start.pixels(cols))
 
 
 def _beamform_span(
@@ -186,38 +184,30 @@ def _beamform_span(
     their DAS value from ``das`` (P).
 
     ``out`` is a ``_workspace`` of at least P span pixels (the span as one
-    tile in new arrays if None), whose tile buffers cut the span into tiles
-    (``_beamform_tile``). Each tile's one solve gives MV's values and, when
-    MSMV takes steps, MSMV's start in the span's ``msmv_buffers``. After the
+    tile in new arrays if None), whose tile arrays cut the span into tiles
+    (``_beamform_tile``). The tiles leave each pixel's centre-offset sums
+    and MV weights, and, when MSMV takes steps, its MSMV start. After the
     last tile, the steps run once over the whole span (``msmv_steps``), and
-    each tile's MSMV values come from its step weights and its centre-offset
-    rows, copied from ``gathered`` again. A pixel's bits depend on neither
-    its tile nor its span.
+    each method's values are one ``averaged_outputs`` of the span's sums and
+    that method's weights. A pixel's bits depend on neither its tile nor its
+    span.
     """
     p, n_offsets, m = gathered.shape
-    K = n_offsets // 2
-    tiles, start = out or _workspace(p, p, n_offsets, m, L, methods, msmv)
-    tile = len(tiles[0])
-    values = {method: np.empty(p) for method in methods if method is not Method.DAS}
-    ok = np.empty(p, dtype=bool)
-    for i in range(0, p, tile):
-        cols = slice(i, i + tile)
-        center, w, ok[cols] = _beamform_tile(
-            gathered[cols], L, dl_factor, tiles, None if start is None else start.pixels(cols))
-        # MSMV without steps is MV; with steps its values are set below
-        if Method.MV in methods or start is None:
-            mv = np.where(ok[cols], beamform_outputs(center, w), das[cols])
-            for plane in values.values():
-                plane[cols] = mv
+    out = out or _workspace(p, p, n_offsets, m, L, methods, msmv)
+    x, _, sums, w, ok, start = out
+    for i in range(0, p, len(x)):
+        cols = slice(i, min(i + len(x), p))
+        _beamform_tile(gathered[cols], L, dl_factor, out, cols)
+    sums, w, ok = sums[:p], w[:p], ok[:p]
+    # MSMV without steps is MV
+    weights = {Method.MV: w, Method.MSMV: w}
     if start is not None:
         start = start.pixels(slice(0, p))
-        c, _ = msmv_steps(start, msmv)
-        for i in range(0, p, tile):
-            cols = slice(i, i + tile)
-            w = msmv_step_weights(start.pixels(cols), c[cols])
-            center = subarray_snapshots(gathered[cols, K:K + 1], L, tiles[2])
-            msmv_values = beamform_outputs(center, w)
-            values[Method.MSMV][cols] = np.where(ok[cols], msmv_values, das[cols])
+        weights[Method.MSMV] = msmv_step_weights(start, msmv_steps(start, msmv)[0])
+    values = {
+        method: np.where(ok, averaged_outputs(sums, weights[method], m - L + 1), das)
+        for method in methods if method is not Method.DAS
+    }
     return values, ok
 
 
@@ -242,12 +232,12 @@ def _beamform_rows(
     stride), goes into the DAS plane's row, or a scratch row without DAS, and
     is the fallback of its MV and MSMV values (``_beamform_span`` with
     ``tile_settings``, in tiles of ``tile`` pixels). The workspace, a span's
-    ``gather_buffers`` and, with an adaptive method, a ``_workspace`` (tile
-    buffers, and a span's MSMV step arrays only when MSMV takes steps), is
-    made once per call, in the process that runs it. A span that gathers
-    only zeros is not cut into tiles: each of its pixels would have a zero
-    covariance, so every method gives 0 there and the pixel counts as a
-    fallback.
+    ``gather_buffers`` and, with an adaptive method, a ``_workspace`` (a
+    tile's snapshot arrays and a span's sums, weights and, only when MSMV
+    takes steps, MSMV step arrays), is made once per call, in the process
+    that runs it. A span that gathers only zeros is not cut into tiles: each
+    of its pixels would have a zero covariance, so every method gives 0
+    there and the pixel counts as a fallback.
     """
     nx, centre, fallback = len(plan.lateral), len(plan.offsets) // 2, 0
     planes = {method: np.zeros((len(rows), nx)) for method in methods}

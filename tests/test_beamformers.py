@@ -19,7 +19,7 @@ from pabeam.beamformers import (
     sc_weight,
 )
 from pabeam.covariance import apply_dl, default_dl_factor, loaded_covariance
-from pabeam.delays import SnapshotMatrix
+from pabeam.delays import SnapshotMatrix, subarray_snapshots
 from pabeam.errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 
 
@@ -107,14 +107,16 @@ class TestSparseCapon:
 
 def capture_steps(monkeypatch):
     """The list that every step matrix ``msmv_weights`` factors is copied
-    into, as it is passed to the solver."""
-    real, steps = beamformers._spd_solve_in_place, []
+    into, as it is passed to the solver: a step solve has one right-hand
+    side per matrix, ``msmv_start``'s solve of R has 2K+2."""
+    real, steps = beamformers._spd_solve_both_in_place, []
 
-    def solve(a, b):
-        steps.append(a.copy())
-        return real(a, b)
+    def solve(a, x):
+        if x.ndim == 2:
+            steps.append(a.copy())
+        return real(a, x)
 
-    monkeypatch.setattr(beamformers, "_spd_solve_in_place", solve)
+    monkeypatch.setattr(beamformers, "_spd_solve_both_in_place", solve)
     return steps
 
 
@@ -295,6 +297,27 @@ class TestBeamformOutput:
         assert out[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_offset_sums_centre_row_is_centre_block_sum(K):
+    # S holds the per-offset sums of the kernel's snapshot rows, and its
+    # centre row has the bits of the centre offset's block summed alone,
+    # through the pixel-strided view an MV-only tile passes: so a fused
+    # run's MV plane is the MV-only run's, bit for bit
+    rng = np.random.default_rng(60 + K)
+    n_offsets = 2 * K + 1
+    for P in (1, 2, 9, 61):
+        for M, L in ((2, 1), (8, 4), (16, 16), (33, 7), (64, 1), (64, 32), (96, 48)):
+            n_sub = M - L + 1
+            x = subarray_snapshots(rng.standard_normal((P, n_offsets, M)), L)
+            s = offset_sums(x, n_offsets)
+            assert s.shape == (P, n_offsets, L)
+            blocks = x.reshape(P, n_offsets, n_sub, L).astype(np.longdouble)
+            exact = blocks.sum(axis=2)
+            assert np.max(np.abs(s - exact)) <= 1e-14 * np.max(np.abs(exact))
+            centre = offset_sums(x[:, K * n_sub:(K + 1) * n_sub], 1)
+            assert centre[:, 0].tobytes() == s[:, K].tobytes()
+
+
 M_AND_L = st.integers(2, 96).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
 
 
@@ -419,17 +442,18 @@ def test_msmv_step_failure_keeps_last_iterate(monkeypatch, j):
     s = offset_sums(x, 3)
     clean = msmv_weights(r, s, MsmvConfig(n_iter=n_iter))
     before = msmv_weights(r, s, MsmvConfig(n_iter=j - 1))
-    real = beamformers._spd_solve_in_place
+    real = beamformers._spd_solve_both_in_place
     calls = []
 
-    def fails_from_step_j(a, b):  # the step solve; call k-1 is step k
-        x, ok = real(a, b)
-        if len(calls) >= j - 1:
-            x[marked], ok[marked] = np.nan, False
-        calls.append(len(a))
-        return x, ok
+    def fails_from_step_j(a, x):  # a step solve (one rhs each); call k-1 is step k
+        ok = real(a, x)
+        if x.ndim == 2:
+            if len(calls) >= j - 1:
+                x[marked], ok[marked] = np.nan, False
+            calls.append(len(a))
+        return ok
 
-    monkeypatch.setattr(beamformers, "_spd_solve_in_place", fails_from_step_j)
+    monkeypatch.setattr(beamformers, "_spd_solve_both_in_place", fails_from_step_j)
     w, ok, iterations = msmv_weights(r, s, MsmvConfig(n_iter=n_iter))
     assert len(calls) == n_iter
     np.testing.assert_array_equal(ok, [True] * 4 + [False, True])

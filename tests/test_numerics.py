@@ -185,8 +185,9 @@ def test_in_place_solve_matches_copying_solve(stack):
     # bits of the copying spd_solve_stack, and write only lower triangles
     a, b = stack
     x, ok = spd_solve_stack(a, b)
-    scratch = a.copy()
-    x_in, ok_in = numerics._spd_solve_in_place(scratch, b)
+    scratch, x_in = a.copy(), np.empty(x.shape)
+    x_in[...] = b
+    ok_in = numerics._spd_solve_both_in_place(scratch, x_in)
     assert x_in.tobytes() == x.tobytes()
     np.testing.assert_array_equal(ok_in, ok)
     upper = np.triu_indices(a.shape[-1], 1)
@@ -230,7 +231,7 @@ def test_stack_shapes_checked():
     # and the in-place solve passes its stack's own memory, so its layout
     for a in (np.eye(2, dtype=np.float32)[None], np.eye(4)[None, ::2, ::2]):
         with pytest.raises(ValueError):
-            numerics._spd_solve_in_place(a, np.ones(2))
+            numerics._spd_solve_both_in_place(a, np.ones((1, 2)))
 
 
 def test_empty_stack():

@@ -589,9 +589,9 @@ def test_tile_msmv_is_one_pixel_msmv_weight(K):
         w = msmv_weight(loaded_covariance(snaps, dl)[0], columns, cfg).values
         center = snaps[:, K * n_sub:(K + 1) * n_sub]
         assert values[Method.MSMV][p] == beamform_outputs(center, w[None])[0]
-    tiles, start = workspace = pipeline._workspace(
+    *arrays, start = workspace = pipeline._workspace(
         4, len(gathered) + 3, 2 * K + 1, m, L, (Method.MSMV,), cfg)
-    for buffer in (*tiles, *start):
+    for buffer in (*arrays, *start):
         buffer.fill(np.nan)
     again, _ = pipeline._beamform_span(gathered, das, (Method.MSMV,), L, dl, cfg, workspace)
     assert again[Method.MSMV].tobytes() == values[Method.MSMV].tobytes()
@@ -691,6 +691,29 @@ def test_each_covariance_factored_once(monkeypatch):
     assert sum(steps) == msmv.n_iter * (nx * nz - fallback)
     assert len(steps) == msmv.n_iter * nz
     assert len(covariances) + len(steps) == len(factored)
+
+
+def test_fused_run_copies_snapshots_once_per_tile(monkeypatch):
+    # a DAS+MV+MSMV run copies each tile's snapshot windows once, as the
+    # MV-only run does: MSMV's values come from the centre-offset sums its
+    # tiles left, not from centre rows copied from the gathered block again
+    real, calls = pipeline.subarray_snapshots, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "subarray_snapshots", counting)
+    nx, nz = 19, 3
+    grid = ImageGrid(0.0, 36e-3, 10e-3, 11e-3, nx, nz)
+    counts = []
+    for methods in ((Method.MV,), tuple(Method)):
+        calls.clear()
+        reconstruct_methods(truncated_frame(), grid, methods, L=TILE_L, K=TILE_K,
+                            msmv=MsmvConfig(n_iter=3))
+        counts.append(len(calls))
+        assert sum(calls) == nx * nz
+    assert counts[1] == counts[0] == nz * -(-nx // tile_pixels(64, TILE_L, TILE_K))
 
 
 def reference_gather(frame, xs, z, offsets):
